@@ -5,8 +5,10 @@ repeated-sweep workload (the shape that dominates parameter studies: the same
 trace seeds re-simulated across repeats and schedulers) through the runtime
 manager, comparing
 
-* one worker without the activation cache on the seed's list-based scheduler
-  path (the historical baseline the service's ≥2× bar was set against),
+* one worker without the activation cache on the seed's list-based MMKP-MDF
+  (the reference oracle of ``tests/reference``, registered under a name
+  local to this benchmark; the historical baseline the service's ≥2× bar
+  was set against),
 * one worker without the cache on today's columnar ``repro.optable`` path,
 * one worker with the cache (repeated activations solved once),
 * ``--workers``/``REPRO_BENCH_WORKERS`` workers with a shared cache.
@@ -17,13 +19,19 @@ refactor the *uncached* scheduler is itself ≥2× faster, so most of that
 margin now comes from the kernel and the cache compresses the remainder; the
 cache must still never lose throughput.  All configurations must simulate
 every trace without failures, and every run — cached or not, columnar or
-list — must produce bit-identical batch fingerprints.
+list — must produce bit-identical per-trace results.
 """
 
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
-from repro.optable import columnar_disabled
 from repro.service import BatchSpec, SimulationService
+
+# The reference oracle lives with the tests (tests/reference).
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from tests.reference.oracle import registered_twins, result_key  # noqa: E402
 
 #: Repeated-sweep workload: distinct trace seeds × repeats.
 ARRIVAL_RATES = (0.15, 0.3)
@@ -60,9 +68,11 @@ def test_service_throughput(bench_workers):
         f"{NUM_REQUESTS} requests each)"
     )
 
-    with columnar_disabled():
+    with registered_twins("service-bench") as names:
+        jobs = tuple(replace(job, scheduler=names[job.scheduler]) for job in spec.jobs)
+        oracle_spec = replace(spec, jobs=jobs)
         seed_results, seed_time = _timed(
-            SimulationService(workers=1, use_cache=False), spec
+            SimulationService(workers=1, use_cache=False), oracle_spec
         )
 
     baseline = SimulationService(workers=1, use_cache=False)
@@ -96,8 +106,11 @@ def test_service_throughput(bench_workers):
     # Correctness before speed: the columnar path is bit-identical to the
     # seed list path, and caching is deterministic and fan-out-invariant.
     # (Cached and uncached runs differ in per-result activation accounting by
-    # design, so only like-for-like configurations are compared.)
-    assert baseline_results.fingerprint() == seed_results.fingerprint()
+    # design, so only like-for-like configurations are compared; the oracle
+    # run differs only in the scheduler name.)
+    assert [result_key(r) for r in baseline_results.results] == [
+        result_key(r) for r in seed_results.results
+    ]
     assert cached_results.fingerprint() == fanout_results.fingerprint()
     assert hit_rate > 0.5, "repeated sweep should mostly hit the cache"
     # The headline claim: columnar kernel + cache (+ fan-out) buys at least

@@ -10,12 +10,12 @@ terminal.  This runner
    session costs a fraction of running the files separately), recording the
    wall time of every benchmark test;
 2. measures the headline kernel metrics directly — scheduler activation
-   throughput on the census workload for the columnar ``repro.optable`` path
-   *and* the seed list path (the ratio is the machine-independent speedup the
+   throughput on the census workload for the production columnar
+   ``repro.optable`` path *and* the seed list path of the reference oracle
+   in ``tests/reference`` (the ratio is the machine-independent speedup the
    acceptance gate tracks), per-activation search times, the incremental
-   ``repro.kernel`` arrival-handling ratio against the seed full-re-solve
-   path (``REPRO_KERNEL=0``), and the Pareto engine against the seed's
-   O(n²) reference;
+   ``repro.kernel`` arrival-handling ratio against the oracle's full
+   re-solves, and the Pareto engine against the seed's O(n²) reference;
 3. writes everything to ``BENCH_RESULTS.json`` (name → wall time, throughput,
    key metric) next to this file, or to ``--output``.
 
@@ -133,38 +133,41 @@ def _census_problems():
     return problems, {"fraction": fraction, "max_points": max_points, "seed": seed}
 
 
-def _throughput(scheduler_factory, problems, columnar: bool, repeats: int) -> float:
+def _throughput(scheduler_factory, problems, repeats: int) -> float:
     """Best activations-per-second over ``repeats`` sweeps of the census."""
-    from repro.optable import columnar_override
-
     best = float("inf")
     for _ in range(repeats):
         # A fresh scheduler per sweep: per-instance solve memos start cold.
         scheduler = scheduler_factory()
-        with columnar_override(columnar):
-            started = time.perf_counter()
-            for problem in problems:
-                scheduler.schedule(problem)
-            best = min(best, time.perf_counter() - started)
+        started = time.perf_counter()
+        for problem in problems:
+            scheduler.schedule(problem)
+        best = min(best, time.perf_counter() - started)
     return len(problems) / best
 
 
 def measure_kernel_metrics(repeats: int = 3) -> dict:
-    """Direct columnar-vs-list measurements (the acceptance-gate numbers)."""
+    """Direct production-vs-oracle measurements (the acceptance-gate numbers)."""
+    # The bench modules sit next to this file; the reference oracle
+    # (tests/reference) under the repository root.
+    for path in (BENCH_DIR, REPO_ROOT):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
     from repro.optable import intern_info
     from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
+    from tests.reference.oracle import ReferenceLR, ReferenceMDF
 
     problems, scale = _census_problems()
     metrics: dict = {"scale": scale, "census_cases": len(problems)}
 
     # Fig. 2 hot path: MMKP-MDF activation throughput over the census.
     schedulers = {
-        "mmkp-mdf": MMKPMDFScheduler,
-        "mmkp-lr": MMKPLRScheduler,
+        "mmkp-mdf": (MMKPMDFScheduler, ReferenceMDF),
+        "mmkp-lr": (MMKPLRScheduler, ReferenceLR),
     }
-    for name, factory in schedulers.items():
-        columnar = _throughput(factory, problems, True, repeats)
-        legacy = _throughput(factory, problems, False, repeats)
+    for name, (factory, reference) in schedulers.items():
+        columnar = _throughput(factory, problems, repeats)
+        legacy = _throughput(reference, problems, repeats)
         metrics[f"scheduling_rate/{name}"] = {
             "throughput_columnar_per_s": round(columnar, 2),
             "throughput_list_per_s": round(legacy, 2),
@@ -177,16 +180,14 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
     # Setup and measurement come from bench_kernel_incremental itself, so
     # the gated CI metric can never drift from the workload the pytest bench
     # records (same REPRO_BENCH_KERNEL_* knobs, same seed, same best-of-N).
-    if str(BENCH_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCH_DIR))
     import bench_kernel_incremental as kernel_bench
 
     platform, kernel_tables, kernel_trace = kernel_bench._setup()
     kernel_s, kernel_log = kernel_bench._best_run_time(
-        platform, kernel_tables, kernel_trace, True, repeats=repeats
+        platform, kernel_tables, kernel_trace, reference=False, repeats=repeats
     )
     seed_s, seed_log = kernel_bench._best_run_time(
-        platform, kernel_tables, kernel_trace, False, repeats=repeats
+        platform, kernel_tables, kernel_trace, reference=True, repeats=repeats
     )
     assert kernel_bench.log_fingerprint(kernel_log) == kernel_bench.log_fingerprint(
         seed_log
@@ -460,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-    from repro.optable import HAVE_NUMPY, columnar_enabled
+    from repro.optable import HAVE_NUMPY
 
     results: dict = {
         "meta": {
@@ -468,7 +469,6 @@ def main(argv: list[str] | None = None) -> int:
             "platform": platform_module.platform(),
             "smoke": options.smoke,
             "numpy_fast_path": HAVE_NUMPY,
-            "optable_default": columnar_enabled(),
             "bench_env": {
                 key: os.environ.get(key)
                 for key in (

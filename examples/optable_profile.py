@@ -1,33 +1,26 @@
 #!/usr/bin/env python
 """Profile the columnar operating-point kernel across a batch sweep.
 
-Demonstrates the three pillars of ``repro.optable``:
+Demonstrates two pillars of ``repro.optable``:
 
 1. **Interning** — every application table of a sweep canonicalises to one
    shared :class:`~repro.optable.OpTable` per distinct *content* (fingerprint
    hits count tables that were reused instead of rebuilt);
 2. **Shared aggregates** — sort orders / minima / the Pareto index are
-   computed once per interned table, not once per job per activation;
-3. **Throughput** — the same census workload scheduled through the columnar
-   path and the seed ``list[OperatingPoint]`` path, with the speedup the
-   benchmark gate tracks.
+   computed once per interned table, not once per job per activation.
+
+The throughput of the columnar schedulers against the seed
+``list[OperatingPoint]`` paths is recorded by ``benchmarks/run_all.py``
+(``scheduling_rate`` in ``BENCH_RESULTS.json``).
 
 Run with::
 
     PYTHONPATH=src python examples/optable_profile.py
 """
 
-import time
-
 from repro.dse import paper_operating_points, reduced_tables
-from repro.optable import (
-    as_optable,
-    clear_intern_pool,
-    columnar_override,
-    intern_info,
-)
+from repro.optable import as_optable, clear_intern_pool, intern_info
 from repro.platforms import odroid_xu4
-from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
 from repro.workload import EvaluationSuite
 from repro.workload.suite import scaled_census
 
@@ -76,32 +69,6 @@ def main() -> None:
     print(f"  per-cluster demand: max {sample.max_demand}")
     print(f"  energy order      : {sample.order_by_energy}")
     print(f"  Pareto index      : {sample.pareto_index}")
-
-    # ------------------------------------------------------------------ #
-    # 3. Columnar vs list throughput on the census workload
-    # ------------------------------------------------------------------ #
-    print("== scheduling throughput (census workload, best of 3) ==")
-    cache_info = None
-    for name, factory in (("mmkp-mdf", MMKPMDFScheduler), ("mmkp-lr", MMKPLRScheduler)):
-        rates = {}
-        for label, enabled in (("columnar", True), ("list", False)):
-            best = float("inf")
-            for _ in range(3):
-                scheduler = factory()
-                with columnar_override(enabled):
-                    started = time.perf_counter()
-                    for problem in problems:
-                        scheduler.schedule(problem)
-                    best = min(best, time.perf_counter() - started)
-            rates[label] = len(problems) / best
-            if name == "mmkp-lr" and enabled:
-                cache_info = scheduler.solve_cache.info()
-        print(
-            f"  {name}: {rates['columnar']:.0f}/s columnar vs "
-            f"{rates['list']:.0f}/s list "
-            f"({rates['columnar'] / rates['list']:.2f}x)"
-        )
-    print(f"  Lagrangian solve cache after mmkp-lr sweep: {cache_info}")
 
 
 if __name__ == "__main__":

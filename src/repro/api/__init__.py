@@ -60,9 +60,6 @@ __all__ = [
     "as_optable",
     # incremental scheduling engine
     "KernelCaches",
-    "kernel_disabled",
-    "kernel_enabled",
-    "kernel_override",
 ]
 
 #: Lazy attribute → defining submodule (PEP 562).
@@ -90,9 +87,6 @@ _LAZY = {
     "OpTable": "repro.optable",
     "as_optable": "repro.optable",
     "KernelCaches": "repro.kernel",
-    "kernel_disabled": "repro.kernel",
-    "kernel_enabled": "repro.kernel",
-    "kernel_override": "repro.kernel",
 }
 
 from repro._lazy import lazy_attributes  # noqa: E402

@@ -46,8 +46,8 @@ class RunEventKind(enum.Enum):
     FINISH = "finish"
     #: Incremental-kernel summary of the run (``data``: activations, packer
     #: placements resumed vs replayed, prune scans skipped, commits).
-    #: Emitted once, just before :attr:`END`, only when the kernel is active
-    #: (``REPRO_KERNEL=1``); purely observational like every other event.
+    #: Emitted once, just before :attr:`END`; purely observational like
+    #: every other event.
     KERNEL = "kernel"
     #: The run is over (``data["log"]`` carries the final
     #: :class:`~repro.runtime.log.ExecutionLog`).

@@ -253,20 +253,15 @@ class Session:
     # ------------------------------------------------------------------ #
     # Running
     # ------------------------------------------------------------------ #
-    def run(
-        self,
-        *,
-        on_event: Callable[[RunEvent], None] | None = None,
-        engine: str | None = None,
-    ):
+    def run(self, *, on_event: Callable[[RunEvent], None] | None = None):
         """Simulate the experiment once and return the execution log.
 
         ``on_event`` observes the run incrementally; observation never
         changes the simulated behaviour.
         """
-        return self.manager().run(self.trace(), engine=engine, observer=on_event)
+        return self.manager().run(self.trace(), observer=on_event)
 
-    def stream(self, *, engine: str | None = None) -> RunEventStream:
+    def stream(self) -> RunEventStream:
         """Run the experiment, yielding :class:`RunEvent`\\ s as they happen.
 
         Returns a :class:`RunEventStream`: iterate it (the simulation
@@ -283,7 +278,7 @@ class Session:
         A failure inside the simulation is re-raised to the consumer.
         """
         return RunEventStream(
-            lambda observer: self.run(on_event=observer, engine=engine),
+            lambda observer: self.run(on_event=observer),
             self._spec.name,
         )
 

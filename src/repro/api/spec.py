@@ -38,7 +38,7 @@ from repro.exceptions import SerializationError, WorkloadError
 #: The time-advance engines of the runtime manager (kept as a literal so
 #: importing the spec tree stays light; equality with
 #: :data:`repro.runtime.manager.ENGINES` is asserted by the API tests).
-ENGINES = ("events", "linear")
+ENGINES = ("events",)
 
 
 def _canonical(value):

@@ -214,12 +214,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print every run event (arrivals, commits, finishes, energy ticks)",
     )
-    run.add_argument(
-        "--engine",
-        choices=["events", "linear"],
-        default=None,
-        help="override the spec's time-advance engine",
-    )
     run.add_argument("--output", default=None, help="write the run summary JSON")
     run.add_argument(
         "--trace", default=None, metavar="PATH",
@@ -376,12 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="schedulers to profile (default: ex-mem mmkp-lr mmkp-mdf fixed)",
     )
     profile.add_argument(
-        "--engine",
-        choices=["events", "linear"],
-        default=None,
-        help="override the time-advance engine",
-    )
-    profile.add_argument(
         "--trace", default=None, metavar="PATH",
         help="also write the merged Chrome trace of every profiled run",
     )
@@ -529,10 +517,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         spec = ExperimentSpec.load(args.spec)
-        if args.engine:
-            # Override on the spec itself so both the single-run and the
-            # batch path honour it (batch jobs carry the spec's engine).
-            spec = dataclasses.replace(spec, engine=args.engine)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -839,8 +823,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                 name=f"profile-{args.scenario.lower()}",
                 workload=WorkloadSpec.scenario(args.scenario),
             )
-        if args.engine:
-            base = dataclasses.replace(base, engine=args.engine)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

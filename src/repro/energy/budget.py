@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.config import ConfigTable
-from repro.core.segment import Schedule
-from repro.energy.accounting import (
-    analytical_schedule_energy,
-    cluster_power,
-    segment_analytical_power,
-)
+from repro.core.segment import TIME_EPSILON, Schedule
+from repro.energy.accounting import cluster_power
 from repro.energy.opp import OPPDecision
 from repro.exceptions import EnergyError
+from repro.optable.adapters import optables_for
 from repro.platforms.platform import Platform
 
 
@@ -90,82 +87,21 @@ class EnergyBudget:
     ) -> BudgetDecision:
         """Check the planned ``schedule`` against the envelope.
 
-        Only the part of the schedule after ``now`` counts.  With a
-        ``platform`` and an OPP ``decision`` the check uses the analytical
-        per-core power model (matching governor-mode accounting); otherwise
-        it uses the operating-point averages (matching table-mode
-        accounting), so the admission test always agrees with how the run
-        will actually be metered.
+        Only the part of the schedule after ``now`` counts: a segment
+        straddling ``now`` contributes ``end - now``.  With a ``platform``
+        and an OPP ``decision`` the check uses the analytical per-core power
+        model (matching governor-mode accounting); otherwise it uses the
+        operating-point averages (matching table-mode accounting), so the
+        admission test always agrees with how the run will actually be
+        metered.
 
-        ``optables`` and ``ledger`` are the incremental kernel's fast lane:
-        with the interned column tables (and, analytically, the run's
-        :class:`~repro.kernel.state.LoadLedger` busy rows) the check walks
-        the planned segments directly — same sums over the same floats —
-        instead of materialising a truncated :class:`Schedule` per admitted
-        arrival.
+        ``optables`` (the interned column tables, derived from ``tables``
+        when omitted) and ``ledger`` (the run's
+        :class:`~repro.kernel.state.LoadLedger` busy rows, analytical mode
+        only) let the runtime manager share what it already built.
         """
-        if optables is not None:
-            return self._admits_kernel(
-                schedule, now, consumed_joules, platform, decision, optables, ledger
-            )
-        future = schedule.truncated_before(now)
-        analytical = platform is not None and decision is not None
-
-        if self.power_cap_watts is not None:
-            for segment in future:
-                if analytical:
-                    watts = segment_analytical_power(
-                        segment, tables, platform, decision
-                    )
-                else:
-                    watts = sum(
-                        m.operating_point(tables).power for m in segment
-                    )
-                if watts > self.power_cap_watts + 1e-9:
-                    return BudgetDecision(
-                        False,
-                        f"segment [{segment.start:.3f}, {segment.end:.3f}) draws "
-                        f"{watts:.3f} W > cap {self.power_cap_watts:.3f} W",
-                    )
-
-        if self.energy_budget_joules is not None:
-            if analytical:
-                planned = analytical_schedule_energy(
-                    future, tables, platform, decision
-                )
-            else:
-                planned = future.total_energy(tables)
-            total = consumed_joules + planned
-            if total > self.energy_budget_joules + 1e-9:
-                return BudgetDecision(
-                    False,
-                    f"plan needs {total:.3f} J > budget "
-                    f"{self.energy_budget_joules:.3f} J",
-                )
-
-        return BudgetDecision(True)
-
-    def _admits_kernel(
-        self,
-        schedule: Schedule,
-        now: float,
-        consumed_joules: float,
-        platform: Platform | None,
-        decision: OPPDecision | None,
-        optables: Mapping,
-        ledger,
-    ) -> BudgetDecision:
-        """The incremental kernel's admission walk.
-
-        Replays the exact arithmetic of :meth:`admits` — the same per-segment
-        power sums (mapping order) and the same truncated-duration energy
-        integral — directly over the planned segments and the interned
-        column tables, without materialising ``schedule.truncated_before``.
-        A straddling segment contributes ``end - now`` exactly like its
-        truncated twin would.
-        """
-        from repro.core.segment import TIME_EPSILON
-
+        if optables is None:
+            optables = optables_for(tables)
         analytical = platform is not None and decision is not None
         if analytical and ledger is None:
             from repro.kernel.state import LoadLedger
@@ -173,8 +109,7 @@ class EnergyBudget:
             ledger = LoadLedger(optables, platform.num_resource_types)
 
         def analytical_power(segment) -> float:
-            # Same rows and the same formula as the seed's
-            # segment_analytical_power, via the shared helpers.
+            # Same rows and the same formula as segment_analytical_power.
             return cluster_power(ledger.busy_counts(segment), platform, decision)
 
         if self.power_cap_watts is not None:

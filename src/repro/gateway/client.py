@@ -162,13 +162,11 @@ class GatewayClient:
         spec,
         *,
         session: str | None = None,
-        engine: str | None = None,
         timeout_s: float | None = None,
     ) -> dict:
         """``POST /runs``: returns the queued run record (with its ``id``)."""
-        extra = {"engine": engine} if engine is not None else None
         return self._request(
-            "POST", "/runs", self._submission(spec, session, timeout_s, extra)
+            "POST", "/runs", self._submission(spec, session, timeout_s)
         )
 
     def run_status(self, run_id: str) -> dict:
@@ -218,7 +216,6 @@ class GatewayClient:
         spec,
         *,
         session: str | None = None,
-        engine: str | None = None,
         timeout_s: float | None = None,
     ) -> dict:
         """Submit a run and block until it finished; return its final status.
@@ -226,9 +223,7 @@ class GatewayClient:
         Raises :class:`GatewayError` if the run failed (status carries the
         error envelope).
         """
-        record = self.submit_run(
-            spec, session=session, engine=engine, timeout_s=timeout_s
-        )
+        record = self.submit_run(spec, session=session, timeout_s=timeout_s)
         status = self.wait_run(record["id"])
         if status["state"] != "done":
             raise GatewayError(500, {"error": status.get("error", {})})

@@ -73,7 +73,6 @@ class RunSubmission:
     spec: Any  # ExperimentSpec (kept untyped: the spec tree imports lazily)
     tenant: str = DEFAULT_TENANT
     session: str | None = None  # named gateway session for warm reuse
-    engine: str | None = None
     timeout_s: float | None = None  # queue-to-finish deadline
 
 
@@ -93,14 +92,16 @@ def parse_run_submission(body: Mapping[str, Any]) -> RunSubmission:
     """Validate a ``POST /runs`` body into a :class:`RunSubmission`."""
     if not isinstance(body, Mapping):
         raise ProtocolError(f"run submission must be a JSON object, got {body!r}")
+    from repro.api.spec import ENGINES
+
+    # ``engine`` is accepted for old clients; the one engine needs no field.
     engine = body.get("engine")
-    if engine is not None and not isinstance(engine, str):
-        raise ProtocolError(f"engine must be a string, got {engine!r}")
+    if engine is not None and engine not in ENGINES:
+        raise ProtocolError(f"unknown engine {engine!r}; choose from {ENGINES}")
     return RunSubmission(
         spec=_spec_from(body, "run submission"),
         tenant=_clean_name(body.get("tenant"), "tenant", DEFAULT_TENANT),
         session=_clean_name(body.get("session"), "session"),
-        engine=engine,
         timeout_s=_positive(body.get("timeout_s"), "timeout_s"),
     )
 

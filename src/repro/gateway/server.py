@@ -679,7 +679,7 @@ class GatewayServer:
                     )
 
                     def drive() -> None:
-                        with session.stream(engine=submission.engine) as events:
+                        with session.stream() as events:
                             for event in events:
                                 if (
                                     deadline is not None

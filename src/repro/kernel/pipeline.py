@@ -1,8 +1,8 @@
 """The composable admission pipeline (``snapshot → candidates → solve → commit``).
 
-This is the decision path that used to live inline in
-``RuntimeManager._handle_arrival`` / ``_reschedule_at``, extracted into four
-named stages over an explicit :class:`~repro.kernel.state.ScheduleState`:
+The runtime manager's decision path, for arrivals and remap-on-finish
+reschedules alike, in four named stages over an explicit
+:class:`~repro.kernel.state.ScheduleState`:
 
 ``snapshot``
     Capture the arrival: materialise the :class:`~repro.core.request.Job`,
@@ -27,8 +27,7 @@ named stages over an explicit :class:`~repro.kernel.state.ScheduleState`:
 
 The stages are ordinary methods, so subclasses (or tests) can compose or
 instrument them individually; the runtime manager drives :meth:`admit` and
-:meth:`reschedule` when ``REPRO_KERNEL`` is enabled and keeps its seed
-inline path alive for ``REPRO_KERNEL=0``.
+:meth:`reschedule` for every activation.
 """
 
 from __future__ import annotations
@@ -118,10 +117,16 @@ class AdmissionPipeline:
     def candidates(self, ctx, now: float) -> list[Job]:
         """Stage 2: the active jobs as scheduler candidates.
 
-        Mirrors the seed's ``_active_for_problem`` (see its docstring for
-        the overdue-deadline relaxation), but reads committed completion
-        times from the schedule state's ledger instead of scanning the
-        committed segments per overdue job.
+        Under deadline-violating governors (powersave, ondemand) an admitted
+        job can still be running past its deadline when the next activation
+        fires.  Its deadline is relaxed to its committed completion time —
+        the in-force schedule is a feasibility witness for that bound — so
+        the overdue job stays schedulable and new arrivals are judged on
+        capacity, not doomed by an already-lost deadline.  The true deadline
+        is kept for the outcome report.  Without a governor committed
+        schedules always meet their deadlines and this is the identity.
+        Committed completion times come from the schedule state's ledger in
+        O(1) instead of a scan of the committed segments.
         """
         state = ctx.kernel.state
         candidates = []
@@ -173,7 +178,7 @@ class AdmissionPipeline:
     # Drivers
     # ------------------------------------------------------------------ #
     def admit(self, ctx, event: "RequestEvent") -> None:
-        """The kernel twin of the seed ``_handle_arrival`` decision path."""
+        """Admit or reject one arrival."""
         manager = self._manager
         with obs.span("phase.snapshot", category="pipeline"):
             job = self.snapshot(ctx, event)
@@ -189,9 +194,7 @@ class AdmissionPipeline:
                 candidates = dict(ctx.active)
                 candidates[job.name] = job
                 ledger = LoadLedger(manager._optables, len(manager._capacity))
-                plan = manager._plan(
-                    ctx, result.schedule, candidates, fresh=True, ledger=ledger
-                )
+                plan = manager._plan(ctx, result.schedule, candidates, ledger)
                 if manager._budget is not None:
                     verdict = manager._budget.admits(
                         plan.schedule,
@@ -214,7 +217,7 @@ class AdmissionPipeline:
                         )
                         return
                 ctx.active[job.name] = job
-                manager._commit(ctx, plan=plan)
+                manager._commit(ctx, plan)
                 ctx.admissions[event.name] = (True, result.search_time)
                 commit_span.annotate(outcome="admitted", speed=plan.speed)
                 manager._emit_decision(ctx, event, True, result)
@@ -226,7 +229,7 @@ class AdmissionPipeline:
                 manager._emit_decision(ctx, event, False, result, reason="infeasible")
 
     def reschedule(self, ctx, time: float) -> None:
-        """The kernel twin of ``_reschedule_at`` (remap on finish)."""
+        """Re-solve the remaining jobs when one finishes (remap on finish)."""
         manager = self._manager
         with obs.span("phase.candidates", category="pipeline"):
             candidate_jobs = self.candidates(ctx, time)
@@ -236,9 +239,7 @@ class AdmissionPipeline:
         if result.feasible:
             with obs.span("phase.commit", category="pipeline"):
                 ledger = LoadLedger(manager._optables, len(manager._capacity))
-                plan = manager._plan(
-                    ctx, result.schedule, ctx.active, fresh=True, ledger=ledger
-                )
-                manager._commit(ctx, plan=plan)
+                plan = manager._plan(ctx, result.schedule, ctx.active, ledger)
+                manager._commit(ctx, plan)
         # If rescheduling fails the previously committed schedule (which is
         # still feasible for the remaining jobs) stays in force.

@@ -15,16 +15,16 @@ and drives one of the schedulers:
   (``remap_on_finish=True``), which is how the "fixed mapper with remapping at
   application start and finish" of Fig. 1(b) behaves.
 
-Two time-advance engines are available.  The default ``"events"`` engine
-drives the simulation from a heap-based
-:class:`~repro.service.events.EventQueue`: arrivals and segment boundaries
-become events (job finishes coincide with the end of the job's last segment,
-so boundary events cover them), and picking the next time step costs
-``O(log n)``.
-The ``"linear"`` engine reproduces the seed implementation's outer loop
-(advance to each arrival in trace order); both engines share the execution
-primitives and produce identical :class:`~repro.runtime.log.ExecutionLog`
-contents, which the equivalence tests assert.
+The simulation is driven by a heap-based
+:class:`~repro.service.events.EventQueue` (the ``"events"`` engine, the only
+one): arrivals and segment boundaries become events (job finishes coincide
+with the end of the job's last segment, so boundary events cover them), and
+picking the next time step costs ``O(log n)``.  Every activation goes
+through the incremental kernel's
+:class:`~repro.kernel.pipeline.AdmissionPipeline`.  The seed implementation
+(arrivals in trace order, full re-solves) lives on as the reference oracle
+under ``tests/reference``; the equivalence suites assert identical
+:class:`~repro.runtime.log.ExecutionLog` contents.
 
 All per-run state lives in a private run context, so ``run()`` itself is
 reentrant and one manager instance can be shared across concurrent callers —
@@ -41,15 +41,13 @@ admission decisions, the executed timeline and the total consumed energy.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
 import inspect
 
 from repro.api.events import RunEvent, RunEventKind
 from repro.core.config import ConfigTable
-from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.core.segment import MappingSegment, Schedule
 from repro.energy.accounting import EnergyMeter
@@ -59,11 +57,9 @@ from repro.energy.opp import OPPDecision, decide, ensure_opps
 from repro.exceptions import AdmissionError, SchedulingError
 from repro.kernel.caches import KernelCaches
 from repro.kernel.pipeline import AdmissionPipeline, KernelRun
-from repro.kernel.runtime import kernel_enabled
 from repro.kernel.state import LoadLedger
 from repro.obs import tracer as obs
 from repro.optable.adapters import optables_for
-from repro.optable.runtime import columnar_enabled
 from repro.platforms.platform import Platform
 from repro.platforms.resources import ResourceVector
 from repro.runtime.log import ExecutedInterval, ExecutionLog, RequestOutcome
@@ -79,7 +75,7 @@ _FINISH_TOLERANCE = 1e-6
 _TIME_EPSILON = 1e-9
 
 #: The supported time-advance engines.
-ENGINES = ("events", "linear")
+ENGINES = ("events",)
 #: Speeds within this tolerance of 1.0 leave the schedule unstretched.
 _SCALE_EPSILON = 1e-9
 
@@ -113,7 +109,7 @@ class _RunContext:
     #: Schedule generation counter used to lazily invalidate queued
     #: segment-boundary events after a new schedule is committed.
     epoch: int = 0
-    queue: EventQueue | None = None
+    queue: EventQueue = field(default_factory=EventQueue)
     log: ExecutionLog = field(default_factory=ExecutionLog)
     completions: dict[str, float] = field(default_factory=dict)
     request_info: dict[str, RequestEvent] = field(default_factory=dict)
@@ -129,9 +125,8 @@ class _RunContext:
     #: describe transitions the manager performs anyway, so observed and
     #: unobserved runs produce bit-identical logs.
     observer: Callable[[RunEvent], None] | None = None
-    #: Incremental-kernel context of this run (``None`` when the kernel is
-    #: disabled, i.e. ``REPRO_KERNEL=0`` or non-columnar mode): shared
-    #: warm-start caches, the explicit schedule state and delta counters.
+    #: Incremental-kernel context of this run: shared warm-start caches,
+    #: the explicit schedule state and delta counters.
     kernel: KernelRun | None = None
 
 
@@ -150,10 +145,6 @@ class RuntimeManager:
         Re-activate the scheduler whenever a job completes.  The adaptive
         schedulers do not need this (their schedules already cover the whole
         horizon); the fixed mapper of Fig. 1(b) does.
-    engine:
-        Default time-advance engine: ``"events"`` (heap-based event queue) or
-        ``"linear"`` (the seed's arrival-by-arrival loop).  Both produce the
-        same execution log; ``run()`` may override the choice per call.
     governor:
         Optional :class:`~repro.energy.governor.FrequencyGovernor`.  When
         set, every schedule commit picks a uniform platform speed from the
@@ -176,12 +167,10 @@ class RuntimeManager:
 
     Construction
     ------------
-    :meth:`from_components` is the canonical programmatic constructor and
+    :meth:`from_components` is the programmatic constructor and
     :meth:`from_spec` builds a manager straight from a declarative
     :class:`~repro.api.spec.ExperimentSpec` (most callers should go through
-    :class:`repro.api.Session` instead).  The historical keyword form
-    ``RuntimeManager(platform, tables, scheduler, ...)`` still works and
-    produces bit-identical logs, but emits a :class:`DeprecationWarning`.
+    :class:`repro.api.Session` instead).
 
     Examples
     --------
@@ -197,35 +186,6 @@ class RuntimeManager:
     1.0
     """
 
-    def __init__(
-        self,
-        platform: Platform | ResourceVector,
-        tables: Mapping[str, ConfigTable],
-        scheduler: Scheduler,
-        remap_on_finish: bool = False,
-        engine: str = "events",
-        governor: FrequencyGovernor | None = None,
-        budget: EnergyBudget | None = None,
-        account_energy: bool = True,
-    ):
-        warnings.warn(
-            "direct RuntimeManager(...) construction is deprecated; use "
-            "RuntimeManager.from_components(...), RuntimeManager.from_spec(spec) "
-            "or repro.api.Session",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._configure(
-            platform,
-            tables,
-            scheduler,
-            remap_on_finish=remap_on_finish,
-            engine=engine,
-            governor=governor,
-            budget=budget,
-            account_energy=account_energy,
-        )
-
     @classmethod
     def from_components(
         cls,
@@ -234,13 +194,12 @@ class RuntimeManager:
         scheduler: Scheduler,
         *,
         remap_on_finish: bool = False,
-        engine: str = "events",
         governor: FrequencyGovernor | None = None,
         budget: EnergyBudget | None = None,
         account_energy: bool = True,
         kernel_caches: KernelCaches | None = None,
     ) -> "RuntimeManager":
-        """Build a manager from live components (the canonical constructor).
+        """Build a manager from live components.
 
         ``kernel_caches`` optionally injects a shared
         :class:`~repro.kernel.caches.KernelCaches` so several managers (the
@@ -253,7 +212,6 @@ class RuntimeManager:
             tables,
             scheduler,
             remap_on_finish=remap_on_finish,
-            engine=engine,
             governor=governor,
             budget=budget,
             account_energy=account_energy,
@@ -291,7 +249,6 @@ class RuntimeManager:
             tables,
             scheduler,
             remap_on_finish=spec.scheduler.remap_on_finish,
-            engine=spec.engine,
             governor=spec.energy.build_governor(),
             budget=spec.energy.build_budget(),
             account_energy=spec.energy.account_energy,
@@ -305,16 +262,11 @@ class RuntimeManager:
         scheduler: Scheduler,
         *,
         remap_on_finish: bool,
-        engine: str,
         governor: FrequencyGovernor | None,
         budget: EnergyBudget | None,
         account_energy: bool,
         kernel_caches: KernelCaches | None = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise SchedulingError(
-                f"unknown time-advance engine {engine!r}; choose from {ENGINES}"
-            )
         self._capacity = (
             platform.capacity if isinstance(platform, Platform) else platform
         )
@@ -346,7 +298,6 @@ class RuntimeManager:
         self._optables = optables_for(self._tables)
         self._scheduler = scheduler
         self._remap_on_finish = remap_on_finish
-        self._engine = engine
         self._governor = governor
         self._budget = None if budget is not None and budget.unconstrained else budget
         self._account_energy = account_energy
@@ -367,7 +318,6 @@ class RuntimeManager:
     def run(
         self,
         trace: RequestTrace,
-        engine: str | None = None,
         observer: Callable[[RunEvent], None] | None = None,
     ) -> ExecutionLog:
         """Simulate the runtime manager over a full request trace.
@@ -376,19 +326,12 @@ class RuntimeManager:
         ----------
         trace:
             The request arrivals to simulate.
-        engine:
-            Override the manager's default time-advance engine for this run.
         observer:
             Optional callback receiving a :class:`~repro.api.events.RunEvent`
             for every arrival, admission decision, schedule commit, executed
             interval and job finish, plus a final ``END`` event carrying the
             completed log.  Observation never changes the simulation.
         """
-        engine = self._engine if engine is None else engine
-        if engine not in ENGINES:
-            raise SchedulingError(
-                f"unknown time-advance engine {engine!r}; choose from {ENGINES}"
-            )
         ctx = _RunContext(observer=observer)
         if self._account_energy or self._governor is not None:
             ctx.meter = EnergyMeter(self._platform)
@@ -396,29 +339,20 @@ class RuntimeManager:
             # Even before the first commit the platform idles at nominal
             # frequency; analytical accounting starts from that decision.
             ctx.decision = decide(self._platform, 1.0)
-        if kernel_enabled() and columnar_enabled():
-            ctx.kernel = KernelRun(
-                self._kernel_caches,
-                self._kernel_caches.shared_slices(self._capacity, self._tables),
-            )
-            # Immediately before the try whose finally releases it, so a
-            # failing run can never leave the scheduler's adoption dangling.
-            self._scheduler.begin_run(ctx.kernel)
+        ctx.kernel = KernelRun(
+            self._kernel_caches,
+            self._kernel_caches.shared_slices(self._capacity, self._tables),
+        )
+        # Immediately before the try whose finally releases it, so a failing
+        # run can never leave the scheduler's adoption dangling.
+        self._scheduler.begin_run(ctx.kernel)
         with obs.span(
-            "rm.run",
-            category="runtime",
-            scheduler=self._scheduler.name,
-            engine=engine,
-            kernel=ctx.kernel is not None,
+            "rm.run", category="runtime", scheduler=self._scheduler.name
         ) as run_span:
             try:
-                if engine == "events":
-                    self._run_events(trace, ctx)
-                else:
-                    self._run_linear(trace, ctx)
+                self._run_events(trace, ctx)
             finally:
-                if ctx.kernel is not None:
-                    self._scheduler.end_run(ctx.kernel)
+                self._scheduler.end_run(ctx.kernel)
             self._finalise_outcomes(ctx)
             run_span.annotate(
                 requests=len(ctx.log.outcomes),
@@ -428,29 +362,17 @@ class RuntimeManager:
                 makespan=ctx.log.makespan,
             )
         if observer is not None:
-            if ctx.kernel is not None:
-                # One summary event of the incremental engine's delta work;
-                # purely observational, like every other stream event.
-                observer(
-                    RunEvent(RunEventKind.KERNEL, ctx.now, data=ctx.kernel.summary())
-                )
+            # One summary event of the incremental engine's delta work;
+            # purely observational, like every other stream event.
+            observer(RunEvent(RunEventKind.KERNEL, ctx.now, data=ctx.kernel.summary()))
             observer(RunEvent(RunEventKind.END, ctx.now, data={"log": ctx.log}))
         return ctx.log
 
     # ------------------------------------------------------------------ #
     # Drivers
     # ------------------------------------------------------------------ #
-    def _run_linear(self, trace: RequestTrace, ctx: _RunContext) -> None:
-        """The seed driver: advance to each arrival in trace order."""
-        for event in trace:
-            self._check_application(event)
-            self._advance_to(ctx, event.time)
-            self._handle_arrival(ctx, event)
-        self._advance_to(ctx, float("inf"))
-
     def _run_events(self, trace: RequestTrace, ctx: _RunContext) -> None:
         """The event-engine driver: hop from event to event via a heap."""
-        ctx.queue = EventQueue()
         for request in trace:
             ctx.queue.push(Event(request.time, EventKind.ARRIVAL, payload=request))
         while ctx.queue:
@@ -459,7 +381,8 @@ class RuntimeManager:
                 request = event.payload
                 self._check_application(request)
                 self._advance_to(ctx, event.time)
-                self._handle_arrival(ctx, request)
+                with obs.span("rm.arrival", category="runtime", request=request.name):
+                    self._pipeline.admit(ctx, request)
             elif event.epoch == ctx.epoch:
                 # A segment boundary of the current schedule (job finishes
                 # coincide with segment ends, so boundary events cover them).
@@ -477,75 +400,8 @@ class RuntimeManager:
             )
 
     # ------------------------------------------------------------------ #
-    # Arrival handling
+    # Admission decisions
     # ------------------------------------------------------------------ #
-    def _handle_arrival(self, ctx: _RunContext, event: RequestEvent) -> None:
-        with obs.span("rm.arrival", category="runtime", request=event.name):
-            self._admit_arrival(ctx, event)
-
-    def _admit_arrival(self, ctx: _RunContext, event: RequestEvent) -> None:
-        if ctx.kernel is not None:
-            # The incremental kernel's admission pipeline (snapshot →
-            # candidates → solve → commit); the inline body below is the
-            # seed path kept alive for REPRO_KERNEL=0.
-            self._pipeline.admit(ctx, event)
-            return
-        job = Job(
-            name=event.name,
-            application=event.application,
-            arrival=event.time,
-            deadline=event.absolute_deadline,
-        )
-        ctx.request_info[event.name] = event
-        if ctx.observer is not None:
-            ctx.observer(
-                RunEvent(
-                    RunEventKind.ARRIVAL,
-                    event.time,
-                    event.name,
-                    {
-                        "application": event.application,
-                        "deadline": event.absolute_deadline,
-                    },
-                )
-            )
-        candidate_jobs = self._active_for_problem(ctx, event.time) + [job]
-        problem = SchedulingProblem(
-            self._capacity, self._tables, candidate_jobs, now=event.time
-        )
-        result = self._scheduler.schedule(problem)
-        ctx.log.activations += 1
-
-        if result.feasible:
-            candidates = dict(ctx.active)
-            candidates[job.name] = job
-            plan = self._plan(ctx, result.schedule, candidates)
-            if self._budget is not None:
-                verdict = self._budget.admits(
-                    plan.schedule,
-                    self._tables,
-                    now=event.time,
-                    consumed_joules=ctx.log.total_energy,
-                    platform=self._platform,
-                    decision=plan.decision,
-                )
-                if not verdict:
-                    # Deadline-feasible but over the power/energy envelope:
-                    # rejected like an infeasible request.
-                    ctx.log.budget_rejections += 1
-                    ctx.admissions[event.name] = (False, result.search_time)
-                    self._emit_decision(ctx, event, False, result, reason="budget")
-                    return
-            ctx.active[job.name] = job
-            self._commit(ctx, plan=plan)
-            ctx.admissions[event.name] = (True, result.search_time)
-            self._emit_decision(ctx, event, True, result)
-        else:
-            # The new request is rejected; the previously committed schedule
-            # keeps serving the already admitted jobs.
-            ctx.admissions[event.name] = (False, result.search_time)
-            self._emit_decision(ctx, event, False, result, reason="infeasible")
-
     def _emit_decision(
         self,
         ctx: _RunContext,
@@ -571,30 +427,24 @@ class RuntimeManager:
         ctx: _RunContext,
         schedule: Schedule,
         active: Mapping[str, Job],
-        fresh: bool = False,
-        ledger: LoadLedger | None = None,
+        ledger: LoadLedger,
     ) -> _Plan:
-        """Prepare ``schedule`` for commit: prune ghosts, apply the governor.
+        """Prepare a freshly solved ``schedule`` for commit: apply the governor.
 
-        Without a governor this is just the ghost-mapping prune of the seed.
-        With one, the governor picks a uniform speed for the committed
-        schedule, every cluster moves to the slowest OPP sustaining it and
-        the schedule stretches by the inverse speed.
-
-        ``fresh=True`` (kernel pipeline only) marks a schedule the scheduler
-        just produced: every mapped job is a problem job and every problem
-        job is active, so the ghost prune is the identity by construction
-        and the scan is skipped.  ``ledger`` shares busy-count rows between
-        the governor and the budget admission check.
+        Every mapped job is a problem job and every problem job is active,
+        so no ghost mapping needs pruning.  Without a governor the schedule
+        commits as is.  With one, the governor picks a uniform speed for the
+        committed schedule, every cluster moves to the slowest OPP
+        sustaining it and the schedule stretches by the inverse speed.
+        ``ledger`` shares busy-count rows between the governor and the
+        budget admission check.
         """
-        if not (fresh and ctx.kernel is not None):
-            schedule = self._without_finished(schedule, active, ctx.now)
         if self._governor is None:
             return _Plan(schedule)
         with obs.span(
             "governor", category="energy", governor=self._governor.name
         ) as governor_span:
-            if ledger is not None and self._governor_takes_ledger:
+            if self._governor_takes_ledger:
                 scale = self._governor.select_scale(
                     schedule,
                     active,
@@ -617,33 +467,20 @@ class RuntimeManager:
             schedule = stretch_schedule(schedule, ctx.now, scale)
         return _Plan(schedule, scale, decide(self._platform, scale))
 
-    def _commit(
-        self,
-        ctx: _RunContext,
-        schedule: Schedule | None = None,
-        plan: _Plan | None = None,
-    ) -> None:
-        """Install a schedule as the in-force schedule.
+    def _commit(self, ctx: _RunContext, plan: _Plan) -> None:
+        """Install a planned schedule as the in-force schedule.
 
-        Callers either pass a raw ``schedule`` (planned here) or a ``plan``
-        prepared by :meth:`_plan` (the arrival path, which plans early for
-        the budget admission check).  Mappings of jobs that are no longer
-        active are dropped and segments that become empty disappear, so the
-        executed timeline never carries ghost entries for finished jobs.
-        The segment cursor resets and, in event-engine runs, the schedule's
-        boundary events are queued under a fresh epoch (stale events of the
-        superseded schedule are skipped on pop).
+        The segment cursor resets and the schedule's boundary events are
+        queued under a fresh epoch (stale events of the superseded schedule
+        are skipped on pop).
         """
-        if plan is None:
-            plan = self._plan(ctx, schedule, ctx.active)
         ctx.schedule = plan.schedule
         if self._governor is not None:
             ctx.speed = plan.speed
             ctx.decision = plan.decision
         ctx.cursor = 0
         ctx.epoch += 1
-        if ctx.kernel is not None:
-            ctx.kernel.state.rebind(ctx.schedule)
+        ctx.kernel.state.rebind(ctx.schedule)
         if ctx.observer is not None:
             ctx.observer(
                 RunEvent(
@@ -656,15 +493,14 @@ class RuntimeManager:
                     },
                 )
             )
-        if ctx.queue is not None:
-            # One boundary event per future segment end.  Job finishes need no
-            # separate events: a job completes exactly at the end of its last
-            # segment, so the boundary events already cover them.
-            for segment in ctx.schedule:
-                if segment.end > ctx.now + _TIME_EPSILON:
-                    ctx.queue.push(
-                        Event(segment.end, EventKind.SEGMENT_END, epoch=ctx.epoch)
-                    )
+        # One boundary event per future segment end.  Job finishes need no
+        # separate events: a job completes exactly at the end of its last
+        # segment, so the boundary events already cover them.
+        for segment in ctx.schedule:
+            if segment.end > ctx.now + _TIME_EPSILON:
+                ctx.queue.push(
+                    Event(segment.end, EventKind.SEGMENT_END, epoch=ctx.epoch)
+                )
 
     def _without_finished(
         self, schedule: Schedule, active: Mapping[str, Job], now: float
@@ -715,7 +551,10 @@ class RuntimeManager:
             if interval_end >= segment.end - _TIME_EPSILON:
                 finished = self._collect_finished(ctx, segment.end)
                 if finished and self._remap_on_finish and ctx.active:
-                    self._reschedule_at(ctx, ctx.now)
+                    # Remap on finish: re-activate the scheduler for the
+                    # remaining jobs.
+                    with obs.span("rm.reschedule", category="runtime"):
+                        self._pipeline.reschedule(ctx, ctx.now)
 
     def _next_segment(self, ctx: _RunContext) -> MappingSegment | None:
         """The first committed segment that has not fully executed yet.
@@ -828,65 +667,25 @@ class RuntimeManager:
                 if ctx.observer is not None:
                     ctx.observer(RunEvent(RunEventKind.FINISH, time, name))
         if finished and ctx.active:
+            # Mappings of finished jobs are dropped and segments that become
+            # empty disappear, so the executed timeline never carries ghost
+            # entries.  The ledger knows each job's last committed segment
+            # end, so the common no-ghost case skips the prune scan
+            # entirely; the scan only runs when it will produce a changed
+            # schedule (the gate mirrors its boundary comparison).
             kernel = ctx.kernel
-            if kernel is not None:
-                # The ledger knows each job's last committed segment end, so
-                # the common no-ghost case skips the prune scan entirely;
-                # the scan only runs when it will produce a changed
-                # schedule (the gate mirrors its boundary comparison).
-                kernel.state.dirty.update(finished)
-                if not kernel.state.needs_prune(finished, ctx.now):
-                    kernel.stats["prunes_skipped"] += 1
-                    return finished
-                kernel.stats["prune_scans"] += 1
+            kernel.state.dirty.update(finished)
+            if not kernel.state.needs_prune(finished, ctx.now):
+                kernel.stats["prunes_skipped"] += 1
+                return finished
+            kernel.stats["prune_scans"] += 1
             pruned = self._without_finished(ctx.schedule, ctx.active, ctx.now)
             if pruned is not ctx.schedule:
                 # Prune-only commit: the in-force schedule is already planned
                 # (and, with a governor, already stretched), so the current
                 # speed and OPP decision are reused as-is.
-                self._commit(ctx, plan=_Plan(pruned, ctx.speed, ctx.decision))
+                self._commit(ctx, _Plan(pruned, ctx.speed, ctx.decision))
         return finished
-
-    def _active_for_problem(self, ctx: _RunContext, now: float) -> list[Job]:
-        """The active jobs as scheduler candidates.
-
-        Under deadline-violating governors (powersave, ondemand) an admitted
-        job can still be running past its deadline when the next activation
-        fires.  Its deadline is relaxed to its committed completion time —
-        the in-force schedule is a feasibility witness for that bound — so
-        the overdue job stays schedulable and new arrivals are judged on
-        capacity, not doomed by an already-lost deadline.  The true deadline
-        is kept for the outcome report.  Without a governor committed
-        schedules always meet their deadlines and this is the identity.
-        """
-        candidates = []
-        for job in ctx.active.values():
-            if job.deadline < now:
-                committed = ctx.schedule.completion_time(job.name)
-                relaxed = max(now, committed if committed is not None else now)
-                candidates.append(replace(job, deadline=relaxed))
-            else:
-                candidates.append(job)
-        return candidates
-
-    def _reschedule_at(self, ctx: _RunContext, time: float) -> None:
-        """Re-activate the scheduler for the remaining jobs (remap on finish)."""
-        with obs.span("rm.reschedule", category="runtime"):
-            if ctx.kernel is not None:
-                self._pipeline.reschedule(ctx, time)
-                return
-            problem = SchedulingProblem(
-                self._capacity,
-                self._tables,
-                self._active_for_problem(ctx, time),
-                now=time,
-            )
-            result = self._scheduler.schedule(problem)
-            ctx.log.activations += 1
-            if result.feasible:
-                self._commit(ctx, result.schedule)
-            # If rescheduling fails the previously committed schedule (which
-            # is still feasible for the remaining jobs) stays in force.
 
     # ------------------------------------------------------------------ #
     # Final bookkeeping

@@ -74,7 +74,7 @@ class Scheduler(abc.ABC):
         Schedulers adopt what helps them — any reuse must be keyed so a hit
         is bit-identical to a fresh computation (fingerprints + exact
         ratios, like :class:`~repro.optable.view.SolveCache`).  The default
-        is a no-op; the hook is never called with ``REPRO_KERNEL=0``.
+        is a no-op.
         """
 
     def end_run(self, kernel) -> None:

@@ -13,23 +13,30 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.problem import SchedulingProblem
-from repro.core.request import Job
 from repro.core.segment import JobMapping, MappingSegment, Schedule, TIME_EPSILON
 from repro.exceptions import SchedulingError
 from repro.kernel.packmemo import usage_columns
-from repro.kernel.runtime import kernel_enabled
-from repro.optable.runtime import columnar_enabled
 
 #: Remaining-ratio threshold below which a job counts as finished.
 _RATIO_EPSILON = 1e-9
 
 
 def pack_jobs_edf(
-    problem: SchedulingProblem,
-    assignment: Mapping[str, int],
-    base_schedule: Schedule | None = None,
+    problem: SchedulingProblem, assignment: Mapping[str, int]
 ) -> Schedule | None:
     """Build mapping segments for the jobs listed in ``assignment``.
+
+    Packing resumes from the longest ``(job, configuration)`` placement
+    prefix shared with the activation's previous pack (see
+    :class:`~repro.kernel.packmemo.PackMemo`) over a list of *immutable*
+    segment records ``(start, end, mappings, usage)``.  Placements
+    copy-on-write only the records they touch, so recording one snapshot per
+    step is a pointer copy.  On two-cluster platforms the feasibility probe
+    runs on struct-of-arrays usage columns (same integer adds and compares
+    as the record loop, derived once per pack from the resumed state).  The
+    arithmetic — and therefore every float — is identical to a from-scratch
+    pack from an empty schedule, the seed packer of the reference oracle;
+    the equivalence tests assert it.
 
     Parameters
     ----------
@@ -40,9 +47,6 @@ def pack_jobs_edf(
         appear in the assignment are ignored (Algorithm 1 calls the packer
         with partial assignments while it incrementally selects
         configurations).
-    base_schedule:
-        Optional schedule to extend.  The default (``None``) starts from an
-        empty schedule, which is what Algorithm 1 does on every call.
 
     Returns
     -------
@@ -58,215 +62,8 @@ def pack_jobs_edf(
     >>> schedule is not None
     True
     """
-    if columnar_enabled() and kernel_enabled() and base_schedule is None:
-        # Incremental kernel: resume from the longest placement prefix
-        # shared with the activation's previous pack (bit-identical to a
-        # from-scratch pack; see repro.kernel.packmemo).  Configuration
-        # range checks happen at placement time there (resumed steps were
-        # validated when first placed).
-        return _pack_incremental(problem, assignment, problem.view().pack_memo())
-
-    jobs = [job for job in problem.jobs if job.name in assignment]
-
-    if columnar_enabled():
-        view = problem.view()
-        for job in jobs:
-            config_index = assignment[job.name]
-            if not 0 <= config_index < len(view.optable(job.application).times):
-                raise SchedulingError(
-                    f"job {job.name!r}: configuration {config_index} out of range"
-                )
-        return _pack_columnar(problem, assignment, jobs, base_schedule)
-
-    for job in jobs:
-        config_index = assignment[job.name]
-        table = problem.table_for(job)
-        if config_index not in table.indices():
-            raise SchedulingError(
-                f"job {job.name!r}: configuration {config_index} out of range"
-            )
-
-    schedule = base_schedule if base_schedule is not None else Schedule()
-    # EDF: place jobs in non-decreasing order of their absolute deadline.
-    for job in sorted(jobs, key=lambda j: (j.deadline, j.name)):
-        schedule = _place_job(problem, schedule, job, assignment[job.name])
-        if schedule is None:
-            return None
-    return schedule
-
-
-def _pack_columnar(
-    problem: SchedulingProblem,
-    assignment: Mapping[str, int],
-    jobs: list[Job],
-    base_schedule: Schedule | None,
-) -> Schedule | None:
-    """The columnar fast path of Algorithm 2.
-
-    Replays exactly the seed placement loop, but on a flat segment list
-    ``[start, end, mappings, usage]`` with incrementally maintained
-    per-cluster usage counts from the :class:`~repro.optable.table.OpTable`
-    demand columns — no :class:`Schedule` re-sort per placement, no
-    ``resource_usage`` re-derivation per probe, no ``ResourceVector``
-    arithmetic in the inner loop.  On two-cluster platforms (the paper's
-    big.LITTLE) the feasibility probe additionally runs on struct-of-arrays
-    usage columns — same integer adds and compares, no record unpacking per
-    probed segment.  The arithmetic (and therefore every float) is identical
-    to the seed path; the equivalence tests assert it.
-    """
     view = problem.view()
-    capacity = view.capacity
-    dimension = len(capacity)
-    now = problem.now
-
-    # Flat working segments, kept sorted by start time (disjoint intervals).
-    segments: list[list] = []
-    if base_schedule is not None:
-        for segment in base_schedule:
-            usage = [0] * dimension
-            for mapping in segment:
-                row = view.optable(mapping.application).resources[mapping.config_index]
-                for k in range(dimension):
-                    usage[k] += row[k]
-            segments.append(
-                [segment.start, segment.end, list(segment.mappings), usage]
-            )
-
-    two_dim = dimension == 2
-    if two_dim:
-        usage0, usage1 = usage_columns(segments, 2)
-        cap0, cap1 = capacity[0], capacity[1]
-
-    for job in sorted(jobs, key=lambda j: (j.deadline, j.name)):
-        config_index = assignment[job.name]
-        table = view.optable(job.application)
-        row = table.resources[config_index]
-        execution_time = table.times[config_index]
-        mapping = JobMapping(job, config_index)
-        remaining_ratio = job.remaining_ratio
-        finish_time: float | None = None
-        if two_dim:
-            row0, row1 = row[0], row[1]
-
-        index = 0
-        while index < len(segments) and remaining_ratio > _RATIO_EPSILON:
-            if two_dim:
-                # SoA probe: the exact adds/compares of the record loop below,
-                # on flat per-cluster columns.
-                if usage0[index] + row0 > cap0 or usage1[index] + row1 > cap1:
-                    index += 1
-                    continue
-                start, end, mappings, usage = segments[index]
-            else:
-                start, end, mappings, usage = segments[index]
-                fits = True
-                for k in range(dimension):
-                    if usage[k] + row[k] > capacity[k]:
-                        fits = False
-                        break
-                if not fits:
-                    index += 1
-                    continue
-
-            required = execution_time * min(1.0, remaining_ratio)
-            duration = end - start
-            if any(m.job_name == job.name for m in mappings):
-                # Same guard (and error) as the seed's ``with_mapping``: a
-                # base_schedule may already map this job in the segment.
-                raise SchedulingError(
-                    f"job {job.name!r} is already mapped in this segment"
-                )
-            if required >= duration - TIME_EPSILON:
-                # The job is busy for the whole segment (Alg. 2, lines 9-11).
-                mappings.append(mapping)
-                for k in range(dimension):
-                    usage[k] += row[k]
-                if two_dim:
-                    usage0[index] += row0
-                    usage1[index] += row1
-                remaining_ratio -= duration / execution_time
-                if remaining_ratio <= _RATIO_EPSILON:
-                    remaining_ratio = 0.0
-                    finish_time = end
-                    break
-                index += 1
-            else:
-                # The job finishes inside the segment: split it and map the
-                # job only onto the first half (Alg. 2, lines 13-17).
-                split_time = start + required
-                if split_time <= start + TIME_EPSILON:
-                    # Degenerate split: identical guard (and error) as the
-                    # seed's ``MappingSegment.split_at``.
-                    raise SchedulingError(
-                        f"split time {split_time} outside open interval "
-                        f"({start}, {end})"
-                    )
-                first = [
-                    start,
-                    split_time,
-                    mappings + [mapping],
-                    [usage[k] + row[k] for k in range(dimension)],
-                ]
-                second = [split_time, end, list(mappings), list(usage)]
-                segments[index : index + 1] = [first, second]
-                if two_dim:
-                    base0, base1 = usage0[index], usage1[index]
-                    usage0[index : index + 1] = [base0 + row0, base0]
-                    usage1[index : index + 1] = [base1 + row1, base1]
-                remaining_ratio = 0.0
-                finish_time = split_time
-                break
-
-        if remaining_ratio > _RATIO_EPSILON:
-            # Remaining work after the last existing segment (lines 19-22).
-            start = max(now, segments[-1][1] if segments else now)
-            required = execution_time * min(1.0, remaining_ratio)
-            end = start + required
-            if end <= start + TIME_EPSILON:
-                # Identical guard (and error) as the seed's constructor.
-                raise SchedulingError(
-                    f"segment end {end} must be greater than start {start}"
-                )
-            segments.append([start, end, [mapping], list(row)])
-            if two_dim:
-                usage0.append(row0)
-                usage1.append(row1)
-            finish_time = end
-
-        # Deadline check (Algorithm 2, line 23).
-        if finish_time is None or finish_time > job.deadline + 1e-9:
-            return None
-
-    # The working list is sorted and disjoint by construction; materialise
-    # through the trusted constructors (no re-sort, no re-validation).
-    return Schedule._trusted(
-        tuple(
-            MappingSegment._trusted(start, end, tuple(mappings))
-            for start, end, mappings, _ in segments
-        )
-    )
-
-
-def _pack_incremental(
-    problem: SchedulingProblem,
-    assignment: Mapping[str, int],
-    memo,
-) -> Schedule | None:
-    """Prefix-resumable Algorithm 2 (the incremental kernel's fast path).
-
-    Replays exactly the placement loop of :func:`_pack_columnar`, but over a
-    list of *immutable* segment records ``(start, end, mappings, usage)``
-    resumed from the longest ``(job, configuration)`` placement prefix shared
-    with the activation's previous pack (see
-    :class:`~repro.kernel.packmemo.PackMemo`).  Placements copy-on-write only
-    the records they touch, so recording one snapshot per step is a pointer
-    copy.  On two-cluster platforms the feasibility probe runs on
-    struct-of-arrays usage columns (same integer adds and compares as the
-    record loop, derived once per pack from the resumed state).  The
-    arithmetic — and therefore every float — is identical to the
-    from-scratch pack; the kernel equivalence tests assert it.
-    """
-    view = problem.view()
+    memo = view.pack_memo()
     capacity = view.capacity
     dimension = len(capacity)
     now = problem.now
@@ -312,7 +109,7 @@ def _pack_incremental(
         cap0, cap1 = capacity[0], capacity[1]
 
     # Validate (and derive placement constants for) every job of the dirty
-    # suffix up front, like the seed's pre-loop — so an out-of-range
+    # suffix up front, before any placement — so an out-of-range
     # configuration raises even when an earlier placement fails its
     # deadline first.  Prefix jobs were validated when their steps were
     # recorded; repeat probes hit the per-activation placement cache.
@@ -332,10 +129,8 @@ def _pack_incremental(
                 JobMapping(job, config_index),
             )
 
-    # The seed path re-checks per probed segment that the job is not already
-    # mapped there; without a base schedule that guard is unreachable (job
-    # names are unique and each job's own placement only moves forward), so
-    # the incremental path drops it from the inner loop.
+    # No "already mapped in this segment" guard: job names are unique and
+    # each job's own placement only moves forward, so it cannot trigger.
     for job in ordered[shared:]:
         job_name = job.name
         config_index, row, execution_time, mapping = placements[job_name]
@@ -388,7 +183,7 @@ def _pack_incremental(
                 # job only onto the first half (Alg. 2, lines 13-17).
                 split_time = start + required
                 if split_time <= start + TIME_EPSILON:
-                    # Identical guard (and error) as the seed paths.
+                    # Same guard (and error) as MappingSegment.split_at.
                     raise SchedulingError(
                         f"split time {split_time} outside open interval "
                         f"({start}, {end})"
@@ -415,7 +210,7 @@ def _pack_incremental(
             required = execution_time * min(1.0, remaining_ratio)
             end = start + required
             if end <= start + TIME_EPSILON:
-                # Identical guard (and error) as the seed's constructor.
+                # Same guard (and error) as the MappingSegment constructor.
                 raise SchedulingError(
                     f"segment end {end} must be greater than start {start}"
                 )
@@ -441,63 +236,3 @@ def _pack_incremental(
             for start, end, mappings, _ in segments
         )
     )
-
-
-def _place_job(
-    problem: SchedulingProblem,
-    schedule: Schedule,
-    job: Job,
-    config_index: int,
-) -> Schedule | None:
-    """Place one job into the schedule (the body of Algorithm 2's outer loop)."""
-    point = problem.table_for(job)[config_index]
-    capacity = problem.capacity
-    dimension = len(capacity)
-    remaining_ratio = job.remaining_ratio
-    finish_time: float | None = None
-
-    index = 0
-    while index < len(schedule) and remaining_ratio > _RATIO_EPSILON:
-        segment = schedule[index]
-        usage = segment.resource_usage(problem.tables, dimension)
-        if not (usage + point.resources).fits_into(capacity):
-            index += 1
-            continue
-
-        required = point.remaining_time(min(1.0, remaining_ratio))
-        if required >= segment.duration - TIME_EPSILON:
-            # The job is busy for the whole segment (Algorithm 2, lines 9-11).
-            new_segment = segment.with_mapping(JobMapping(job, config_index))
-            schedule = schedule.replace_segment(segment, [new_segment])
-            remaining_ratio -= segment.duration / point.execution_time
-            if remaining_ratio <= _RATIO_EPSILON:
-                remaining_ratio = 0.0
-                finish_time = new_segment.end
-                break
-            index += 1
-        else:
-            # The job finishes inside the segment: split it and map the job
-            # only onto the first half (Algorithm 2, lines 13-17).
-            split_time = segment.start + required
-            first, second = segment.split_at(split_time)
-            first = first.with_mapping(JobMapping(job, config_index))
-            schedule = schedule.replace_segment(segment, [first, second])
-            remaining_ratio = 0.0
-            finish_time = first.end
-            break
-
-    if remaining_ratio > _RATIO_EPSILON:
-        # Remaining work after the last existing segment: append a new segment
-        # at the end of the schedule (Algorithm 2, lines 19-22).
-        start = max(problem.now, schedule.end if len(schedule) else problem.now)
-        required = point.remaining_time(min(1.0, remaining_ratio))
-        new_segment = MappingSegment(
-            start, start + required, [JobMapping(job, config_index)]
-        )
-        schedule = schedule.with_segment(new_segment)
-        finish_time = new_segment.end
-
-    # Deadline check (Algorithm 2, line 23).
-    if finish_time is None or finish_time > job.deadline + 1e-9:
-        return None
-    return schedule

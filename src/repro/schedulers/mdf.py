@@ -21,13 +21,7 @@ whole request set is rejected.
 
 from __future__ import annotations
 
-from typing import Mapping
-
-from repro.core.config import ConfigTable
 from repro.core.problem import SchedulingProblem
-from repro.core.request import Job
-from repro.kernel.runtime import kernel_enabled
-from repro.optable.runtime import columnar_enabled
 from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.schedulers.edf_packer import pack_jobs_edf
 from repro.schedulers.policies import JobSelectionPolicy, MaximumDifferencePolicy
@@ -67,150 +61,34 @@ class MMKPMDFScheduler(Scheduler):
     # Algorithm 1
     # ------------------------------------------------------------------ #
     def _solve(self, problem: SchedulingProblem) -> SchedulingResult:
-        if columnar_enabled():
-            return self._solve_columnar(problem)
-        return self._solve_lists(problem)
-
-    def _solve_columnar(self, problem: SchedulingProblem) -> SchedulingResult:
         """Algorithm 1 on the shared columnar :class:`ProblemView`.
 
-        Identical decision sequence (and floats) as :meth:`_solve_lists`; the
-        feasibility filter, the energy ordering and the container bookkeeping
-        read the interned OpTable columns instead of walking
-        ``list[OperatingPoint]`` per round.
-        """
-        view = problem.view()
-        containers = problem.processing_capacity()
-        assignment: dict[str, int] = {}
-        schedule = None
-        packer_calls = 0
-        policy_calls = 0
+        The feasibility filter, the energy ordering and the container
+        bookkeeping read the interned OpTable columns; the rounds avoid
+        rescanning what cannot have changed:
 
-        # Deadlines and remaining ratios are fixed for the whole activation,
-        # so the time-feasibility half of NEXTJOBMDF step (i) is computed once
-        # per job; only the container check repeats per round (the containers
-        # shrink as configurations are committed).
-        dimensions = len(containers)
-        time_feasible: dict[str, list[tuple[int, float, tuple[int, ...]]]] = {}
-        for job in problem.jobs:
-            table = view.optable(job.application)
-            budget = job.deadline - view.now
-            ratio = job.remaining_ratio
-            times = table.times
-            resources = table.resources
-            entries = []
-            for index in range(len(times)):
-                remaining = times[index] * ratio
-                if remaining <= budget + _EPSILON:
-                    entries.append((index, remaining, resources[index]))
-            time_feasible[job.name] = entries
-
-        if kernel_enabled():
-            return self._solve_columnar_kernel(
-                problem, view, containers, time_feasible
-            )
-
-        def feasible_now(job: Job) -> list[int]:
-            feasible = []
-            for index, remaining, row in time_feasible[job.name]:
-                fits = True
-                for k in range(dimensions):
-                    if row[k] * remaining > containers[k] + _EPSILON:
-                        fits = False
-                        break
-                if fits:
-                    feasible.append(index)
-            return feasible
-
-        unassigned = {job.name for job in problem.jobs}
-        while unassigned:
-            candidates = [
-                (job, feasible_now(job))
-                for job in problem.jobs
-                if job.name in unassigned
-            ]
-            policy_calls += 1
-            job, config_indices = self._policy.select(
-                candidates, problem.tables, problem.now
-            )
-
-            # Try configurations in non-decreasing remaining-energy order
-            # (Algorithm 1, lines 5-14).  ``remaining_energy = energy * ratio``,
-            # evaluated on the energy column with the same float ops as the
-            # seed's key function.
-            table = view.optable(job.application)
-            energies = table.energies
-            ratio = job.remaining_ratio
-            ordered = sorted(config_indices, key=lambda i: energies[i] * ratio)
-            committed = False
-            for config_index in ordered:
-                trial = dict(assignment)
-                trial[job.name] = config_index
-                packer_calls += 1
-                trial_schedule = pack_jobs_edf(problem, trial)
-                if trial_schedule is None:
-                    continue
-                assignment = trial
-                schedule = trial_schedule
-                # Charge the committed configuration to the containers
-                # (Algorithm 1, line 12).
-                remaining = table.times[config_index] * ratio
-                row = table.resources[config_index]
-                for k in range(len(containers)):
-                    containers[k] -= row[k] * remaining
-                committed = True
-                break
-
-            if not committed:
-                # No configuration of this job yields a feasible packing: the
-                # request set is rejected (Algorithm 1, line 6).
-                return SchedulingResult(
-                    schedule=None,
-                    statistics={
-                        "packer_calls": packer_calls,
-                        "policy_calls": policy_calls,
-                    },
-                )
-            unassigned.remove(job.name)
-
-        energy = problem.energy_of(schedule) if schedule is not None else float("inf")
-        return SchedulingResult(
-            schedule=schedule,
-            assignment=assignment,
-            energy=energy,
-            statistics={"packer_calls": packer_calls, "policy_calls": policy_calls},
-        )
-
-    def _solve_columnar_kernel(
-        self,
-        problem: SchedulingProblem,
-        view,
-        containers: list[float],
-        time_feasible: dict[str, list[tuple[int, float, tuple[int, ...]]]],
-    ) -> SchedulingResult:
-        """Algorithm 1 on the incremental kernel (``REPRO_KERNEL=1``).
-
-        Produces the exact decision sequence (and floats) of
-        :meth:`_solve_columnar` while avoiding its per-round rescans:
-
-        * The per-entry container demand ``row[k] * remaining`` is a constant
-          of the activation and is materialised once.
+        * Deadlines and remaining ratios are fixed for the whole activation,
+          so the time-feasibility half of NEXTJOBMDF step (i) and each
+          entry's container demand ``row[k] * remaining`` are computed once
+          per job.
         * Containers only shrink as configurations commit, so feasibility is
           *monotone*: an entry that failed a round can never pass a later
           one.  Each job keeps its surviving entries plus their per-type
           maximum demand; a round whose containers still cover that maximum
-          reuses the previous feasible set without scanning at all (every
-          comparison that does run is the seed comparison on the same
-          floats, so the feasible sets are identical).
+          reuses the previous feasible set without scanning at all.
         * With the paper's MDF policy, a job's selection priority depends
           only on its feasible set; it is recomputed only when that set
-          shrank.  The inlined selection replays the policy's exact
-          arithmetic and the seed's ``max((priority, name))`` tie-break.
+          shrank.  The inlined selection replays the policy's arithmetic and
+          its ``max((priority, name))`` tie-break.
 
         The EDF packer underneath resumes from shared placement prefixes
-        (see :func:`repro.kernel.packmemo`), which is where the bulk of the
-        arrival-handling speedup comes from.
+        (see :mod:`repro.kernel.packmemo`), which is where the bulk of the
+        arrival-handling speedup comes from.  ``tests/reference`` holds the
+        list-based seed of this walk; the equivalence suites assert
+        identical decisions and floats.
         """
+        view = problem.view()
+        containers = problem.processing_capacity()
         dimensions = len(containers)
         epsilon = _EPSILON
         assignment: dict[str, int] = {}
@@ -221,10 +99,19 @@ class MMKPMDFScheduler(Scheduler):
         #: name → [entries, max_demand, feasible_indices, cached_priority]
         records: dict[str, list] = {}
         for job in problem.jobs:
-            entries = [
-                (index, tuple(row[k] * remaining for k in range(dimensions)))
-                for index, remaining, row in time_feasible[job.name]
-            ]
+            table = view.optable(job.application)
+            budget = job.deadline - view.now
+            ratio = job.remaining_ratio
+            times = table.times
+            resources = table.resources
+            entries = []
+            for index in range(len(times)):
+                remaining = times[index] * ratio
+                if remaining <= budget + epsilon:
+                    row = resources[index]
+                    entries.append(
+                        (index, tuple(row[k] * remaining for k in range(dimensions)))
+                    )
             records[job.name] = [
                 entries,
                 [
@@ -346,6 +233,8 @@ class MMKPMDFScheduler(Scheduler):
                 break
 
             if not committed:
+                # No configuration of this job yields a feasible packing: the
+                # request set is rejected (Algorithm 1, line 6).
                 assignment.pop(job.name, None)
                 return SchedulingResult(
                     schedule=None,
@@ -363,103 +252,3 @@ class MMKPMDFScheduler(Scheduler):
             energy=energy,
             statistics={"packer_calls": packer_calls, "policy_calls": policy_calls},
         )
-
-    def _solve_lists(self, problem: SchedulingProblem) -> SchedulingResult:
-        """The seed list-based Algorithm 1 (kept for equivalence/benchmarks)."""
-        containers = problem.processing_capacity()
-        assignment: dict[str, int] = {}
-        schedule = None
-        packer_calls = 0
-        policy_calls = 0
-
-        unassigned = {job.name for job in problem.jobs}
-        while unassigned:
-            candidates = [
-                (job, self._feasible_configs(job, problem, containers))
-                for job in problem.jobs
-                if job.name in unassigned
-            ]
-            policy_calls += 1
-            job, config_indices = self._policy.select(
-                candidates, problem.tables, problem.now
-            )
-
-            # Try configurations in non-decreasing remaining-energy order
-            # (Algorithm 1, lines 5-14).
-            table = problem.table_for(job)
-            ordered = sorted(
-                config_indices,
-                key=lambda i: table[i].remaining_energy(job.remaining_ratio),
-            )
-            committed = False
-            for config_index in ordered:
-                trial = dict(assignment)
-                trial[job.name] = config_index
-                packer_calls += 1
-                trial_schedule = pack_jobs_edf(problem, trial)
-                if trial_schedule is None:
-                    continue
-                assignment = trial
-                schedule = trial_schedule
-                self._consume(containers, table, config_index, job)
-                committed = True
-                break
-
-            if not committed:
-                # No configuration of this job yields a feasible packing: the
-                # request set is rejected (Algorithm 1, line 6).
-                return SchedulingResult(
-                    schedule=None,
-                    statistics={
-                        "packer_calls": packer_calls,
-                        "policy_calls": policy_calls,
-                    },
-                )
-            unassigned.remove(job.name)
-
-        energy = problem.energy_of(schedule) if schedule is not None else float("inf")
-        return SchedulingResult(
-            schedule=schedule,
-            assignment=assignment,
-            energy=energy,
-            statistics={"packer_calls": packer_calls, "policy_calls": policy_calls},
-        )
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def _feasible_configs(
-        job: Job, problem: SchedulingProblem, containers: list[float]
-    ) -> list[int]:
-        """Filter the configurations of ``job`` (NEXTJOBMDF step (i)).
-
-        A configuration is kept when (a) running the job's remaining work with
-        it from *now* would meet the deadline and (b) the processing time it
-        requires still fits into the knapsack containers.
-        """
-        table = problem.table_for(job)
-        budget = job.deadline - problem.now
-        feasible = []
-        for index, point in enumerate(table):
-            remaining = point.remaining_time(job.remaining_ratio)
-            if remaining > budget + _EPSILON:
-                continue
-            demand_fits = all(
-                point.resources[k] * remaining <= containers[k] + _EPSILON
-                for k in range(len(containers))
-            )
-            if not demand_fits:
-                continue
-            feasible.append(index)
-        return feasible
-
-    @staticmethod
-    def _consume(
-        containers: list[float], table: ConfigTable, config_index: int, job: Job
-    ) -> None:
-        """Charge the committed configuration to the containers (line 12)."""
-        point = table[config_index]
-        remaining = point.remaining_time(job.remaining_ratio)
-        for k in range(len(containers)):
-            containers[k] -= point.resources[k] * remaining

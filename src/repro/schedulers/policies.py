@@ -18,7 +18,6 @@ from typing import Mapping, Sequence
 
 from repro.core.config import ConfigTable
 from repro.core.request import Job
-from repro.optable.runtime import columnar_enabled
 
 
 class JobSelectionPolicy(abc.ABC):
@@ -66,36 +65,22 @@ class MaximumDifferencePolicy(JobSelectionPolicy):
         if hopeless is not None:
             return hopeless
 
-        if columnar_enabled():
-            # Columnar fast path: the priority needs only the two smallest
-            # remaining energies, read from the interned energy column — same
-            # floats as sorting the full list, without building it.
-            def priority(entry: tuple[Job, list[int]]) -> float:
-                job, indices = entry
-                if len(indices) == 1:
-                    return float("inf")
-                energies = tables[job.application].optable.energies
-                ratio = job.remaining_ratio
-                smallest = second = float("inf")
-                for index in indices:
-                    value = energies[index] * ratio
-                    if value < smallest:
-                        smallest, second = value, smallest
-                    elif value < second:
-                        second = value
-                return second - smallest
-
-        else:
-
-            def priority(entry: tuple[Job, list[int]]) -> float:
-                job, indices = entry
-                table = tables[job.application]
-                energies = sorted(
-                    table[i].remaining_energy(job.remaining_ratio) for i in indices
-                )
-                if len(energies) == 1:
-                    return float("inf")
-                return energies[1] - energies[0]
+        # The priority needs only the two smallest remaining energies, read
+        # from the interned energy column without sorting the full list.
+        def priority(entry: tuple[Job, list[int]]) -> float:
+            job, indices = entry
+            if len(indices) == 1:
+                return float("inf")
+            energies = tables[job.application].optable.energies
+            ratio = job.remaining_ratio
+            smallest = second = float("inf")
+            for index in indices:
+                value = energies[index] * ratio
+                if value < smallest:
+                    smallest, second = value, smallest
+                elif value < second:
+                    second = value
+            return second - smallest
 
         return max(candidates, key=lambda entry: (priority(entry), entry[0].name))
 

@@ -18,13 +18,13 @@ regardless of worker count.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from repro.api.registry import platforms as _platforms
 from repro.api.registry import schedulers as _schedulers
+from repro.api.spec import ENGINES
 from repro.core.config import ConfigTable
 from repro.exceptions import SerializationError, WorkloadError
 from repro.io import (
@@ -39,7 +39,6 @@ from repro.io import (
 )
 from repro.platforms import Platform
 from repro.runtime.trace import RequestTrace, poisson_trace
-from repro.schedulers import Scheduler
 from repro.workload import named_tables
 
 #: The scheduler plugin registry (see :mod:`repro.api.registry`).  Kept under
@@ -53,33 +52,6 @@ PLATFORMS = _platforms
 
 #: Sentinel distinguishing "argument not passed" from an explicit ``None``.
 _UNSET = object()
-
-
-def build_scheduler(name: str) -> Scheduler:
-    """Deprecated: use ``repro.api.schedulers.build(name)``.
-
-    Kept as a shim for pre-registry call sites; behaviour (fresh instance
-    per call, :class:`WorkloadError` listing the known names on a miss) is
-    unchanged.
-    """
-    warnings.warn(
-        "repro.service.jobs.build_scheduler is deprecated; use "
-        "repro.api.schedulers.build(name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _schedulers.build(name)
-
-
-def build_platform(name: str) -> Platform:
-    """Deprecated: use ``repro.api.platforms.build(name)``."""
-    warnings.warn(
-        "repro.service.jobs.build_platform is deprecated; use "
-        "repro.api.platforms.build(name)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _platforms.build(name)
 
 
 @dataclass(frozen=True)
@@ -177,6 +149,11 @@ class SimulationJob:
         if (self.trace is None) == (self.trace_spec is None):
             raise WorkloadError(
                 f"job {self.name!r}: exactly one of trace and trace_spec is required"
+            )
+        if self.engine not in ENGINES:
+            raise WorkloadError(
+                f"job {self.name!r}: unknown engine {self.engine!r}; "
+                f"choose from {ENGINES}"
             )
         if self.governor is not None:
             from repro.api.registry import governors

@@ -338,7 +338,6 @@ def _simulate(
             tables,
             scheduler,
             remap_on_finish=job.remap_on_finish,
-            engine=job.engine,
             governor=governor,
             budget=budget,
             kernel_caches=kernel_caches,

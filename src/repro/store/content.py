@@ -23,11 +23,11 @@ run — which is exactly the property a shared persistent store needs.
   bad row is deleted best-effort, and a ``corrupt``/``error`` counter
   records the event.
 
-The module also owns the ``REPRO_STORE`` escape hatch (mirroring
-``REPRO_KERNEL``): ``REPRO_STORE=0`` disables every store binding no
-matter what the code configures, restoring the seed's process-local
-behaviour bit-identically; ``REPRO_STORE=/path/to.db`` opts the whole
-process into a shared store without touching call sites.
+The module also owns the ``REPRO_STORE`` escape hatch: ``REPRO_STORE=0``
+disables every store binding no matter what the code configures, restoring
+the seed's process-local behaviour bit-identically;
+``REPRO_STORE=/path/to.db`` opts the whole process into a shared store
+without touching call sites.
 """
 
 from __future__ import annotations

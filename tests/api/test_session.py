@@ -18,6 +18,7 @@ from repro.workload.motivational import (
     motivational_tables,
     motivational_trace,
 )
+from tests.reference.oracle import ReferenceRuntime
 
 
 def _poisson_spec(seed: int = 5) -> ExperimentSpec:
@@ -61,11 +62,11 @@ class TestBitIdentity:
         assert _log_key(observed) == _log_key(plain)
         assert events  # something was actually streamed
 
-    def test_engine_override_matches_default(self):
+    def test_run_matches_the_reference_oracle(self):
         spec = _poisson_spec()
-        events_log = Session.from_spec(spec).run(engine="events")
-        linear_log = Session.from_spec(spec).run(engine="linear")
-        assert _log_key(events_log) == _log_key(linear_log)
+        events_log = Session.from_spec(spec).run()
+        oracle_log = ReferenceRuntime.from_spec(spec).run(Session.from_spec(spec).trace())
+        assert _log_key(events_log) == _log_key(oracle_log)
 
     def test_batch_fingerprint_matches_the_legacy_service_path(self):
         """Session.run_batch() fingerprints == legacy BatchSpec plumbing."""

@@ -6,7 +6,14 @@ evaluation suite) are session-scoped so the whole suite builds them once.
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 import pytest
+
+# Tests import the reference oracle as ``tests.reference``; the repository
+# root must be importable however pytest was started.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from repro.core.problem import SchedulingProblem
 from repro.dse import paper_operating_points, reduced_tables

@@ -3,7 +3,7 @@
 The meter must (a) reproduce the post-hoc timeline scan exactly, (b) agree
 with the design-time :mod:`repro.mapping.simulate` energy estimate when a
 job runs one operating point to completion, and (c) report identical energy
-under the linear and event time-advance engines.
+on the event engine and on the reference oracle.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.workload.motivational import (
     motivational_tables,
     motivational_trace,
 )
+from tests.reference.oracle import ReferenceMDF, ReferenceRuntime
 
 
 def _motivational_trace():
@@ -28,12 +29,17 @@ def _motivational_trace():
 class TestMeterMatchesPostHocScan:
     """Incremental accounting == a post-hoc scan over the executed timeline."""
 
-    @pytest.mark.parametrize("engine", ["events", "linear"])
-    def test_totals_and_job_energy(self, engine):
-        manager = RuntimeManager.from_components(
-            motivational_platform(), motivational_tables(), MMKPMDFScheduler()
-        )
-        log = manager.run(_motivational_trace(), engine=engine)
+    @pytest.mark.parametrize(
+        "build,scheduler",
+        [
+            (RuntimeManager.from_components, MMKPMDFScheduler),
+            (ReferenceRuntime, ReferenceMDF),
+        ],
+        ids=["events", "oracle"],
+    )
+    def test_totals_and_job_energy(self, build, scheduler):
+        manager = build(motivational_platform(), motivational_tables(), scheduler())
+        log = manager.run(_motivational_trace())
         # Post-hoc: scan the timeline the way the seed would have.
         scanned = sum(interval.energy for interval in log.timeline)
         assert log.total_energy == scanned  # exact float equality
@@ -92,21 +98,22 @@ class TestEnginesAgreeOnEnergy:
     @pytest.mark.parametrize(
         "governor_factory", [None, PerformanceGovernor, ScheduleAwareGovernor]
     )
-    def test_linear_and_events_identical(self, governor_factory):
-        def run(engine):
-            manager = RuntimeManager.from_components(
+    def test_oracle_and_events_identical(self, governor_factory):
+        def run(build, scheduler):
+            manager = build(
                 motivational_platform(),
                 motivational_tables(),
-                MMKPMDFScheduler(),
+                scheduler,
                 governor=governor_factory() if governor_factory else None,
             )
-            return manager.run(_motivational_trace(), engine=engine)
+            return manager.run(_motivational_trace())
 
-        events, linear = run("events"), run("linear")
-        assert events.total_energy == linear.total_energy
-        assert events.cluster_energy == linear.cluster_energy
-        assert events.job_energy == linear.job_energy
-        assert len(events.timeline) == len(linear.timeline)
+        events = run(RuntimeManager.from_components, MMKPMDFScheduler())
+        oracle = run(ReferenceRuntime, ReferenceMDF())
+        assert events.total_energy == oracle.total_energy
+        assert events.cluster_energy == oracle.cluster_energy
+        assert events.job_energy == oracle.job_energy
+        assert len(events.timeline) == len(oracle.timeline)
 
 
 class TestMeterUnit:

@@ -8,9 +8,11 @@ from repro.runtime import RuntimeManager
 from repro.schedulers import MMKPMDFScheduler
 from repro.workload.motivational import (
     motivational_platform,
+    motivational_problem,
     motivational_tables,
     motivational_trace,
 )
+from tests.reference.oracle import ReferenceMDF, ReferenceRuntime, budget_admits
 
 
 def _trace():
@@ -94,13 +96,17 @@ class TestEnergyBudgetJoules:
 
 
 def _run_engine(engine, budget=None, governor=None, trace=None):
-    manager = RuntimeManager.from_components(
+    """Run MMKP-MDF on the event engine or on the reference oracle."""
+    if engine == "events":
+        build, scheduler = RuntimeManager.from_components, MMKPMDFScheduler()
+    else:
+        build, scheduler = ReferenceRuntime, ReferenceMDF()
+    manager = build(
         motivational_platform(),
         motivational_tables(),
-        MMKPMDFScheduler(),
+        scheduler,
         governor=governor,
         budget=budget,
-        engine=engine,
     )
     return manager.run(trace if trace is not None else _trace())
 
@@ -119,11 +125,10 @@ def _log_key(log):
 class TestEventEngineAdmission:
     """Governor + budget admission under the heap :class:`EventQueue` engine.
 
-    The budget/governor combination was previously only pinned on the
-    linear engine; these tests drive the same envelopes through the event
-    engine — including a budget rejection that arrives *mid-interval*,
-    while a committed segment is still executing — and assert the two
-    engines stay bit-identical.
+    These tests drive the envelopes through the event engine — including a
+    budget rejection that arrives *mid-interval*, while a committed segment
+    is still executing — and assert it stays bit-identical to the reference
+    oracle's arrival-by-arrival re-solves.
     """
 
     def _mid_interval_trace(self):
@@ -148,9 +153,9 @@ class TestEventEngineAdmission:
     )
     def test_engines_agree_on_budget_rejections(self, budget):
         events = _run_engine("events", budget=budget)
-        linear = _run_engine("linear", budget=budget)
-        assert events.budget_rejections == linear.budget_rejections >= 1
-        assert _log_key(events) == _log_key(linear)
+        oracle = _run_engine("oracle", budget=budget)
+        assert events.budget_rejections == oracle.budget_rejections >= 1
+        assert _log_key(events) == _log_key(oracle)
 
     @pytest.mark.parametrize("governor_name", ["schedule-aware", "ondemand"])
     def test_engines_agree_under_governor_plus_budget(self, governor_name):
@@ -160,10 +165,10 @@ class TestEventEngineAdmission:
         events = _run_engine(
             "events", budget=budget, governor=governors.build(governor_name)
         )
-        linear = _run_engine(
-            "linear", budget=budget, governor=governors.build(governor_name)
+        oracle = _run_engine(
+            "oracle", budget=budget, governor=governors.build(governor_name)
         )
-        assert _log_key(events) == _log_key(linear)
+        assert _log_key(events) == _log_key(oracle)
 
     def test_mid_interval_budget_rejection_splits_the_interval(self):
         trace = self._mid_interval_trace()
@@ -193,17 +198,12 @@ class TestEventEngineAdmission:
         # only the consumed prefix plus the committed remainder.
         assert log.total_energy < open_run.total_energy
 
-    def test_mid_interval_rejection_agrees_across_engines_and_kernel(self):
-        from repro.kernel import kernel_disabled
-
+    def test_mid_interval_rejection_agrees_with_the_oracle(self):
         trace = self._mid_interval_trace()
         tight = EnergyBudget(energy_budget_joules=9.0)
         events = _run_engine("events", budget=tight, trace=trace)
-        linear = _run_engine("linear", budget=tight, trace=trace)
-        assert _log_key(events) == _log_key(linear)
-        with kernel_disabled():
-            seed_events = _run_engine("events", budget=tight, trace=trace)
-        assert _log_key(events) == _log_key(seed_events)
+        oracle = _run_engine("oracle", budget=tight, trace=trace)
+        assert _log_key(events) == _log_key(oracle)
 
     def test_governor_budget_rejection_mid_interval_on_event_engine(self):
         from repro.api.registry import governors
@@ -215,9 +215,42 @@ class TestEventEngineAdmission:
         log = _run_engine(
             "events", budget=budget, governor=governors.build("schedule-aware"), trace=trace
         )
-        linear = _run_engine(
-            "linear", budget=budget, governor=governors.build("schedule-aware"), trace=trace
+        oracle = _run_engine(
+            "oracle", budget=budget, governor=governors.build("schedule-aware"), trace=trace
         )
-        assert _log_key(log) == _log_key(linear)
+        assert _log_key(log) == _log_key(oracle)
         assert log.budget_rejections == 1
         assert log.completion_of("sigma1") is not None
+
+
+class TestAdmitsMatchesTheOracle:
+    """``admits`` without ``optables`` (derived from the tables) vs the seed walk."""
+
+    @pytest.mark.parametrize(
+        "budget",
+        [
+            EnergyBudget(power_cap_watts=1.85),
+            EnergyBudget(energy_budget_joules=10.0),
+            EnergyBudget(power_cap_watts=3.0, energy_budget_joules=30.0),
+        ],
+    )
+    @pytest.mark.parametrize("analytical", [False, True], ids=["table", "opp"])
+    def test_verdicts_and_reasons_agree(self, budget, analytical):
+        from repro.energy.opp import decide, ensure_opps
+
+        problem = motivational_problem("S1")
+        schedule = MMKPMDFScheduler().schedule(problem).schedule
+        tables = motivational_tables()
+        platform = ensure_opps(motivational_platform()) if analytical else None
+        decision = decide(platform, 1.0) if analytical else None
+        first = schedule.segments[0]
+        # Before the plan, inside (straddling) its first segment, after it.
+        for now in (problem.now, (first.start + first.end) / 2, schedule.end):
+            for consumed in (0.0, 6.0):
+                fast = budget.admits(
+                    schedule, tables, now, consumed, platform=platform, decision=decision
+                )
+                seed = budget_admits(
+                    budget, schedule, tables, now, consumed, platform, decision
+                )
+                assert (fast.admitted, fast.reason) == (seed.admitted, seed.reason)

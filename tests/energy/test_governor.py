@@ -144,14 +144,14 @@ class TestGovernors:
 class TestGovernorRuns:
     """End-to-end governor behaviour through the runtime manager."""
 
-    def _run(self, governor, engine="events"):
+    def _run(self, governor):
         manager = RuntimeManager.from_components(
             motivational_platform(),
             motivational_tables(),
             MMKPMDFScheduler(),
             governor=governor,
         )
-        return manager.run(motivational_trace("S1"), engine=engine)
+        return manager.run(motivational_trace("S1"))
 
     def test_schedule_aware_saves_energy_without_misses(self):
         fixed = self._run(PerformanceGovernor())

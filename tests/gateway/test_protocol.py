@@ -33,7 +33,6 @@ class TestRunSubmission:
         submission = parse_run_submission(_spec_body())
         assert submission.tenant == DEFAULT_TENANT
         assert submission.session is None
-        assert submission.engine is None
         assert submission.timeout_s is None
         assert submission.spec.name == "proto"
 
@@ -44,7 +43,6 @@ class TestRunSubmission:
         )
         assert submission.tenant == "acme"
         assert submission.session == "warm-1"
-        assert submission.engine == "events"
         assert submission.timeout_s == 30.0
 
     def test_missing_spec(self):

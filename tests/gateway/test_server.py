@@ -177,6 +177,18 @@ class TestHttpSurface:
         assert info.value.status == 400
         assert info.value.body["error"]["type"] == "protocol"
 
+    @pytest.mark.parametrize("engine", ["bogus", "linear"])
+    def test_unknown_engine_is_400_at_submission(self, client, engine):
+        body = {"spec": _scenario_spec(name="gw-engine").to_dict(), "engine": engine}
+        with pytest.raises(GatewayError) as info:
+            client._request("POST", "/runs", body)
+        assert info.value.status == 400
+        assert info.value.body["error"]["type"] == "protocol"
+        assert engine in info.value.body["error"]["message"]
+        # The daemon is unharmed: a valid run on the same server finishes.
+        ok = client.run(_scenario_spec("fixed", name="gw-after-engine"))
+        assert ok["state"] == "done"
+
     def test_submit_failure_is_isolated_per_run(self, client):
         """A failed run never poisons the daemon for the next one."""
         record = client.submit_run(_slow_spec("gw-fail"), timeout_s=0.001)

@@ -2,17 +2,16 @@
 
 Acceptance contract of the ``repro.kernel`` refactor: schedules, batch
 fingerprints and energy totals must be *identical* — not merely close —
-between the delta-based admission pipeline (``REPRO_KERNEL=1``) and the seed
-full-re-solve path (``REPRO_KERNEL=0``), on the motivational workload and
-the (scaled) census, for all four schedulers (MMKP-MDF, MMKP-LR, EX-MEM and
-the EDF-packer-backed fixed mapper).
+between the delta-based admission pipeline and the seed full-re-solve path
+of the reference oracle, on the motivational workload and the (scaled)
+census, for all four schedulers (MMKP-MDF, MMKP-LR, EX-MEM and the
+EDF-packer-backed fixed mapper).
 """
 
 import pytest
 
 from repro.dse import paper_operating_points, reduced_tables
-from repro.energy import EnergyBudget
-from repro.kernel import kernel_disabled, kernel_override
+from repro.energy import EnergyBudget, ScheduleAwareGovernor
 from repro.platforms import odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.runtime.trace import poisson_trace
@@ -28,6 +27,13 @@ from repro.workload.motivational import (
     motivational_tables,
     motivational_trace,
 )
+from tests.reference.oracle import (
+    ReferenceRuntime,
+    log_key,
+    reference_twin,
+    registered_twins,
+    result_key,
+)
 
 #: scheduler factory → is it census-tractable (EX-MEM is exponential).
 SCHEDULERS = [
@@ -38,26 +44,15 @@ SCHEDULERS = [
 ]
 
 
-def log_key(log):
-    """Every deterministic field of an execution log, floats kept exact."""
-    return (
-        repr(log.total_energy),
-        log.activations,
-        log.budget_rejections,
-        tuple(
-            (o.name, o.accepted, repr(o.completion_time), repr(o.energy))
-            for o in log.outcomes
-        ),
-        tuple(
-            (repr(i.start), repr(i.end), repr(i.energy), i.job_configs)
-            for i in log.timeline
-        ),
-        tuple(sorted((name, repr(value)) for name, value in log.job_energy.items())),
-        tuple(
-            (name, repr(entry["busy"]), repr(entry["idle"]))
-            for name, entry in sorted(log.cluster_energy.items())
-        ),
-    )
+def runs(platform, tables, factory, trace, **options):
+    """``log_key`` of the production run and of the oracle run.
+
+    ``options`` (governor, budget, remap) are shared by both runs; governors
+    and budgets keep no per-run state.
+    """
+    fast = RuntimeManager.from_components(platform, tables, factory(), **options)
+    seed = ReferenceRuntime(platform, tables, reference_twin(factory()), **options)
+    return log_key(fast.run(trace)), log_key(seed.run(trace))
 
 
 @pytest.fixture(scope="module")
@@ -72,10 +67,8 @@ class TestSchedulerActivationEquivalence:
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
     def test_motivational_activation(self, name, factory, _, scenario):
-        with kernel_override(True):
-            fast = factory().schedule(motivational_problem(scenario))
-        with kernel_disabled():
-            seed = factory().schedule(motivational_problem(scenario))
+        fast = factory().schedule(motivational_problem(scenario))
+        seed = reference_twin(factory()).schedule(motivational_problem(scenario))
         assert (fast.schedule is None) == (seed.schedule is None)
         if fast.schedule is not None:
             assert fast.schedule == seed.schedule
@@ -89,21 +82,25 @@ class TestSchedulerActivationEquivalence:
 class TestRuntimeManagerEquivalence:
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
-    @pytest.mark.parametrize("engine", ["events", "linear"])
-    def test_motivational_runs(self, name, factory, _, scenario, engine):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                factory(),
-                engine=engine,
-            )
-            return manager.run(motivational_trace(scenario))
+    def test_motivational_runs(self, name, factory, _, scenario):
+        fast, seed = runs(
+            motivational_platform(),
+            motivational_tables(),
+            factory,
+            motivational_trace(scenario),
+        )
+        assert fast == seed
 
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
+    @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
+    @pytest.mark.parametrize("scenario", ["S1", "S2"])
+    def test_governed_motivational_runs(self, name, factory, _, scenario):
+        fast, seed = runs(
+            motivational_platform(),
+            motivational_tables(),
+            factory,
+            motivational_trace(scenario),
+            governor=ScheduleAwareGovernor(),
+        )
         assert fast == seed
 
     @pytest.mark.parametrize(
@@ -112,51 +109,25 @@ class TestRuntimeManagerEquivalence:
     )
     def test_census_runs(self, name, factory, census_setup):
         platform, tables, trace = census_setup
-
-        def run():
-            manager = RuntimeManager.from_components(platform, tables, factory())
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
+        fast, seed = runs(platform, tables, factory, trace)
         assert fast == seed
 
     def test_census_run_exmem_sample(self, census_setup):
         platform, tables, _ = census_setup
         trace = poisson_trace(tables, arrival_rate=0.25, num_requests=8, seed=11)
-
-        def run():
-            manager = RuntimeManager.from_components(
-                platform, tables, ExMemScheduler(max_configs_per_job=3)
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
+        fast, seed = runs(
+            platform, tables, lambda: ExMemScheduler(max_configs_per_job=3), trace
+        )
         assert fast == seed
 
     @pytest.mark.parametrize("governor", ["schedule-aware", "ondemand", "powersave"])
     def test_governor_energy_totals(self, governor, census_setup):
-        platform, tables, trace = census_setup
         from repro.api.registry import governors
 
-        def run():
-            manager = RuntimeManager.from_components(
-                platform,
-                tables,
-                MMKPMDFScheduler(),
-                governor=governors.build(governor),
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
+        platform, tables, trace = census_setup
+        fast, seed = runs(
+            platform, tables, MMKPMDFScheduler, trace, governor=governors.build(governor)
+        )
         assert fast == seed
 
     @pytest.mark.parametrize(
@@ -169,61 +140,47 @@ class TestRuntimeManagerEquivalence:
     )
     def test_budget_admission_equivalence(self, budget, census_setup):
         platform, tables, trace = census_setup
-
-        def run():
-            manager = RuntimeManager.from_components(
-                platform, tables, MMKPMDFScheduler(), budget=budget
-            )
-            return manager.run(trace)
-
-        with kernel_override(True):
-            fast = run()
-        with kernel_disabled():
-            seed = run()
-        assert fast.budget_rejections == seed.budget_rejections
-        assert log_key(fast) == log_key(seed)
+        fast, seed = runs(platform, tables, MMKPMDFScheduler, trace, budget=budget)
+        assert fast == seed  # budget_rejections included
 
     @pytest.mark.parametrize("name,factory,_", SCHEDULERS)
     def test_remap_on_finish_equivalence(self, name, factory, _):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                factory(),
-                remap_on_finish=True,
-            )
-            return manager.run(motivational_trace("S2"))
-
-        with kernel_override(True):
-            fast = log_key(run())
-        with kernel_disabled():
-            seed = log_key(run())
+        fast, seed = runs(
+            motivational_platform(),
+            motivational_tables(),
+            factory,
+            motivational_trace("S2"),
+            remap_on_finish=True,
+        )
         assert fast == seed
 
 
 class TestBatchFingerprintEquivalence:
-    def test_service_batch_fingerprints_match(self):
+    def test_service_batch_results_match(self):
+        """Production schedulers vs their oracle twins, per batch result.
+
+        The service always runs the production manager, so this pins the
+        schedulers; the runtime manager itself is pinned by the run tests.
+        """
         from repro.service import SimulationJob, SimulationService, TraceSpec
 
-        jobs = [
-            SimulationJob(
-                f"job-{i}",
-                scheduler=scheduler,
-                trace_spec=TraceSpec(arrival_rate=0.3, num_requests=8, seed=50 + i),
-                governor="schedule-aware" if i == 1 else None,
-                power_cap_watts=8.0 if i == 2 else None,
-            )
-            for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
-        ]
+        def results(names):
+            jobs = [
+                SimulationJob(
+                    f"job-{i}",
+                    scheduler=names.get(scheduler, scheduler),
+                    trace_spec=TraceSpec(arrival_rate=0.3, num_requests=8, seed=50 + i),
+                    governor="schedule-aware" if i == 1 else None,
+                    power_cap_watts=8.0 if i == 2 else None,
+                )
+                for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
+            ]
+            batch = SimulationService().run_batch(jobs)
+            assert not batch.failures
+            return [result_key(result) for result in batch.results]
 
-        def fingerprint():
-            return SimulationService().run_batch(jobs).fingerprint()
-
-        with kernel_override(True):
-            fast = fingerprint()
-        with kernel_disabled():
-            seed = fingerprint()
-        assert fast == seed
+        with registered_twins("kernel-oracle") as names:
+            assert results({}) == results(names)
 
     def test_worker_count_is_immaterial_under_the_kernel(self):
         from repro.service import BatchSpec, SimulationService
@@ -231,11 +188,8 @@ class TestBatchFingerprintEquivalence:
         spec = BatchSpec.sweep(
             arrival_rates=[0.2, 0.4], traces_per_point=2, num_requests=6
         )
-        with kernel_override(True):
-            serial = SimulationService(workers=1).run_batch(spec).fingerprint()
-            threaded = (
-                SimulationService(workers=4, executor="thread")
-                .run_batch(spec)
-                .fingerprint()
-            )
+        serial = SimulationService(workers=1).run_batch(spec).fingerprint()
+        threaded = (
+            SimulationService(workers=4, executor="thread").run_batch(spec).fingerprint()
+        )
         assert serial == threaded

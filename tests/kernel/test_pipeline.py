@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api import ExperimentSpec, RunEventKind, Session, WorkloadSpec
-from repro.kernel import kernel_disabled, kernel_override
 from repro.runtime.manager import RuntimeManager
 from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
 from repro.workload.motivational import (
@@ -12,7 +11,8 @@ from repro.workload.motivational import (
     motivational_trace,
 )
 
-from tests.kernel.test_kernel_equivalence import log_key
+from tests.reference import oracle
+from tests.reference.oracle import log_key
 
 
 def _manager(scheduler=None, **kwargs):
@@ -27,8 +27,7 @@ def _manager(scheduler=None, **kwargs):
 class TestKernelEvent:
     def test_stream_carries_one_kernel_summary(self):
         spec = ExperimentSpec(name="k", workload=WorkloadSpec.scenario("S1"))
-        with kernel_override(True):
-            events = list(Session.from_spec(spec).stream())
+        events = list(Session.from_spec(spec).stream())
         kinds = [event.kind for event in events]
         assert kinds.count(RunEventKind.KERNEL) == 1
         assert kinds[-2] is RunEventKind.KERNEL
@@ -48,42 +47,42 @@ class TestKernelEvent:
         assert summary["activations"] == 2
         assert summary["commits"] >= 2
 
-    def test_seed_path_emits_no_kernel_event(self):
-        spec = ExperimentSpec(name="k0", workload=WorkloadSpec.scenario("S1"))
-        with kernel_disabled():
-            events = list(Session.from_spec(spec).stream())
-        assert RunEventKind.KERNEL not in [event.kind for event in events]
-
 
 class TestDoublePruneBoundary:
     """Regression: a segment finishing exactly at a reschedule timestamp.
 
-    The seed prunes twice at that instant — once in ``_collect_finished``
-    against the committed schedule and once more inside ``_plan`` against
-    the freshly solved one, where the scan is the identity by construction
-    (every mapped job is active).  The kernel skips both redundant scans via
-    the ledger gate and the ``fresh`` flag; behaviour at the exact boundary
-    time must be bit-identical either way.
+    The seed (the reference oracle) prunes twice at that instant — once
+    when the job finishes, against the committed schedule, and once more
+    when planning the freshly solved one, where the scan is the identity by
+    construction (every mapped job is active).  The kernel skips both
+    redundant scans via the ledger gate and by not pruning fresh schedules;
+    behaviour at the exact boundary time must be bit-identical either way.
     """
 
-    @staticmethod
-    def _count_prune_scans(kernel_on: bool):
+    def test_boundary_prune_runs_once_under_the_kernel(self, monkeypatch):
+        def counting(prune, calls):
+            def wrapper(schedule, active, now):
+                calls.append(now)
+                return prune(schedule, active, now)
+
+            return wrapper
+
         manager = _manager(remap_on_finish=True)
-        calls = []
-        seed_prune = manager._without_finished
+        kernel_calls = []
+        manager._without_finished = counting(manager._without_finished, kernel_calls)
+        kernel_log = manager.run(motivational_trace("S2"))
 
-        def counting(schedule, active, now):
-            calls.append(now)
-            return seed_prune(schedule, active, now)
+        seed_calls = []
+        monkeypatch.setattr(
+            oracle, "_without_finished", counting(oracle._without_finished, seed_calls)
+        )
+        seed_log = oracle.ReferenceRuntime(
+            motivational_platform(),
+            motivational_tables(),
+            oracle.reference_twin(MMKPMDFScheduler()),
+            remap_on_finish=True,
+        ).run(motivational_trace("S2"))
 
-        manager._without_finished = counting
-        with kernel_override(kernel_on):
-            log = manager.run(motivational_trace("S2"))
-        return calls, log
-
-    def test_boundary_prune_runs_once_under_the_kernel(self):
-        seed_calls, seed_log = self._count_prune_scans(False)
-        kernel_calls, kernel_log = self._count_prune_scans(True)
         # S2 has finishes that trigger remap-on-finish reschedules exactly
         # at committed segment ends; the seed rescans per arrival plan and
         # per reschedule plan on top of the finish prunes.
@@ -146,8 +145,7 @@ class TestWarmStarts:
             for i in range(3)
         ]
         service = SimulationService(use_cache=False)
-        with kernel_override(True):
-            results = service.run_batch(jobs)
+        results = service.run_batch(jobs)
         assert results.failures == []
         info = service.kernel_caches.solve_cache.info()
         # Identical jobs pose identical relaxations: jobs 2 and 3 replay
@@ -157,9 +155,8 @@ class TestWarmStarts:
     def test_session_managers_share_one_cache_store(self):
         spec = ExperimentSpec(name="warm", workload=WorkloadSpec.scenario("S1"))
         session = Session.from_spec(spec)
-        with kernel_override(True):
-            first = session.run()
-            second = session.run()
+        first = session.run()
+        second = session.run()
         assert log_key(first) == log_key(second)
         assert session.kernel_caches.info()["slice_sets"] == 1
 
@@ -170,18 +167,16 @@ class TestWarmStarts:
         injected = SolveCache()
         scheduler = MMKPLRScheduler(solve_cache=injected)
         manager = _manager(scheduler)
-        with kernel_override(True):
-            manager.run(motivational_trace("S1"))
+        manager.run(motivational_trace("S1"))
         assert scheduler.solve_cache is injected
 
         adopted = MMKPLRScheduler()
         own = adopted.solve_cache
         manager = _manager(adopted)
-        with kernel_override(True):
-            manager.run(motivational_trace("S1"))
+        manager.run(motivational_trace("S1"))
         # The shared store was adopted for the run (it holds the run's
-        # relaxations) and released afterwards, so a later REPRO_KERNEL=0
-        # run on the same instance starts cold again.
+        # relaxations) and released afterwards, so a later activation
+        # outside a run on the same instance uses its own cache again.
         assert adopted.solve_cache is own
         assert len(manager._kernel_caches.solve_cache) > 0
 
@@ -189,7 +184,6 @@ class TestWarmStarts:
 class TestPruneGateStatistics:
     def test_no_ghosts_means_no_scans(self):
         events = []
-        with kernel_override(True):
-            _manager().run(motivational_trace("S1"), observer=events.append)
+        _manager().run(motivational_trace("S1"), observer=events.append)
         summary = next(e for e in events if e.kind is RunEventKind.KERNEL).data
         assert summary["prune_scans"] == 0

@@ -6,7 +6,6 @@ import pytest
 
 from repro.api import ExperimentSpec, Session, WorkloadSpec
 from repro.api.spec import SchedulerSpec
-from repro.kernel import kernel_override
 from repro.obs import Tracer, merged_counts, phase_summary
 
 
@@ -18,17 +17,16 @@ def _spec(scheduler: str = "mmkp-mdf") -> ExperimentSpec:
     )
 
 
-def _traced_run(spec: ExperimentSpec, kernel_on: bool):
+def _traced_run(spec: ExperimentSpec):
     tracer = Tracer(name="test")
-    with kernel_override(kernel_on):
-        with tracer:
-            log = Session.from_spec(spec).run()
+    with tracer:
+        log = Session.from_spec(spec).run()
     return tracer, log
 
 
 class TestKernelPath:
     def test_span_tree_covers_every_hot_layer(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=True)
+        tracer, _ = _traced_run(_spec())
         names = {span.name for span in tracer.spans()}
         assert {
             "test",  # root
@@ -43,7 +41,7 @@ class TestKernelPath:
         } <= names
 
     def test_pipeline_phases_nest_under_arrivals(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=True)
+        tracer, _ = _traced_run(_spec())
         by_id = {span.span_id: span for span in tracer.spans()}
         phases = [s for s in tracer.spans() if s.name.startswith("phase.")]
         assert phases
@@ -52,7 +50,7 @@ class TestKernelPath:
             assert parent.name in ("rm.arrival", "rm.reschedule")
 
     def test_solve_span_carries_scheduler_and_feasibility(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=True)
+        tracer, _ = _traced_run(_spec())
         solves = [s for s in tracer.spans() if s.name == "solve"]
         assert solves
         for solve in solves:
@@ -60,7 +58,7 @@ class TestKernelPath:
             assert "feasible" in solve.annotations
 
     def test_commit_spans_record_the_admission_outcome(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=True)
+        tracer, _ = _traced_run(_spec())
         commits = [s for s in tracer.spans() if s.name == "phase.commit"]
         assert commits
         assert {s.annotations["outcome"] for s in commits} <= {
@@ -70,29 +68,22 @@ class TestKernelPath:
         }
 
     def test_pack_outcome_counts_land_on_solve_phases(self):
-        tracer, log = _traced_run(_spec(), kernel_on=True)
+        tracer, log = _traced_run(_spec())
         counts = merged_counts(s.to_dict() for s in tracer.spans())
         assert counts.get("pack.resume", 0) + counts.get("pack.scratch", 0) > 0
 
     def test_energy_counts_accumulate(self):
-        tracer, log = _traced_run(_spec(), kernel_on=True)
+        tracer, log = _traced_run(_spec())
         counts = merged_counts(s.to_dict() for s in tracer.spans())
         assert counts["energy.intervals"] >= 1
         assert counts["energy.joules"] == pytest.approx(log.total_energy)
 
     def test_run_span_summarises_the_log(self):
-        tracer, log = _traced_run(_spec(), kernel_on=True)
+        tracer, log = _traced_run(_spec())
         run = next(s for s in tracer.spans() if s.name == "rm.run")
         assert run.annotations["requests"] == len(log.outcomes)
         assert run.annotations["accepted"] == len(log.accepted)
         assert run.annotations["total_energy"] == pytest.approx(log.total_energy)
-
-
-class TestSeedPath:
-    def test_seed_arrival_path_is_traced_too(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=False)
-        names = {span.name for span in tracer.spans()}
-        assert {"rm.run", "rm.arrival", "solve", "energy.accounting"} <= names
 
 
 class TestEquivalence:
@@ -100,7 +91,7 @@ class TestEquivalence:
     def test_traced_run_is_bit_identical_to_untraced(self, scheduler):
         spec = _spec(scheduler)
         untraced = Session.from_spec(spec).run()
-        tracer, traced = _traced_run(spec, kernel_on=True)
+        tracer, traced = _traced_run(spec)
         assert len(tracer) > 0
         assert traced.fingerprint() == untraced.fingerprint()
 
@@ -129,7 +120,7 @@ class TestEquivalence:
 class TestCacheCounters:
     def test_solve_cache_counts_hits_and_misses(self):
         spec = _spec("mmkp-lr")
-        tracer, _ = _traced_run(spec, kernel_on=True)
+        tracer, _ = _traced_run(spec)
         counts = merged_counts(s.to_dict() for s in tracer.spans())
         lookups = counts.get("cache.solve.hit", 0) + counts.get(
             "cache.solve.miss", 0
@@ -153,7 +144,7 @@ class TestCacheCounters:
 
 class TestPhaseSummary:
     def test_summary_restricts_to_phase_spans(self):
-        tracer, _ = _traced_run(_spec(), kernel_on=True)
+        tracer, _ = _traced_run(_spec())
         summary = phase_summary(tracer.span_dicts())
         assert "rm.arrival" in summary["phases"]
         assert "test" not in summary["phases"]  # the root is not a phase

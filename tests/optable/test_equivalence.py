@@ -2,14 +2,14 @@
 
 Acceptance contract of the ``repro.optable`` refactor: schedules, batch
 fingerprints and energy accounting must be *identical* — not merely close —
-between the columnar fast paths and the seed ``list[OperatingPoint]`` paths,
-on both the motivational workload and the (scaled) Table III census.
+between the columnar fast paths and the seed ``list[OperatingPoint]`` paths
+of the reference oracle, on both the motivational workload and the (scaled)
+Table III census.
 """
 
 import pytest
 
 from repro.dse import paper_operating_points, reduced_tables
-from repro.optable import columnar_disabled
 from repro.platforms import odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.schedulers import ExMemScheduler, MMKPLRScheduler, MMKPMDFScheduler
@@ -21,6 +21,12 @@ from repro.workload.motivational import (
     motivational_trace,
 )
 from repro.workload.suite import scaled_census
+from tests.reference.oracle import (
+    ReferenceRuntime,
+    reference_twin,
+    registered_twins,
+    result_key,
+)
 
 SCHEDULERS = [MMKPMDFScheduler, MMKPLRScheduler, ExMemScheduler]
 
@@ -53,66 +59,42 @@ class TestSchedulerEquivalence:
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
     def test_motivational_scenarios(self, scheduler_cls, scenario):
         columnar = scheduler_cls().schedule(motivational_problem(scenario))
-        with columnar_disabled():
-            seed = scheduler_cls().schedule(motivational_problem(scenario))
+        seed = reference_twin(scheduler_cls()).schedule(motivational_problem(scenario))
         assert_results_identical(columnar, seed)
 
     @pytest.mark.parametrize("scheduler_cls", [MMKPMDFScheduler, MMKPLRScheduler])
     def test_census_workload(self, scheduler_cls, census_problems):
         scheduler = scheduler_cls()
         columnar = [scheduler.schedule(p) for p in census_problems]
-        with columnar_disabled():
-            seed = [scheduler.schedule(p) for p in census_problems]
+        oracle = reference_twin(scheduler)
+        seed = [oracle.schedule(p) for p in census_problems]
         for fast, slow in zip(columnar, seed):
             assert_results_identical(fast, slow)
 
     def test_census_workload_exmem_sample(self, census_problems):
         # EX-MEM is exponential; a sample keeps the equivalence suite fast.
-        # Note: EX-MEM's internals were columnarised unconditionally (the
-        # toggle does not switch it back to seed code), so this asserts
-        # determinism across modes — its behaviour vs the seed is pinned by
-        # tests/schedulers/test_exmem.py and the cross-scheduler suite.
+        # EX-MEM has no seed twin (the oracle runs it as is), so this asserts
+        # that a repeated activation is deterministic — its behaviour vs the
+        # seed is pinned by tests/schedulers/test_exmem.py and the
+        # cross-scheduler suite.
         scheduler = ExMemScheduler(max_configs_per_job=4)
         for problem in census_problems[:10]:
             columnar = scheduler.schedule(problem)
-            with columnar_disabled():
-                seed = scheduler.schedule(problem)
+            seed = reference_twin(scheduler).schedule(problem)
             assert_results_identical(columnar, seed)
-
-
-class TestPackerBaseScheduleParity:
-    def test_duplicate_mapping_in_base_schedule_raises_in_both_modes(self):
-        from repro.core.segment import JobMapping, MappingSegment, Schedule
-        from repro.exceptions import SchedulingError
-        from repro.schedulers.edf_packer import pack_jobs_edf
-
-        problem = motivational_problem("S1")
-        job = problem.jobs[0]
-        base = Schedule([MappingSegment(problem.now, problem.now + 1.0, [JobMapping(job, 0)])])
-        for mode in (True, False):
-            from repro.optable import columnar_override
-
-            with columnar_override(mode):
-                with pytest.raises(SchedulingError, match="already mapped"):
-                    pack_jobs_edf(problem, {job.name: 0}, base_schedule=base)
 
 
 class TestRuntimeManagerEquivalence:
     @pytest.mark.parametrize("scenario", ["S1", "S2"])
-    @pytest.mark.parametrize("engine", ["events", "linear"])
-    def test_motivational_runs(self, scenario, engine):
-        def run():
-            manager = RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                MMKPMDFScheduler(),
-                engine=engine,
-            )
-            return manager.run(motivational_trace(scenario))
-
-        columnar = run()
-        with columnar_disabled():
-            seed = run()
+    def test_motivational_runs(self, scenario):
+        columnar = RuntimeManager.from_components(
+            motivational_platform(), motivational_tables(), MMKPMDFScheduler()
+        ).run(motivational_trace(scenario))
+        seed = ReferenceRuntime(
+            motivational_platform(),
+            motivational_tables(),
+            reference_twin(MMKPMDFScheduler()),
+        ).run(motivational_trace(scenario))
         assert columnar.total_energy == seed.total_energy
         assert len(columnar.timeline) == len(seed.timeline)
         for fast, slow in zip(columnar.timeline, seed.timeline):
@@ -131,23 +113,21 @@ class TestRuntimeManagerEquivalence:
 
 
 class TestBatchFingerprintEquivalence:
-    def test_service_batch_fingerprints_match(self):
+    def test_service_batch_results_match(self):
         from repro.service import SimulationJob, SimulationService, TraceSpec
 
-        jobs = [
-            SimulationJob(
-                f"job-{i}",
-                scheduler=scheduler,
-                trace_spec=TraceSpec(arrival_rate=0.25, num_requests=6, seed=40 + i),
-            )
-            for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
-        ]
+        def results(names):
+            jobs = [
+                SimulationJob(
+                    f"job-{i}",
+                    scheduler=names.get(scheduler, scheduler),
+                    trace_spec=TraceSpec(arrival_rate=0.25, num_requests=6, seed=40 + i),
+                )
+                for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
+            ]
+            batch = SimulationService().run_batch(jobs)
+            assert not batch.failures
+            return [result_key(result) for result in batch.results]
 
-        def fingerprint():
-            service = SimulationService()
-            return service.run_batch(jobs).fingerprint()
-
-        columnar = fingerprint()
-        with columnar_disabled():
-            seed = fingerprint()
-        assert columnar == seed
+        with registered_twins("optable-oracle") as names:
+            assert results({}) == results(names)

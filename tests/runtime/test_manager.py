@@ -6,11 +6,12 @@ import pytest
 
 from repro.core.request import Job
 from repro.core.segment import JobMapping, MappingSegment, Schedule
-from repro.exceptions import AdmissionError, SchedulingError
+from repro.exceptions import AdmissionError
 from repro.runtime import RequestEvent, RequestTrace, RuntimeManager, poisson_trace
 from repro.schedulers import FixedMinEnergyScheduler, MMKPMDFScheduler
 from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.workload.motivational import motivational_platform, motivational_tables
+from tests.reference.oracle import ReferenceRuntime, reference_twin
 
 
 def assert_logs_equivalent(first, second):
@@ -184,13 +185,12 @@ class _OvercoveringScheduler(Scheduler):
 
 
 class TestGhostEntryPruning:
-    @pytest.mark.parametrize("engine", ["events", "linear"])
-    def test_ghost_segments_never_reach_the_timeline(self, engine):
-        manager = RuntimeManager.from_components(
-            motivational_platform(),
-            motivational_tables(),
-            _OvercoveringScheduler(),
-            engine=engine,
+    @pytest.mark.parametrize(
+        "build", [RuntimeManager.from_components, ReferenceRuntime], ids=["events", "oracle"]
+    )
+    def test_ghost_segments_never_reach_the_timeline(self, build):
+        manager = build(
+            motivational_platform(), motivational_tables(), _OvercoveringScheduler()
         )
         trace = RequestTrace([RequestEvent(0.0, "lambda2", 100.0, "sigma1")])
         log = manager.run(trace)
@@ -202,7 +202,7 @@ class TestGhostEntryPruning:
 
 
 class TestEngineEquivalence:
-    """The event engine must reproduce the seed (linear) execution exactly."""
+    """The event engine must reproduce the seed oracle's execution exactly."""
 
     def test_motivational_workload(self):
         for scheduler_factory, remap in [
@@ -212,21 +212,19 @@ class TestEngineEquivalence:
         ]:
             for second_deadline in (4.0, 1.0):
                 trace = two_request_trace(second_deadline)
-                linear = RuntimeManager.from_components(
+                seed = ReferenceRuntime(
                     motivational_platform(),
                     motivational_tables(),
-                    scheduler_factory(),
+                    reference_twin(scheduler_factory()),
                     remap_on_finish=remap,
-                    engine="linear",
                 ).run(trace)
                 events = RuntimeManager.from_components(
                     motivational_platform(),
                     motivational_tables(),
                     scheduler_factory(),
                     remap_on_finish=remap,
-                    engine="events",
                 ).run(trace)
-                assert_logs_equivalent(events, linear)
+                assert_logs_equivalent(events, seed)
 
     def test_random_traces(self):
         tables = motivational_tables()
@@ -235,21 +233,10 @@ class TestEngineEquivalence:
             manager = RuntimeManager.from_components(
                 motivational_platform(), tables, MMKPMDFScheduler()
             )
-            assert_logs_equivalent(
-                manager.run(trace, engine="events"),
-                manager.run(trace, engine="linear"),
+            oracle = ReferenceRuntime(
+                motivational_platform(), tables, reference_twin(MMKPMDFScheduler())
             )
-
-    def test_unknown_engine_rejected(self, manager):
-        with pytest.raises(SchedulingError):
-            manager.run(two_request_trace(), engine="spiral")
-        with pytest.raises(SchedulingError):
-            RuntimeManager.from_components(
-                motivational_platform(),
-                motivational_tables(),
-                MMKPMDFScheduler(),
-                engine="spiral",
-            )
+            assert_logs_equivalent(manager.run(trace), oracle.run(trace))
 
 
 class TestReentrancy:

@@ -36,9 +36,6 @@ class TestTraceSpec:
 
 
 class TestRegistries:
-    # The deprecated ``build_scheduler``/``build_platform`` shims are covered
-    # (with their warnings) in tests/api/test_deprecations.py; everything
-    # else goes through the registries, so a clean run emits no warnings.
     def test_all_registered_schedulers_build_fresh_instances(self):
         for name in SCHEDULERS:
             first = SCHEDULERS.build(name)
@@ -77,7 +74,7 @@ class TestSimulationJob:
             platform="odroid-xu4",
             tables="motivational",
             remap_on_finish=True,
-            engine="linear",
+            engine="events",
             trace_spec=TraceSpec(0.2, 6, seed=5),
         )
         assert SimulationJob.from_dict(job.to_dict()) == job
@@ -106,6 +103,10 @@ class TestSimulationJob:
         )
         with pytest.raises(WorkloadError):
             explicit.with_seed(9)
+
+    def test_unknown_engine_rejected_at_construction(self):
+        with pytest.raises(WorkloadError, match="engine"):
+            SimulationJob("bogus", engine="bogus", trace_spec=TraceSpec(0.2, 4))
 
     def test_missing_name_raises(self):
         with pytest.raises(SerializationError):
@@ -154,6 +155,14 @@ class TestBatchSpec:
     def test_from_dict_requires_jobs(self):
         with pytest.raises(SerializationError):
             BatchSpec.from_dict({"name": "empty"})
+
+    def test_from_dict_rejects_a_retired_engine(self):
+        # A batch file written with ``--engine linear`` fails at load, naming
+        # the engine, instead of failing every job inside run_batch.
+        data = BatchSpec.sweep(arrival_rates=[0.2], traces_per_point=1).to_dict()
+        data["jobs"][0]["engine"] = "linear"
+        with pytest.raises(WorkloadError, match="unknown engine 'linear'"):
+            BatchSpec.from_dict(data)
 
 
 class TestJobIdentity:

@@ -36,8 +36,8 @@ def _passing_metrics() -> dict:
             "columnar_speedup": 2.0,
         },
         "kernel_incremental": {
-            "speedup": 2.0,
-            "arrivals_per_s_kernel": 100.0,
+            "speedup": 20.0,
+            "arrivals_per_s_kernel": 1000.0,
             "arrivals_per_s_seed": 50.0,
         },
         "gateway_throughput": {

@@ -197,9 +197,21 @@ class TestRunCommand:
             "cli-run-t002",
         }
 
-    def test_engine_override(self, spec_path, capsys):
-        assert main(["run", str(spec_path), "--engine", "linear"]) == 0
-        assert "experiment cli-run" in capsys.readouterr().out
+    def test_engine_option_is_gone(self, spec_path, capsys):
+        # One time-advance engine is left, so there is nothing to override.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", str(spec_path), "--engine", "linear"])
+        assert exit_info.value.code == 2
+        assert "--engine" in capsys.readouterr().err
+
+    def test_trial_results_record_the_event_engine(self, spec_path, tmp_path):
+        output_path = tmp_path / "trials.json"
+        code = main(
+            ["run", str(spec_path), "--trials", "2", "--output", str(output_path)]
+        )
+        assert code == 0
+        data = json.loads(output_path.read_text())
+        assert [entry["engine"] for entry in data["results"]] == ["events", "events"]
 
     def test_invalid_spec_file_reports_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -221,16 +233,6 @@ class TestRunCommand:
     def test_stream_with_trials_is_rejected(self, spec_path, capsys):
         assert main(["run", str(spec_path), "--trials", "2", "--stream"]) == 2
         assert "--stream" in capsys.readouterr().err
-
-    def test_engine_override_applies_to_trials(self, spec_path, tmp_path):
-        output_path = tmp_path / "linear.json"
-        code = main(
-            ["run", str(spec_path), "--trials", "2", "--engine", "linear",
-             "--output", str(output_path)]
-        )
-        assert code == 0
-        data = json.loads(output_path.read_text())
-        assert all(entry["engine"] == "linear" for entry in data["results"])
 
 
 class TestBatchShardErrors:
