@@ -19,11 +19,11 @@ and enlarge the Pareto front the runtime manager can pick from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from repro.core.config import ConfigTable, OperatingPoint
 from repro.dataflow.graph import KPNGraph
-from repro.dataflow.trace import TraceGenerator
+from repro.dataflow.trace import ProcessTrace, TraceGenerator
 from repro.dse.pareto import pareto_front
 from repro.energy.opp import SCALE_EPSILON, scaled_platform
 from repro.exceptions import MappingError
@@ -154,10 +154,21 @@ class DesignSpaceExplorer:
         ``frequency_scale`` re-pins the platform at the given uniform DVFS
         scale before simulating (1.0, the default, is the nominal platform).
         """
+        traces = self._simulator.synthetic_traces(graph)
+        return self._evaluate(graph, allocation, frequency_scale, traces)
+
+    def _evaluate(
+        self,
+        graph: KPNGraph,
+        allocation: ResourceVector,
+        frequency_scale: float,
+        traces: Mapping[str, ProcessTrace],
+    ) -> ExplorationResult:
+        """:meth:`evaluate_allocation` on the graph's already generated traces."""
         platform = self._platform_at(frequency_scale)
         cores = allocation_cores(platform, allocation)
         mapping = balance_processes(graph, platform, cores)
-        simulation = self._simulator.simulate(mapping)
+        simulation = self._simulator.simulate(mapping, traces)
         point = OperatingPoint(
             resources=mapping.demand,
             execution_time=simulation.execution_time,
@@ -183,15 +194,16 @@ class DesignSpaceExplorer:
         Allocating more cores than the application has processes cannot help
         (extra cores would stay idle but still burn static power), so such
         allocations are skipped.  With ``opp_scales`` every allocation is
-        evaluated once per scale, slowest first.
+        evaluated once per scale, slowest first, all on one set of traces.
         """
         scales = (1.0,) if opp_scales is None else tuple(opp_scales)
         allocations = self._allocations_for(graph.num_processes)
-        results = []
-        for scale in scales:
-            for allocation in allocations:
-                results.append(self.evaluate_allocation(graph, allocation, scale))
-        return results
+        traces = self._simulator.synthetic_traces(graph)
+        return [
+            self._evaluate(graph, allocation, scale, traces)
+            for scale in scales
+            for allocation in allocations
+        ]
 
     def _allocations_for(self, num_processes: int) -> tuple[ResourceVector, ...]:
         """The admissible allocations for a graph of ``num_processes`` (cached).

@@ -393,8 +393,8 @@ def run_exploration_task(
             return {"points": cached, "cached": True}
     explorer = _explorer_for(task)
     points = [
-        explorer.evaluate_allocation(task.graph, allocation, task.scale).operating_point
-        for allocation in explorer._allocations_for(task.graph.num_processes)
+        result.operating_point
+        for result in explorer.explore_all(task.graph, opp_scales=(task.scale,))
     ]
     if store is not None:
         store.put(_STORE_KIND, task.store_key, points)

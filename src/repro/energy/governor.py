@@ -73,9 +73,15 @@ def required_scale(
     now)``.  Returns 0.0 when the schedule commits no future completions
     (any speed works) and 1.0 when some deadline leaves no slack at all.
     """
+    # Schedule.completion_time of every job, from one pass over the plan.
+    completions: dict[str, float] = {}
+    for segment in schedule:
+        end = segment.end
+        for mapping in segment.mappings:
+            completions[mapping.job.name] = end
     worst = 0.0
     for name, job in jobs.items():
-        completion = schedule.completion_time(name)
+        completion = completions.get(name)
         if completion is None or completion <= now + TIME_EPSILON:
             continue
         window = job.deadline - now

@@ -19,10 +19,11 @@ state the seed computation would have reached and replays the identical
 float operations, the packed schedule is bit-identical to a from-scratch
 pack; the equivalence suite asserts it.
 
-Snapshots are cheap because the working state is a list of *immutable*
-segment records ``(start, end, mappings, usage)``: a snapshot is a shallow
-list copy (pointer-width per segment) and placements copy-on-write only the
-records they touch.
+The working state is a list of *immutable* segment records ``(start, end,
+mappings)`` plus one flat int column of busy cores per resource type.  A
+snapshot is a shallow copy of each list (pointer-width per segment) and
+placements copy-on-write only the records they touch; a resume copies the
+snapshot's columns rather than re-deriving them from the records.
 
 One memo is valid for exactly one scheduler activation (fixed ``now``, job
 set, remaining ratios and capacity); it lives on the activation's
@@ -31,27 +32,19 @@ set, remaining ratios and capacity); it lives on the activation's
 
 from __future__ import annotations
 
-#: One immutable working segment: ``(start, end, mappings, usage)`` with
+#: One immutable working segment: ``(start, end, mappings)`` with
 #: ``mappings`` a tuple of :class:`~repro.core.segment.JobMapping` in
-#: placement order and ``usage`` the per-type busy-core counts (ints).
+#: placement order.
 SegmentRecord = tuple
-
-
-def usage_columns(segments: list, dimension: int) -> list[list[int]]:
-    """Struct-of-arrays twin of the records' usage tuples.
-
-    ``usage_columns(segments, d)[k][i]`` equals ``segments[i][3][k]`` — one
-    flat int list per resource type, so the packer's inner feasibility probe
-    scans a column instead of unpacking a record tuple per segment.  The
-    counts are plain ints (core counts), so the columnar probe performs the
-    exact arithmetic of the record loop.  Derived in one pass per pack and
-    kept in sync incrementally by the packer's placement mutations.
-    """
-    return [[record[3][k] for record in segments] for k in range(dimension)]
 
 
 class PackMemo:
     """Trajectory of the most recent EDF pack over one activation.
+
+    Parameters
+    ----------
+    dimension:
+        Number of resource types, i.e. usage columns per snapshot.
 
     Attributes
     ----------
@@ -59,10 +52,12 @@ class PackMemo:
         The ``(job name, configuration index)`` placement steps of the last
         pack, in EDF placement order.
     snapshots:
-        ``snapshots[i]`` is the working segment state after the first ``i``
-        steps (``snapshots[0]`` is the empty timeline); each snapshot is a
-        list of immutable :data:`SegmentRecord` tuples, so keeping one per
-        step costs a pointer-array copy, not a deep copy.
+        ``snapshots[i]`` is the working state after the first ``i`` steps
+        (``snapshots[0]`` is the empty timeline): the list of immutable
+        :data:`SegmentRecord` tuples followed by one usage column per
+        resource type, so ``snapshots[i][1 + k][s]`` is the number of
+        type-``k`` cores busy in segment ``s``.  Keeping one per step costs
+        pointer-array and int-array copies, not a deep copy.
     resumed_steps / replayed_steps:
         Diagnostic counters: placements skipped by prefix reuse vs. actually
         executed (the kernel's delta-hit accounting reads them).
@@ -79,9 +74,9 @@ class PackMemo:
         "replayed_steps",
     )
 
-    def __init__(self) -> None:
+    def __init__(self, dimension: int) -> None:
         self.steps: list[tuple[str, int]] = []
-        self.snapshots: list[list[SegmentRecord]] = [[]]
+        self.snapshots: list[tuple] = [((),) * (1 + dimension)]
         #: name → ``(config, resources row, execution time, JobMapping)`` of
         #: the job's most recently placed configuration (per-activation
         #: constants; re-derived only when the probed configuration changes).
@@ -94,17 +89,18 @@ class PackMemo:
         self.resumed_steps = 0
         self.replayed_steps = 0
 
-    def resume(self, shared: int) -> list[SegmentRecord]:
+    def resume(self, shared: int) -> list[list]:
         """Truncate the trajectory to ``shared`` steps and return a working copy.
 
-        The returned list may be mutated freely by the caller (its records
-        are immutable and shared with the snapshots).  The packer extends
-        the trajectory by appending to :attr:`steps` and :attr:`snapshots`
-        in lock-step, one entry per placement that passed its deadline
-        check — the post-state of a *failed* placement is never recorded,
-        because it is not a valid resume point (a later pack sharing the
-        failing step must replay, and re-fail, it).
+        The copy is ``[records, column_0, column_1, ...]``, fresh lists the
+        caller may mutate freely (the records are immutable and shared with
+        the snapshots).  The packer extends the trajectory by appending to
+        :attr:`steps` and :attr:`snapshots` in lock-step, one entry per
+        placement that passed its deadline check — the post-state of a
+        *failed* placement is never recorded, because it is not a valid
+        resume point (a later pack sharing the failing step must replay, and
+        re-fail, it).
         """
         del self.steps[shared:]
         del self.snapshots[shared + 1 :]
-        return list(self.snapshots[shared])
+        return list(map(list, self.snapshots[shared]))

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.dataflow.graph import KPNGraph
 from repro.dataflow.trace import ProcessTrace, TraceGenerator
 from repro.exceptions import MappingError
 from repro.mapping.mapping import ProcessMapping
@@ -118,7 +119,7 @@ class MappingSimulator:
         """
         graph = mapping.graph
         if traces is None:
-            traces = self._trace_generator.generate(graph)
+            traces = self.synthetic_traces(graph)
         missing = set(graph.process_names) - set(traces)
         if missing:
             raise MappingError(f"traces missing for processes: {sorted(missing)}")
@@ -173,6 +174,10 @@ class MappingSimulator:
             core_busy_time=busy_time,
             communication_bytes=communication_bytes,
         )
+
+    def synthetic_traces(self, graph: KPNGraph) -> dict[str, ProcessTrace]:
+        """The seeded traces :meth:`simulate` synthesises when given none."""
+        return self._trace_generator.generate(graph)
 
     # ------------------------------------------------------------------ #
     # Energy model

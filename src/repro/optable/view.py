@@ -157,7 +157,7 @@ class ProblemView:
         if self._pack_memo is None:
             from repro.kernel.packmemo import PackMemo
 
-            self._pack_memo = PackMemo()
+            self._pack_memo = PackMemo(len(self.capacity))
         return self._pack_memo
 
     # ------------------------------------------------------------------ #

@@ -10,15 +10,18 @@ remaining work.  The result is ``None`` when some job would miss its deadline.
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Mapping
 
 from repro.core.problem import SchedulingProblem
 from repro.core.segment import JobMapping, MappingSegment, Schedule, TIME_EPSILON
 from repro.exceptions import SchedulingError
-from repro.kernel.packmemo import usage_columns
 
 #: Remaining-ratio threshold below which a job counts as finished.
 _RATIO_EPSILON = 1e-9
+
+#: ``assignment.get`` default marking a job the assignment leaves out.
+_UNASSIGNED = object()
 
 
 def pack_jobs_edf(
@@ -28,15 +31,16 @@ def pack_jobs_edf(
 
     Packing resumes from the longest ``(job, configuration)`` placement
     prefix shared with the activation's previous pack (see
-    :class:`~repro.kernel.packmemo.PackMemo`) over a list of *immutable*
-    segment records ``(start, end, mappings, usage)``.  Placements
-    copy-on-write only the records they touch, so recording one snapshot per
-    step is a pointer copy.  On two-cluster platforms the feasibility probe
-    runs on struct-of-arrays usage columns (same integer adds and compares
-    as the record loop, derived once per pack from the resumed state).  The
-    arithmetic — and therefore every float — is identical to a from-scratch
-    pack from an empty schedule, the seed packer of the reference oracle;
-    the equivalence tests assert it.
+    :class:`~repro.kernel.packmemo.PackMemo`); one walk over the
+    activation's EDF order finds that prefix and collects the dirty suffix.
+    The working state is a list of *immutable* segment records ``(start,
+    end, mappings)`` plus one int usage column per resource type, which the
+    feasibility probe scans.  Placements copy-on-write only the records they
+    touch, and each memo snapshot keeps its columns, so recording one
+    snapshot per step is a few flat list copies.  The arithmetic — and
+    therefore every float — is identical to a from-scratch pack from an
+    empty schedule, the seed packer of the reference oracle; the
+    equivalence tests assert it.
 
     Parameters
     ----------
@@ -67,30 +71,59 @@ def pack_jobs_edf(
     capacity = view.capacity
     dimension = len(capacity)
     now = problem.now
+    memo.packs += 1
 
     # The EDF placement order of the *full* job set is a constant of the
-    # activation; sorting it once and filtering preserves the exact relative
-    # order a per-pack sort of the assigned subset would produce.
+    # activation; walking it and skipping unassigned jobs preserves the
+    # exact relative order a per-pack sort of the assigned subset would
+    # produce.
     edf_jobs = memo.edf_jobs
     if edf_jobs is None:
         edf_jobs = memo.edf_jobs = sorted(
             problem.jobs, key=lambda j: (j.deadline, j.name)
         )
-    ordered = [job for job in edf_jobs if job.name in assignment]
-    memo.packs += 1
 
-    # Longest placement prefix shared with the previous pack, compared in
-    # stride (no intermediate step list).
+    # One walk over the EDF order: match the recorded step prefix, then
+    # collect the dirty suffix — validated (and its placement constants
+    # derived) before any placement, so an out-of-range configuration raises
+    # even when an earlier placement fails its deadline first.  The raise
+    # waits until the memo is resumed and counted, as for any other pack.
+    # Prefix jobs were validated when their steps were recorded; repeat
+    # probes hit the per-activation placement cache.
     recorded = memo.steps
+    depth = len(recorded)
+    placements = memo.placements
+    lookup = assignment.get
     shared = 0
-    limit = min(len(ordered), len(recorded))
-    while shared < limit:
-        job = ordered[shared]
-        step = recorded[shared]
-        if step[0] != job.name or step[1] != assignment[job.name]:
-            break
-        shared += 1
-    segments = memo.resume(shared)
+    suffix = []
+    invalid = None
+    for job in edf_jobs:
+        name = job.name
+        config_index = lookup(name, _UNASSIGNED)
+        if config_index is _UNASSIGNED:
+            continue
+        if not suffix and shared < depth:
+            step = recorded[shared]
+            if step[0] == name and step[1] == config_index:
+                shared += 1
+                continue
+        placement = placements.get(name)
+        if placement is None or placement[0] != config_index:
+            table = view.optable(job.application)
+            if not 0 <= config_index < len(table.times):
+                invalid = SchedulingError(
+                    f"job {name!r}: configuration {config_index} out of range"
+                )
+                break
+            placement = placements[name] = (
+                config_index,
+                table.resources[config_index],
+                table.times[config_index],
+                JobMapping(job, config_index),
+            )
+        suffix.append((job, placement))
+
+    state = memo.resume(shared)
     memo.resumed_steps += shared
     # Resume-vs-fallback outcome of this pack: a non-empty shared prefix
     # resumes mid-placement, an empty one replays from scratch.  Counted on
@@ -98,42 +131,24 @@ def pack_jobs_edf(
     # onto the activation's phase.solve span by the admission pipeline.
     if shared:
         memo.resumed_packs += 1
+    if invalid is not None:
+        raise invalid
     steps = memo.steps
     snapshots = memo.snapshots
-    placements = memo.placements
-    add = int.__add__
-
+    segments = state[0]
+    # On two-cluster platforms the columns and rows are unrolled into
+    # locals; other dimensions loop over them.  Either way the probe is the
+    # same integer adds and compares per resource type.
     two_dim = dimension == 2
     if two_dim:
-        usage0, usage1 = usage_columns(segments, 2)
+        usage0, usage1 = state[1], state[2]
         cap0, cap1 = capacity[0], capacity[1]
-
-    # Validate (and derive placement constants for) every job of the dirty
-    # suffix up front, before any placement — so an out-of-range
-    # configuration raises even when an earlier placement fails its
-    # deadline first.  Prefix jobs were validated when their steps were
-    # recorded; repeat probes hit the per-activation placement cache.
-    for job in ordered[shared:]:
-        config_index = assignment[job.name]
-        placement = placements.get(job.name)
-        if placement is None or placement[0] != config_index:
-            table = view.optable(job.application)
-            if not 0 <= config_index < len(table.times):
-                raise SchedulingError(
-                    f"job {job.name!r}: configuration {config_index} out of range"
-                )
-            placements[job.name] = (
-                config_index,
-                table.resources[config_index],
-                table.times[config_index],
-                JobMapping(job, config_index),
-            )
+    else:
+        columns = state[1:]
 
     # No "already mapped in this segment" guard: job names are unique and
     # each job's own placement only moves forward, so it cannot trigger.
-    for job in ordered[shared:]:
-        job_name = job.name
-        config_index, row, execution_time, mapping = placements[job_name]
+    for job, (config_index, row, execution_time, mapping) in suffix:
         remaining_ratio = job.remaining_ratio
         finish_time: float | None = None
         if two_dim:
@@ -142,36 +157,34 @@ def pack_jobs_edf(
         index = 0
         while index < len(segments) and remaining_ratio > _RATIO_EPSILON:
             if two_dim:
-                # SoA probe: the exact adds/compares of the record loop below,
-                # on flat per-cluster columns.
                 if usage0[index] + row0 > cap0 or usage1[index] + row1 > cap1:
                     index += 1
                     continue
-                start, end, mappings, usage = segments[index]
             else:
-                start, end, mappings, usage = segments[index]
                 fits = True
                 for k in range(dimension):
-                    if usage[k] + row[k] > capacity[k]:
+                    if columns[k][index] + row[k] > capacity[k]:
                         fits = False
                         break
                 if not fits:
                     index += 1
                     continue
 
-            required = execution_time * min(1.0, remaining_ratio)
+            start, end, mappings = segments[index]
+            # min(1.0, remaining_ratio), spelled out: no call per probe.
+            required = execution_time * (
+                remaining_ratio if remaining_ratio < 1.0 else 1.0
+            )
             duration = end - start
             if required >= duration - TIME_EPSILON:
                 # The job is busy for the whole segment (Alg. 2, lines 9-11).
-                segments[index] = (
-                    start,
-                    end,
-                    mappings + (mapping,),
-                    tuple(map(add, usage, row)),
-                )
+                segments[index] = (start, end, mappings + (mapping,))
                 if two_dim:
                     usage0[index] += row0
                     usage1[index] += row1
+                else:
+                    for k in range(dimension):
+                        columns[k][index] += row[k]
                 remaining_ratio -= duration / execution_time
                 if remaining_ratio <= _RATIO_EPSILON:
                     remaining_ratio = 0.0
@@ -188,36 +201,39 @@ def pack_jobs_edf(
                         f"split time {split_time} outside open interval "
                         f"({start}, {end})"
                     )
-                first = (
-                    start,
-                    split_time,
-                    mappings + (mapping,),
-                    tuple(map(add, usage, row)),
-                )
-                second = (split_time, end, mappings, usage)
-                segments[index : index + 1] = [first, second]
+                segments[index] = (split_time, end, mappings)
+                segments.insert(index, (start, split_time, mappings + (mapping,)))
                 if two_dim:
-                    base0, base1 = usage0[index], usage1[index]
-                    usage0[index : index + 1] = [base0 + row0, base0]
-                    usage1[index : index + 1] = [base1 + row1, base1]
+                    usage0.insert(index, usage0[index] + row0)
+                    usage1.insert(index, usage1[index] + row1)
+                else:
+                    for k in range(dimension):
+                        column = columns[k]
+                        column.insert(index, column[index] + row[k])
                 remaining_ratio = 0.0
                 finish_time = split_time
                 break
 
         if remaining_ratio > _RATIO_EPSILON:
             # Remaining work after the last existing segment (lines 19-22).
-            start = max(now, segments[-1][1] if segments else now)
-            required = execution_time * min(1.0, remaining_ratio)
+            last = segments[-1][1] if segments else now
+            start = last if last > now else now
+            required = execution_time * (
+                remaining_ratio if remaining_ratio < 1.0 else 1.0
+            )
             end = start + required
             if end <= start + TIME_EPSILON:
                 # Same guard (and error) as the MappingSegment constructor.
                 raise SchedulingError(
                     f"segment end {end} must be greater than start {start}"
                 )
-            segments.append((start, end, (mapping,), row))
+            segments.append((start, end, (mapping,)))
             if two_dim:
                 usage0.append(row0)
                 usage1.append(row1)
+            else:
+                for k in range(dimension):
+                    columns[k].append(row[k])
             finish_time = end
 
         memo.replayed_steps += 1
@@ -225,14 +241,9 @@ def pack_jobs_edf(
         # recorded: a later pack sharing the failing step must re-fail it.
         if finish_time is None or finish_time > job.deadline + 1e-9:
             return None
-        steps.append((job_name, config_index))
-        snapshots.append(segments.copy())
+        steps.append((job.name, config_index))
+        snapshots.append(tuple(map(list.copy, state)))
 
     # The working list is sorted and disjoint by construction; materialise
     # through the trusted constructors (no re-sort, no re-validation).
-    return Schedule._trusted(
-        tuple(
-            MappingSegment._trusted(start, end, mappings)
-            for start, end, mappings, _ in segments
-        )
-    )
+    return Schedule._trusted(tuple(starmap(MappingSegment._trusted, segments)))

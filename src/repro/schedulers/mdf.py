@@ -68,9 +68,11 @@ class MMKPMDFScheduler(Scheduler):
         rescanning what cannot have changed:
 
         * Deadlines and remaining ratios are fixed for the whole activation,
-          so the time-feasibility half of NEXTJOBMDF step (i) and each
-          entry's container demand ``row[k] * remaining`` are computed once
-          per job.
+          so one prelude loop per job decides the time-feasibility half of
+          NEXTJOBMDF step (i) and builds each entry's remaining energy,
+          container demand ``row[k] * remaining`` and per-type maximum.  It
+          also fixes the trial order, the seed's stable per-round sort by
+          remaining energy; filtering keeps that order.
         * Containers only shrink as configurations commit, so feasibility is
           *monotone*: an entry that failed a round can never pass a later
           one.  Each job keeps its surviving entries plus their per-type
@@ -78,12 +80,12 @@ class MMKPMDFScheduler(Scheduler):
           reuses the previous feasible set without scanning at all.
         * With the paper's MDF policy, a job's selection priority depends
           only on its feasible set; it is recomputed only when that set
-          shrank.  The inlined selection replays the policy's arithmetic and
-          its ``max((priority, name))`` tie-break.
+          shrank, from the two cheapest surviving entries.  The inlined
+          selection replays the policy's arithmetic and its
+          ``max((priority, name))`` tie-break.
 
         The EDF packer underneath resumes from shared placement prefixes
-        (see :mod:`repro.kernel.packmemo`), which is where the bulk of the
-        arrival-handling speedup comes from.  ``tests/reference`` holds the
+        (see :mod:`repro.kernel.packmemo`).  ``tests/reference`` holds the
         list-based seed of this walk; the equivalence suites assert
         identical decisions and floats.
         """
@@ -96,29 +98,36 @@ class MMKPMDFScheduler(Scheduler):
         packer_calls = 0
         policy_calls = 0
 
-        #: name → [entries, max_demand, feasible_indices, cached_priority]
+        #: name → [entries, max_demand, feasible_indices, cached_priority],
+        #: entries ``(remaining energy, index, demand)`` in trial order.
         records: dict[str, list] = {}
         for job in problem.jobs:
             table = view.optable(job.application)
-            budget = job.deadline - view.now
+            horizon = job.deadline - view.now + epsilon
             ratio = job.remaining_ratio
             times = table.times
             resources = table.resources
+            energies = table.energies
             entries = []
+            max_demand = [0.0] * dimensions
             for index in range(len(times)):
                 remaining = times[index] * ratio
-                if remaining <= budget + epsilon:
+                if remaining <= horizon:
                     row = resources[index]
-                    entries.append(
-                        (index, tuple(row[k] * remaining for k in range(dimensions)))
-                    )
+                    demand = []
+                    for k in range(dimensions):
+                        value = row[k] * remaining
+                        demand.append(value)
+                        if value > max_demand[k]:
+                            max_demand[k] = value
+                    entries.append((energies[index] * ratio, index, demand))
+            # Indices are unique, so the tuple order is the stable energy
+            # order and never compares demands.
+            entries.sort()
             records[job.name] = [
                 entries,
-                [
-                    max((entry[1][k] for entry in entries), default=0.0)
-                    for k in range(dimensions)
-                ],
-                [entry[0] for entry in entries],
+                max_demand,
+                [entry[1] for entry in entries],
                 None,
             ]
 
@@ -132,21 +141,20 @@ class MMKPMDFScheduler(Scheduler):
             else:
                 return rec[2], False
             survivors = []
+            max_demand = [0.0] * dimensions
             for entry in rec[0]:
-                demand = entry[1]
-                fits = True
+                demand = entry[2]
                 for k in range(dimensions):
                     if demand[k] > containers[k] + epsilon:
-                        fits = False
                         break
-                if fits:
+                else:
                     survivors.append(entry)
+                    for k in range(dimensions):
+                        if demand[k] > max_demand[k]:
+                            max_demand[k] = demand[k]
             rec[0] = survivors
-            rec[1] = [
-                max((entry[1][k] for entry in survivors), default=0.0)
-                for k in range(dimensions)
-            ]
-            rec[2] = [entry[0] for entry in survivors]
+            rec[1] = max_demand
+            rec[2] = [entry[1] for entry in survivors]
             rec[3] = None
             return rec[2], True
 
@@ -175,21 +183,13 @@ class MMKPMDFScheduler(Scheduler):
                     rec = records[name]
                     priority = rec[3]
                     if shrank or priority is None:
-                        # The policy's columnar priority: difference of the
-                        # two smallest remaining energies (same floats).
+                        # The policy's priority: difference of the two
+                        # smallest remaining energies (same floats), here
+                        # the first two entries in trial order.
                         if len(indices) == 1:
                             priority = float("inf")
                         else:
-                            energies = view.optable(candidate.application).energies
-                            ratio = candidate.remaining_ratio
-                            smallest = second = float("inf")
-                            for index in indices:
-                                value = energies[index] * ratio
-                                if value < smallest:
-                                    smallest, second = value, smallest
-                                elif value < second:
-                                    second = value
-                            priority = second - smallest
+                            priority = rec[0][1][0] - rec[0][0][0]
                         rec[3] = priority
                     key = (priority, name)
                     if best_key is None or key > best_key:
@@ -209,11 +209,15 @@ class MMKPMDFScheduler(Scheduler):
             # (Algorithm 1, lines 5-14) — identical to the seed loop; the
             # packer underneath resumes from shared placement prefixes.
             table = view.optable(job.application)
-            energies = table.energies
             ratio = job.remaining_ratio
-            ordered = sorted(config_indices, key=lambda i: energies[i] * ratio)
+            if not inline_mdf:
+                # A policy may return its indices in any order.
+                energies = table.energies
+                config_indices = sorted(
+                    config_indices, key=lambda i: energies[i] * ratio
+                )
             committed = False
-            for config_index in ordered:
+            for config_index in config_indices:
                 # The seed copies the assignment per trial; mutating in
                 # place (and undoing on rejection) hands the packer the
                 # identical mapping without the per-trial dict churn.
@@ -227,7 +231,7 @@ class MMKPMDFScheduler(Scheduler):
                 # (Algorithm 1, line 12).
                 remaining = table.times[config_index] * ratio
                 row = table.resources[config_index]
-                for k in range(len(containers)):
+                for k in range(dimensions):
                     containers[k] -= row[k] * remaining
                 committed = True
                 break

@@ -1,10 +1,20 @@
 """Units for the kernel's explicit state: ledger, schedule state, pack memo."""
 
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.config import ConfigTable, OperatingPoint
+from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
-from repro.core.segment import JobMapping, MappingSegment, Schedule
+from repro.core.segment import TIME_EPSILON, JobMapping, MappingSegment, Schedule
+from repro.energy.governor import required_scale
+from repro.exceptions import SchedulingError
 from repro.kernel import KernelCaches, LoadLedger, PackMemo, ScheduleState
 from repro.optable.adapters import optables_for, segment_busy_counts
+from repro.platforms.resources import ResourceVector
+from repro.schedulers.edf_packer import pack_jobs_edf
 from repro.workload.motivational import motivational_problem, motivational_tables
+from tests.reference import oracle
 
 
 def _schedule_and_tables():
@@ -73,6 +83,106 @@ class TestScheduleState:
         assert not state.dirty
 
 
+@st.composite
+def pack_call_sequences(draw):
+    """One problem on 1-3 resource types plus 1-20 successive assignments.
+
+    Each step adds a job, changes one job's configuration, drops a job or
+    replaces the whole assignment; about one step in ten gives its job an
+    out-of-range configuration instead.
+    """
+    dimension = draw(st.integers(1, 3))
+    capacity = [draw(st.integers(1, 4)) for _ in range(dimension)]
+    tables = {}
+    for application in ("alpha", "beta"):
+        points = []
+        for _ in range(draw(st.integers(1, 4))):
+            counts = [draw(st.integers(0, limit)) for limit in capacity]
+            if not any(counts):
+                counts[0] = 1
+            points.append(
+                OperatingPoint(
+                    ResourceVector(counts),
+                    draw(st.floats(0.5, 6.0)),
+                    draw(st.floats(0.1, 20.0)),
+                )
+            )
+        tables[application] = ConfigTable(application, points)
+    now = draw(st.sampled_from([0.0, 1.5]))
+    jobs = [
+        Job(
+            f"job{index}",
+            draw(st.sampled_from(sorted(tables))),
+            arrival=0.0,
+            # A small deadline set makes equal deadlines (name tie-break)
+            # common.
+            deadline=now + draw(st.sampled_from([2.0, 4.0, 7.5, 12.0, 30.0])),
+            remaining_ratio=draw(st.sampled_from([1.0, 0.75, 0.3])),
+        )
+        for index in range(draw(st.integers(2, 6)))
+    ]
+    problem_args = (ResourceVector(capacity), tables, jobs, now)
+    sizes = {job.name: len(tables[job.application]) for job in jobs}
+
+    def config(job):
+        size = sizes[job.name]
+        if draw(st.integers(0, 9)) == 0:
+            return draw(st.sampled_from([-1, size, size + 2]))
+        return draw(st.integers(0, size - 1))
+
+    assignment = {}
+    assignments = []
+    for _ in range(draw(st.integers(1, 20))):
+        kind = draw(st.sampled_from(["add", "change", "drop", "replace"]))
+        present = [job for job in jobs if job.name in assignment]
+        absent = [job for job in jobs if job.name not in assignment]
+        step = dict(assignment)
+        if kind == "add" and absent:
+            job = draw(st.sampled_from(absent))
+            step[job.name] = config(job)
+        elif kind == "change" and present:
+            job = draw(st.sampled_from(present))
+            step[job.name] = config(job)
+        elif kind == "drop" and present:
+            del step[draw(st.sampled_from(present)).name]
+        else:
+            chosen = draw(st.lists(st.sampled_from(jobs), min_size=1, unique=True))
+            step = {job.name: config(job) for job in chosen}
+        assignments.append(step)
+        # An out-of-range step raises, so the next step starts again from
+        # the last valid assignment.
+        if all(0 <= index < sizes[name] for name, index in step.items()):
+            assignment = step
+    return problem_args, assignments
+
+
+def _segments_key(schedule):
+    if schedule is None:
+        return None
+    return [
+        (
+            repr(segment.start),
+            repr(segment.end),
+            [(m.job_name, m.config_index) for m in segment.mappings],
+        )
+        for segment in schedule
+    ]
+
+
+def _completion_scale(schedule, jobs, now):
+    """``required_scale`` written with one ``completion_time`` per job."""
+    worst = 0.0
+    for name, job in jobs.items():
+        completion = schedule.completion_time(name)
+        if completion is None or completion <= now + TIME_EPSILON:
+            continue
+        window = job.deadline - now
+        if window <= TIME_EPSILON:
+            return 1.0
+        worst = max(worst, (completion - now) / window)
+    return min(worst, 1.0)
+
+
 class TestPackMemo:
     def test_prefix_resume_counts(self):
         from repro.schedulers.edf_packer import pack_jobs_edf
@@ -115,6 +225,53 @@ class TestPackMemo:
                     assert [
                         (m.job_name, m.config_index) for m in a.mappings
                     ] == [(m.job_name, m.config_index) for m in b.mappings]
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(pack_call_sequences())
+    def test_random_pack_sequences_match_the_oracle(self, case):
+        (capacity, tables, jobs, now), assignments = case
+        problem = SchedulingProblem(capacity, tables, jobs, now=now)
+        memo = problem.view().pack_memo()
+        by_name = {job.name: job for job in jobs}
+        for calls, assignment in enumerate(assignments, start=1):
+            # Every pack, a raising one included, resumes (and counts) the
+            # longest prefix its EDF steps share with the recorded ones.
+            ordered = sorted(
+                (job for job in jobs if job.name in assignment),
+                key=lambda job: (job.deadline, job.name),
+            )
+            recorded = list(memo.steps)
+            shared = 0
+            for job, step in zip(ordered, recorded):
+                if step != (job.name, assignment[job.name]):
+                    break
+                shared += 1
+            resumed_steps = memo.resumed_steps
+            resumed_packs = memo.resumed_packs
+            fresh = SchedulingProblem(capacity, tables, jobs, now=now)
+            try:
+                expected = oracle.pack_jobs_edf(fresh, assignment)
+            except SchedulingError:
+                expected = None
+                with pytest.raises(SchedulingError):
+                    pack_jobs_edf(problem, assignment)
+                assert memo.steps == recorded[:shared]
+            else:
+                schedule = pack_jobs_edf(problem, assignment)
+                assert _segments_key(schedule) == _segments_key(expected)
+                assert memo.steps[:shared] == recorded[:shared]
+            assert memo.packs == calls
+            assert memo.resumed_steps - resumed_steps == shared
+            assert memo.resumed_packs - resumed_packs == (shared > 0)
+            if expected is None:
+                continue
+            assert repr(required_scale(schedule, by_name, now)) == repr(
+                _completion_scale(schedule, by_name, now)
+            )
 
 
 class TestKernelCaches:

@@ -5,6 +5,9 @@ energies and acceptance of the motivational example.  The random-trace
 property then runs small Poisson traces on the motivational tables and on reduced paper
 tables, for all four schedulers, with and without the schedule-aware
 governor, a power cap or an energy budget, and remap on finish on and off.
+A second property runs the same traces on a homogeneous (one core type) and
+a three-type platform, where the packer and the MDF walk leave their
+two-cluster paths.
 The production :class:`~repro.runtime.manager.RuntimeManager` (event
 engine, admission pipeline, incremental kernel) must produce the execution
 log of :class:`~tests.reference.oracle.ReferenceRuntime` (arrivals in trace
@@ -21,7 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dse import paper_operating_points, reduced_tables
 from repro.energy import EnergyBudget, ScheduleAwareGovernor
-from repro.platforms import odroid_xu4
+from repro.platforms import generic_heterogeneous, homogeneous, odroid_xu4
 from repro.runtime.manager import RuntimeManager
 from repro.runtime.trace import poisson_trace
 from repro.schedulers import (
@@ -75,16 +78,38 @@ def test_oracle_reproduces_the_motivational_example(
     assert not log.deadline_misses
 
 
+#: Platforms whose reduced paper tables the properties explore.
+PLATFORMS = {
+    "paper": odroid_xu4,
+    "homogeneous": lambda: homogeneous(8),
+    "three-type": lambda: generic_heterogeneous([2, 2, 4]),
+}
+
+
 @lru_cache(maxsize=None)
 def _workload(name: str):
     """Platform, tables and the largest operating-point power."""
     if name == "motivational":
         platform, tables = motivational_platform(), motivational_tables()
     else:
-        platform = odroid_xu4()
+        platform = PLATFORMS[name]()
         tables = reduced_tables(paper_operating_points(platform), max_points=4)
     peak = max(point.power for table in tables.values() for point in table)
     return platform, tables, peak
+
+
+#: The scheduler, trace and energy envelope of one property example (the
+#: trace length is drawn per property).
+TRACE_CASES = dict(
+    scheduler=st.sampled_from(sorted(SCHEDULERS)),
+    seed=st.integers(min_value=0, max_value=10_000),
+    rate=st.sampled_from([0.2, 0.5, 1.5, 4.0]),
+    tight=st.booleans(),
+    governed=st.booleans(),
+    envelope=st.sampled_from([None, "cap", "budget"]),
+    scale=st.sampled_from([0.5, 1.0, 2.0]),
+    remap=st.booleans(),
+)
 
 
 @settings(
@@ -94,17 +119,30 @@ def _workload(name: str):
 )
 @given(
     workload=st.sampled_from(["motivational", "paper"]),
-    scheduler=st.sampled_from(sorted(SCHEDULERS)),
-    seed=st.integers(min_value=0, max_value=10_000),
     requests=st.integers(min_value=1, max_value=6),
-    rate=st.sampled_from([0.2, 0.5, 1.5, 4.0]),
-    tight=st.booleans(),
-    governed=st.booleans(),
-    envelope=st.sampled_from([None, "cap", "budget"]),
-    scale=st.sampled_from([0.5, 1.0, 2.0]),
-    remap=st.booleans(),
+    **TRACE_CASES,
 )
-def test_production_log_equals_the_oracle_log(
+def test_production_log_equals_the_oracle_log(workload, **case):
+    _assert_logs_match(workload, **case)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    workload=st.sampled_from(["homogeneous", "three-type"]),
+    # Eight cores rarely fill with six requests; longer traces make the
+    # capacity checks of the packer and the MDF walk bind.
+    requests=st.integers(min_value=1, max_value=12),
+    **TRACE_CASES,
+)
+def test_production_log_equals_the_oracle_log_off_two_clusters(workload, **case):
+    _assert_logs_match(workload, **case)
+
+
+def _assert_logs_match(
     workload, scheduler, seed, requests, rate, tight, governed, envelope, scale, remap
 ):
     platform, tables, peak = _workload(workload)
