@@ -220,9 +220,9 @@ class Session:
         memos.  Content-keyed, hence bit-identical reuse by construction.
         """
         if self._kernel_caches is None:
-            from repro.store.bindings import store_backed_caches
+            from repro.kernel.caches import KernelCaches
 
-            self._kernel_caches = store_backed_caches(self._store)
+            self._kernel_caches = KernelCaches(self._store)
         return self._kernel_caches
 
     @property

@@ -1019,8 +1019,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(f"  {namespace}: {entry['entries']} entries, "
                       f"{entry['bytes']} bytes")
             for kind, counters in sorted(stats["kinds"].items()):
-                print(f"  [{kind}] hits {counters['hits']} "
-                      f"(local {counters['local_hits']}), "
+                print(f"  [{kind}] hits {counters['hits']}, "
                       f"misses {counters['misses']}, puts {counters['puts']}")
         elif args.action == "gc":
             outcome = store.gc(max_entries_per_kind=args.max_entries)

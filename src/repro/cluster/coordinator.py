@@ -37,7 +37,6 @@ from typing import Callable, Sequence
 
 from repro.exceptions import WorkloadError
 from repro.kernel.caches import KernelCaches
-from repro.service.cache import ActivationCache
 from repro.service.jobs import BatchSpec, SimulationJob
 from repro.service.pool import (
     BatchResults,
@@ -46,6 +45,7 @@ from repro.service.pool import (
     _simulate,
 )
 from repro.store.content import ContentStore
+from repro.store.memo import Memo
 
 #: Execution modes accepted by :class:`ShardCoordinator`.
 MODES = ("thread", "process")
@@ -129,11 +129,11 @@ class ShardCoordinator:
         How many times a failed *shard* is re-executed before its jobs are
         recorded as errors.
     cache:
-        Activation cache shared by ``"thread"``-mode units (optional).
+        Activation memo shared by ``"thread"``-mode units (optional).
     kernel_caches:
         Kernel warm-start caches shared by ``"thread"``-mode units.
     cache_size:
-        Activation-cache size handed to worker processes.
+        Activation-memo bound handed to worker processes (0: no memo).
     store:
         The shared :class:`~repro.store.ContentStore`; process workers
         reopen it via :meth:`~repro.store.ContentStore.process_token`.
@@ -163,7 +163,7 @@ class ShardCoordinator:
         mode: str = "process",
         unit_size: int | None = None,
         max_retries: int = 2,
-        cache: ActivationCache | None = None,
+        cache: Memo | None = None,
         kernel_caches: KernelCaches | None = None,
         cache_size: int = 4096,
         store: ContentStore | None = None,

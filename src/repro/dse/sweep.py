@@ -583,9 +583,9 @@ def _run_policies(
         return suite
 
     # One scheduler instance per registry name, shared by every sweep point
-    # using it: relaxation memo hits promote across points (and, with a
-    # store-backed cache, across workers and reruns) without ever changing a
-    # schedule — solve-cache keys are content-addressed.
+    # using it: relaxation memo hits promote across points (and, with the
+    # store bound on the memo, across workers and reruns) without ever
+    # changing a schedule — solve-cache keys are content-addressed.
     instances: dict[str, object] = {}
 
     def scheduler_for(name: str):
@@ -593,10 +593,8 @@ def _run_policies(
         if instance is None:
             instance = scheduler_registry.build(name)
             cache = getattr(instance, "solve_cache", None)
-            if store is not None and cache is not None:
-                from repro.store.bindings import StoreBackedSolveCache
-
-                instance.solve_cache = StoreBackedSolveCache(store)
+            if cache is not None:
+                cache.store = store
             instances[name] = instance
         return instance
 

@@ -530,15 +530,13 @@ class GatewayServer:
     #: Store counter → Prometheus series description.  Every series is
     #: ``repro_store_<name>`` with one sample per cache kind.
     _STORE_SERIES = {
-        "hits": "store lookups served (local front or backend)",
-        "local_hits": "store lookups served by the local LRU front",
+        "hits": "store lookups served by the backend",
         "misses": "store lookups that fell through to a recompute",
         "puts": "entries written through to the backend",
         "corrupt": "corrupted or truncated entries degraded to misses",
         "errors": "backend failures degraded to misses",
         "bytes_read": "payload bytes deserialised from the backend",
         "bytes_written": "payload bytes written to the backend",
-        "evictions": "local-front LRU evictions",
     }
 
     def _store_lines(self) -> list[str]:

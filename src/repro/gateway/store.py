@@ -20,7 +20,7 @@ tenant's store is reachable from another's.  A gateway configured with a
 persistent :class:`~repro.store.ContentStore` shares *entries* across
 tenants anyway — safely, because the content store is keyed purely by
 problem content (fingerprints, capacities, exact ratios), never by tenant:
-each tenant still gets its own :class:`KernelCaches` front, but all fronts
+each tenant still gets its own :class:`KernelCaches` memos, but all of them
 write through to (and warm from) the one shared store.
 """
 
@@ -81,9 +81,9 @@ class SessionStore:
         state = self.tenant(tenant)
         with state.lock:
             if state.kernel_caches is None:
-                from repro.store.bindings import store_backed_caches
+                from repro.kernel.caches import KernelCaches
 
-                state.kernel_caches = store_backed_caches(self.content_store)
+                state.kernel_caches = KernelCaches(self.content_store)
             return state.kernel_caches
 
     def session_for(self, tenant: str, session_name: str | None, spec):

@@ -9,19 +9,18 @@ the platform capacity where it matters), so two jobs share an entry only
 when they pose the *same* mathematical sub-problem — which is exactly when
 reuse is bit-identical.
 
-All structures are either thread-safe (:class:`~repro.optable.view.SolveCache`)
-or filled with idempotent immutable values under the GIL, so one instance
-may serve the service's thread executor.
+Each sub-cache is a bounded, thread-safe :class:`~repro.store.memo.Memo`,
+so one instance may serve the service's thread executor; given a
+:class:`~repro.store.content.ContentStore`, the solve and EX-MEM memos warm
+from it and write through to it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
 
-from repro.obs import tracer as obs
-from repro.optable.view import SharedSlices, SolveCache
+from repro.optable.view import SharedSlices
+from repro.store.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.config import ConfigTable
@@ -38,73 +37,45 @@ class KernelCaches:
     """Warm-start state the incremental kernel carries across runs.
 
     * :meth:`shared_slices` — one :class:`~repro.optable.view.SharedSlices`
-      per ``(capacity, table set)``: capacity-fitting index sets and MMKP
-      weight rows survive across activations and across batch jobs.
-    * :attr:`solve_cache` — a fingerprint-keyed
-      :class:`~repro.optable.view.SolveCache` for MMKP-LR's segment
+      per ``(capacity, table set)`` in the :attr:`slices` memo:
+      capacity-fitting index sets and MMKP weight rows survive across
+      activations and across batch jobs.  Never store-backed: the slices
+      hold interned table references and are cheap to refill.
+    * :attr:`solve_cache` — the ``solve`` memo of MMKP-LR's segment
       relaxations, shared deliberately so repeated relaxations across a
       batch hit (keys embed table fingerprints, capacities and exact
       ratios, so a hit replays the identical deterministic solve).
-    * :meth:`exmem_columns` — EX-MEM's per-application candidate columns,
-      keyed by ``(table fingerprint, truncation)``.
+    * :attr:`exmem` — EX-MEM's per-application candidate columns, keyed by
+      ``(table fingerprint, truncation)``.
+
+    The bounds keep a long-lived service that sees many distinct table sets
+    from growing without limit: slice sets hold full per-app weight rows and
+    are few per homogeneous batch; EX-MEM columns are small and per table.
     """
 
-    #: LRU bounds: a long-lived service may see many distinct table sets, so
-    #: — like the relaxation memo — the warm-start stores must not grow
-    #: without bound.  Slice sets hold full per-app weight rows and are few
-    #: per homogeneous batch; EX-MEM columns are small and per table.
-    MAX_SLICE_SETS = 64
-    MAX_EXMEM_TABLES = 1024
-
-    def __init__(self, solve_cache_entries: int = 4096):
-        self._lock = threading.Lock()
-        self._slices: OrderedDict[tuple, SharedSlices] = OrderedDict()
-        self._exmem: OrderedDict[tuple, tuple] = OrderedDict()
-        self.solve_cache = SolveCache(solve_cache_entries)
+    def __init__(self, store=None):
+        self.slices = Memo("slices", 64)
+        self.solve_cache = Memo("solve", 4096, store)
+        self.exmem = Memo("exmem", 1024, store)
 
     def shared_slices(
         self, capacity, tables: Mapping[str, "ConfigTable"]
     ) -> SharedSlices:
         """The shared table slices for one (capacity, table set) pair."""
         key = (tuple(capacity), tables_key(tables))
-        with self._lock:
-            slices = self._slices.get(key)
-            if slices is None:
-                slices = self._slices[key] = SharedSlices()
-            self._slices.move_to_end(key)
-            while len(self._slices) > self.MAX_SLICE_SETS:
-                self._slices.popitem(last=False)
-            return slices
-
-    def exmem_columns(self, fingerprint: str, max_configs: int | None):
-        """Cached EX-MEM candidate columns, or ``None`` when not yet stored."""
-        # Counting happens outside the lock (see SolveCache.get): the
-        # critical section covers only the OrderedDict mutation.
-        with self._lock:
-            entry = self._exmem.get((fingerprint, max_configs))
-            if entry is not None:
-                self._exmem.move_to_end((fingerprint, max_configs))
-        obs.count("cache.exmem.hit" if entry is not None else "cache.exmem.miss")
-        return entry
-
-    def store_exmem_columns(
-        self, fingerprint: str, max_configs: int | None, columns: tuple
-    ) -> None:
-        """Store one application's EX-MEM candidate columns."""
-        with self._lock:
-            self._exmem[(fingerprint, max_configs)] = columns
-            self._exmem.move_to_end((fingerprint, max_configs))
-            while len(self._exmem) > self.MAX_EXMEM_TABLES:
-                self._exmem.popitem(last=False)
+        slices = self.slices.get(key)
+        if slices is None:
+            slices = SharedSlices()
+            self.slices.put(key, slices)
+        return slices
 
     def info(self) -> dict[str, int]:
         """Cache population counters (diagnostics)."""
-        with self._lock:
-            return {
-                "slice_sets": len(self._slices),
-                "exmem_tables": len(self._exmem),
-                **{
-                    f"solve_cache_{key}": value
-                    for key, value in self.solve_cache.info().items()
-                },
-            }
+        return {
+            "slice_sets": len(self.slices),
+            "exmem_tables": len(self.exmem),
+            **{
+                f"solve_cache_{key}": value
+                for key, value in self.solve_cache.info().items()
+            },
+        }

@@ -10,14 +10,16 @@ of re-materialising ad-hoc point lists per activation:
   scale, per-cluster demand) with canonical construction, content
   fingerprints and process-wide interning, plus precomputed aggregates
   (stable sort orders, first-minimum indices, per-cluster max demand, the
-  dominance-filtered index set).
+  dominance-filtered index set).  The intern pool is one ``optable``
+  :class:`~repro.store.memo.Memo`; :func:`bind_intern_store` sets its store.
 * :class:`ParetoFrontier` / :func:`pareto_select` — the incremental Pareto
   engine replacing the seed's O(n²) pairwise scan (numpy-vectorised for
   large inputs, auto-detected at import).
 * :class:`ProblemView` — per-activation slices (capacity-feasible indices,
-  MMKP weight rows) shared across segments — and :class:`SolveCache`, the
-  thread-safe LRU memo (keyed by table fingerprints) each MMKP-LR scheduler
-  instance owns for its Lagrangian segment relaxations.
+  MMKP weight rows) shared across segments — and :func:`SolveCache`, which
+  builds the ``solve`` :class:`~repro.store.memo.Memo` (keyed by table
+  fingerprints) each MMKP-LR scheduler instance owns for its Lagrangian
+  segment relaxations.
 
 Boundary rule: every public API keeps accepting ``list[OperatingPoint]`` /
 ``ConfigTable``; :func:`as_optable` (and the lazy ``ConfigTable.optable``

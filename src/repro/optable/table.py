@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import hashlib
 import struct
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.optable import _backend
 from repro.optable._backend import first_argmin, stable_argsort
 from repro.optable.frontier import pareto_select
+from repro.store.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover — typing only, avoids an import cycle
     from repro.core.config import ConfigTable, OperatingPoint
@@ -35,19 +34,11 @@ if TYPE_CHECKING:  # pragma: no cover — typing only, avoids an import cycle
 POINT_TOLERANCE = 1e-12
 
 #: Process-wide intern pool: fingerprint → the canonical OpTable instance.
-#: Bounded LRU (like the Lagrangian solve memo) so a long-lived service
-#: sweeping ever-new tables cannot grow without bound; eviction only costs a
-#: rebuild on the next request — existing references stay valid.
-_INTERN: OrderedDict[str, "OpTable"] = OrderedDict()
-_INTERN_MAX_TABLES = 4096
-_INTERN_HITS = 0
-_INTERN_MISSES = 0
-#: Guards the pool — service thread workers intern concurrently.
-_INTERN_LOCK = threading.Lock()
-#: Optional persistent second level (a :class:`repro.store.ContentStore`):
-#: consulted on intern misses, written through on builds.  Bound per process
-#: via :func:`bind_intern_store`; ``None`` keeps interning purely local.
-_INTERN_STORE = None
+#: Bounded so a long-lived service sweeping ever-new tables cannot grow
+#: without bound; eviction only costs a rebuild on the next request —
+#: existing references stay valid.  Its store is bound per process via
+#: :func:`bind_intern_store`; ``None`` keeps interning purely local.
+_INTERN = Memo("optable", 4096)
 
 
 class OpTable:
@@ -291,7 +282,6 @@ def as_optable(source) -> OpTable:
     boundary type) or any iterable of
     :class:`~repro.core.config.OperatingPoint`.
     """
-    global _INTERN_HITS, _INTERN_MISSES
     if isinstance(source, OpTable):
         return source
     points = getattr(source, "points", None)
@@ -300,30 +290,13 @@ def as_optable(source) -> OpTable:
     if not points:
         raise ValueError("an OpTable needs at least one operating point")
     key = fingerprint_points(points)
-    with _INTERN_LOCK:
-        table = _INTERN.get(key)
-        if table is not None:
-            _INTERN_HITS += 1
-            _INTERN.move_to_end(key)
-            return table
-        _INTERN_MISSES += 1
-    # Column/aggregate construction happens outside the lock; a concurrent
-    # builder of the same table just loses the insertion race below.  A bound
-    # store is consulted first: a persisted table arrives with whatever lazy
-    # aggregates its writer had already materialised.
-    store = _INTERN_STORE
-    table = store.get("optable", key) if store is not None else None
+    # A persisted table arrives with whatever lazy aggregates its writer had
+    # already materialised — but it is trusted only if it is the table its
+    # key names; anything else is rebuilt and overwritten.
+    table = _INTERN.get(key)
     if not isinstance(table, OpTable) or table.fingerprint != key:
         table = OpTable(points, key)
-        if store is not None:
-            store.put("optable", key, table)
-    with _INTERN_LOCK:
-        existing = _INTERN.get(key)
-        if existing is not None:
-            return existing
-        _INTERN[key] = table
-        while len(_INTERN) > _INTERN_MAX_TABLES:
-            _INTERN.popitem(last=False)
+        _INTERN.put(key, table)
     return table
 
 
@@ -335,26 +308,16 @@ def bind_intern_store(store):
     itself process-global — every ``as_optable`` call site shares the pool,
     so they must share its persistent backing too.
     """
-    global _INTERN_STORE
-    previous = _INTERN_STORE
-    _INTERN_STORE = store
+    previous, _INTERN.store = _INTERN.store, store
     return previous
 
 
 def intern_info() -> dict[str, int]:
     """Intern-pool statistics: distinct tables, hits and misses."""
-    with _INTERN_LOCK:
-        return {
-            "tables": len(_INTERN),
-            "hits": _INTERN_HITS,
-            "misses": _INTERN_MISSES,
-        }
+    info = _INTERN.info()
+    return {"tables": info["entries"], "hits": info["hits"], "misses": info["misses"]}
 
 
 def clear_intern_pool() -> None:
     """Drop every interned table (test isolation / long-lived services)."""
-    global _INTERN_HITS, _INTERN_MISSES
-    with _INTERN_LOCK:
-        _INTERN.clear()
-        _INTERN_HITS = 0
-        _INTERN_MISSES = 0
+    _INTERN.clear()

@@ -12,87 +12,18 @@ the same relaxation reuse one solve.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
-from repro.obs import tracer as obs
 from repro.optable.table import OpTable, as_optable
+from repro.store.memo import Memo
 
 if TYPE_CHECKING:  # pragma: no cover — typing only
     from repro.core.problem import SchedulingProblem
 
 
-class SolveCache:
-    """A small, thread-safe LRU memo for deterministic solver calls.
-
-    Keys embed table fingerprints, capacities and exact remaining ratios, so
-    a hit is guaranteed to describe the *same* mathematical problem and the
-    cached result is bit-identical to a fresh solve (all solvers in this
-    library are deterministic).
-
-    Caches are owned by their consumer (e.g. one per
-    :class:`~repro.schedulers.lr.MMKPLRScheduler` instance) rather than being
-    process-wide: a runtime-manager run reuses its scheduler across arrivals
-    and still benefits, while independent schedulers — and independent tests
-    measuring solver wall time — never contaminate each other.  All
-    operations take an internal lock, so one cache may also be shared across
-    service worker threads deliberately.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries <= 0:
-            raise ValueError("cache capacity must be positive")
-        self._max_entries = max_entries
-        self._entries: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        """Return the cached value for ``key`` or ``None``."""
-        # obs.count stays outside the lock: it reads a ContextVar and may
-        # touch tracer state, and nothing under the lock depends on it —
-        # keeping the critical section to pure dict work means a slow or
-        # re-entrant tracer can never serialise cache readers.
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                self.misses += 1
-                value = None
-            else:
-                self._entries.move_to_end(key)
-                self.hits += 1
-        obs.count("cache.solve.miss" if value is None else "cache.solve.hit")
-        return value
-
-    def put(self, key, value) -> None:
-        """Insert ``key → value``, evicting the least-recently-used entry."""
-        with self._lock:
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the statistics."""
-        with self._lock:
-            self._entries.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def info(self) -> dict[str, int]:
-        """Cache statistics (entries, hits, misses)."""
-        with self._lock:
-            return {
-                "entries": len(self._entries),
-                "hits": self.hits,
-                "misses": self.misses,
-            }
+def SolveCache(max_entries: int = 4096) -> Memo:
+    """A ``solve`` :class:`~repro.store.memo.Memo` for MMKP-LR's relaxations."""
+    return Memo("solve", max_entries)
 
 
 class SharedSlices:

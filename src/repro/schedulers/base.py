@@ -73,7 +73,7 @@ class Scheduler(abc.ABC):
         EX-MEM candidate columns) that survive across runs and batch jobs.
         Schedulers adopt what helps them — any reuse must be keyed so a hit
         is bit-identical to a fresh computation (fingerprints + exact
-        ratios, like :class:`~repro.optable.view.SolveCache`).  The default
+        ratios, like :func:`~repro.optable.view.SolveCache`).  The default
         is a no-op.
         """
 

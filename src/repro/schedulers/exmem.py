@@ -149,7 +149,7 @@ class ExMemScheduler(Scheduler):
                 # content: the pairs are a pure function of the interned
                 # table and the truncation knob.
                 table = self._problem.optable_for(job)
-                entry = caches.exmem_columns(table.fingerprint, self._max_configs)
+                entry = caches.exmem.get((table.fingerprint, self._max_configs))
                 if entry is not None:
                     pairs = entry[0]
             if pairs is None:
@@ -182,7 +182,7 @@ class ExMemScheduler(Scheduler):
             fingerprint = None
             if caches is not None:
                 fingerprint = self._problem.optable_for(job).fingerprint
-                entry = caches.exmem_columns(fingerprint, self._max_configs)
+                entry = caches.exmem.get((fingerprint, self._max_configs))
                 if entry is not None and entry[1] is not None:
                     self._columns_cache[application] = entry[1]
                     self._points_cache.setdefault(application, entry[0])
@@ -196,9 +196,7 @@ class ExMemScheduler(Scheduler):
             columns = (times, energies, rows, cheapest, fastest)
             self._columns_cache[application] = columns
             if caches is not None:
-                caches.store_exmem_columns(
-                    fingerprint, self._max_configs, (pairs, columns)
-                )
+                caches.exmem.put((fingerprint, self._max_configs), (pairs, columns))
         return columns
 
     def _state_key(self, now: float, states: Sequence[_JobState]):

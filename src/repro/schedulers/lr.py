@@ -27,6 +27,7 @@ from repro.knapsack import MMKPProblem, solve_lagrangian, solve_lagrangian_many
 from repro.obs import tracer as obs
 from repro.optable.view import ProblemView, SolveCache
 from repro.schedulers.base import Scheduler, SchedulingResult
+from repro.store.memo import Memo
 
 _RATIO_EPSILON = 1e-9
 _TIME_EPSILON = 1e-9
@@ -69,13 +70,13 @@ class MMKPLRScheduler(Scheduler):
     def __init__(
         self,
         max_subgradient_iterations: int = 100,
-        solve_cache: SolveCache | None = None,
+        solve_cache: Memo | None = None,
     ):
         self._max_iterations = max_subgradient_iterations
         #: Fingerprint-keyed memo for the segment relaxations.  Per instance
         #: by default: a runtime-manager run (one scheduler, many arrivals)
         #: reuses solves, while independent schedulers — and wall-time
-        #: measurements — stay isolated.  Pass a shared :class:`SolveCache`
+        #: measurements — stay isolated.  Pass a shared :func:`SolveCache`
         #: to pool deliberately (it is thread-safe).
         self.solve_cache = solve_cache if solve_cache is not None else SolveCache()
         self._own_cache = solve_cache is None
@@ -148,7 +149,7 @@ class MMKPLRScheduler(Scheduler):
         """Schedule many problems, batching their Lagrangian relaxations.
 
         All problems' segment loops advance lock-step: each round collects
-        every activation's pending :class:`SolveCache` miss, deduplicates
+        every activation's pending :attr:`solve_cache` miss, deduplicates
         identical relaxation keys and answers the round with one
         :func:`~repro.knapsack.solve_lagrangian_many` call (a single stacked
         subgradient solve with the dense backend).  Schedules, assignments,
@@ -222,7 +223,7 @@ class MMKPLRScheduler(Scheduler):
         while live:
             # One batched solve answers the whole round; identical keys
             # (same tables, ratios and capacity anywhere in the batch) are
-            # solved once, exactly as the SolveCache would replay them.
+            # solved once, exactly as the solve cache would replay them.
             order: list = []
             unique: dict = {}
             first_group: dict = {}

@@ -15,13 +15,13 @@ Modules
   declarative, JSON-serialisable descriptions of simulations (trace or
   generator spec + platform + tables + scheduler + seed) with sweep and
   shard helpers.
-* :mod:`repro.service.cache` — :class:`ActivationCache` /
-  :class:`CachingScheduler`: an LRU over canonical scheduling-problem
-  signatures, so structurally identical activations across traces are solved
-  once.
-* :mod:`repro.service.pool` — :class:`SimulationService`: serial, threaded or
-  multi-process fan-out with per-job seeding, failure isolation and ordered,
-  bit-reproducible results.
+* :mod:`repro.service.cache` — :func:`ActivationCache` /
+  :class:`CachingScheduler`: an ``activation`` :class:`~repro.store.memo.Memo`
+  over canonical scheduling-problem signatures, so structurally identical
+  activations across traces are solved once.
+* :mod:`repro.service.pool` — :class:`SimulationService`: serial, threaded,
+  multi-process or cluster fan-out with per-job seeding, failure isolation
+  and ordered, bit-reproducible results.
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics`: counters and
   histograms (acceptance rate, search time, energy, cache hit rate) with a
   ``snapshot()`` the CLI prints.

@@ -6,7 +6,8 @@ tables and the same multiset of job residuals and relative deadlines — only
 the absolute wall-clock time and the request names differ.  Re-solving the
 MMKP for every one of those activations is pure waste.
 
-The :class:`ActivationCache` is an LRU map from a canonical
+:func:`ActivationCache` builds the ``activation``
+:class:`~repro.store.memo.Memo`: a bounded LRU map from a canonical
 :class:`~repro.core.problem.SchedulingProblem` signature to the canonical
 scheduling result.  :class:`CachingScheduler` wraps any
 :class:`~repro.schedulers.base.Scheduler` with it:
@@ -36,16 +37,14 @@ a batch so activations repeated *across* traces hit as well.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Hashable
 
 from repro.core.config import ConfigTable
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.core.segment import JobMapping, MappingSegment, Schedule
-from repro.obs import tracer as obs
 from repro.schedulers.base import Scheduler, SchedulingResult
+from repro.store.memo import Memo
 
 
 def table_fingerprint(table: ConfigTable) -> tuple:
@@ -135,89 +134,13 @@ def problem_signature(
     return (namespace, tuple(problem.capacity), jobs_key, table_keys)
 
 
-class ActivationCache:
-    """A thread-safe LRU cache of canonical scheduling results.
-
-    Parameters
-    ----------
-    maxsize:
-        Maximum number of entries; the least recently used entry is evicted
-        when the cache is full.  ``maxsize <= 0`` disables storing (every
-        lookup misses), which is occasionally handy for A/B benchmarks.
-    """
-
-    def __init__(self, maxsize: int = 4096):
-        self._maxsize = maxsize
-        self._entries: OrderedDict[tuple, SchedulingResult] = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def get(self, key: tuple) -> SchedulingResult | None:
-        """Look up a canonical result, refreshing its recency on a hit."""
-        # Counting happens outside the lock (see SolveCache.get): the
-        # critical section covers only the OrderedDict mutation.
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
-        obs.count("cache.activation.miss" if entry is None else "cache.activation.hit")
-        return entry
-
-    def put(self, key: tuple, result: SchedulingResult) -> None:
-        """Store a canonical result, evicting the LRU entry when full."""
-        if self._maxsize <= 0:
-            return
-        with self._lock:
-            self._entries[key] = result
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._maxsize:
-                self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries and reset the hit/miss counters."""
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    @property
-    def hits(self) -> int:
-        """Number of successful lookups so far."""
-        return self._hits
-
-    @property
-    def misses(self) -> int:
-        """Number of failed lookups so far."""
-        return self._misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when unused)."""
-        total = self._hits + self._misses
-        return self._hits / total if total else 0.0
-
-    def info(self) -> dict[str, float]:
-        """A snapshot of the cache statistics."""
-        with self._lock:
-            return {
-                "size": len(self._entries),
-                "maxsize": self._maxsize,
-                "hits": self._hits,
-                "misses": self._misses,
-                "hit_rate": self.hit_rate,
-            }
+def ActivationCache(maxsize: int = 4096, store=None) -> Memo:
+    """The ``activation`` :class:`~repro.store.memo.Memo` of canonical results."""
+    return Memo("activation", maxsize, store)
 
 
 class CachingScheduler(Scheduler):
-    """Wrap a scheduler with an :class:`ActivationCache`.
+    """Wrap a scheduler with an activation :class:`~repro.store.memo.Memo`.
 
     The wrapper is transparent to the runtime manager: it is a
     :class:`~repro.schedulers.base.Scheduler` whose ``name`` equals the
@@ -237,7 +160,7 @@ class CachingScheduler(Scheduler):
     12.95
     """
 
-    def __init__(self, scheduler: Scheduler, cache: ActivationCache | None = None):
+    def __init__(self, scheduler: Scheduler, cache: Memo | None = None):
         self._inner = scheduler
         self.cache = cache if cache is not None else ActivationCache()
         self.name = scheduler.name

@@ -320,7 +320,7 @@ class ServiceMetrics:
         self.trace_wall_time.observe(result.wall_time)
 
     def observe_cache(self, info: Mapping[str, float]) -> None:
-        """Fold an :meth:`~repro.service.cache.ActivationCache.info` snapshot in."""
+        """Fold an activation :meth:`~repro.store.memo.Memo.info` snapshot in."""
         self.cache_hits.increment(info.get("hits", 0))
         self.cache_misses.increment(info.get("misses", 0))
 

@@ -3,8 +3,8 @@
 :class:`SimulationService` turns a :class:`~repro.service.jobs.BatchSpec`
 into a :class:`BatchResults`: every job is materialised, simulated by its own
 :class:`~repro.runtime.manager.RuntimeManager` (with an optional shared
-:class:`~repro.service.cache.ActivationCache`) and summarised into a
-picklable :class:`SimulationResult`.  Three executors are available:
+activation :class:`~repro.store.memo.Memo`) and summarised into a
+picklable :class:`SimulationResult`.  Four executors are available:
 
 * ``"serial"`` — run in the calling thread (the ``workers=1`` default);
 * ``"thread"`` — a thread pool sharing one activation cache, so repeated
@@ -17,8 +17,8 @@ picklable :class:`SimulationResult`.  Three executors are available:
 
 A service may additionally be bound to a persistent
 :class:`~repro.store.ContentStore` (``store=`` or the ``REPRO_STORE``
-environment variable): the activation cache and kernel caches become
-store-backed, process workers reopen the store by path, and warm reruns
+environment variable): the activation and kernel memos warm from it and
+write through to it, process workers reopen the store by path, and warm reruns
 start from every entry previous runs persisted.  With no store configured
 (or ``REPRO_STORE=0``) behaviour is bit-identical to the store-less code.
 
@@ -58,8 +58,8 @@ from repro.runtime.manager import RuntimeManager
 from repro.service.cache import ActivationCache, CachingScheduler
 from repro.service.jobs import BatchSpec, SimulationJob
 from repro.service.metrics import ServiceMetrics
-from repro.store.bindings import store_backed_activation_cache, store_backed_caches
 from repro.store.content import ContentStore, resolve_store
+from repro.store.memo import Memo
 
 #: Executor names accepted by :class:`SimulationService`.
 EXECUTORS = ("auto", "serial", "thread", "process", "cluster")
@@ -312,7 +312,7 @@ class BatchResults:
 
 def _simulate(
     job: SimulationJob,
-    cache: ActivationCache | None,
+    cache: Memo | None,
     kernel_caches: KernelCaches | None = None,
 ) -> SimulationResult:
     """Materialise and run one job, capturing any failure in the result."""
@@ -348,10 +348,9 @@ def _simulate(
     return SimulationResult.from_log(job, log, time.perf_counter() - start)
 
 
-#: Per-process activation cache for the ``"process"`` executor, keyed by the
-#: configured size; initialised lazily in each worker process.
-_PROCESS_CACHE: ActivationCache | None = None
-_PROCESS_CACHE_SIZE: int = 0
+#: Per-process activation memo for the ``"process"`` executor, rebuilt when
+#: the configured size or the store changes; initialised lazily per worker.
+_PROCESS_CACHE: Memo | None = None
 #: Per-process incremental-kernel warm starts (content-keyed, so sharing
 #: across the heterogeneous jobs of one worker process is always sound).
 _PROCESS_KERNEL_CACHES: KernelCaches | None = None
@@ -383,23 +382,22 @@ def _process_simulate(
     job_data: Mapping, cache_size: int, store_token: str | None = None
 ) -> SimulationResult:
     """Worker-process entry point: rebuild the job and simulate it."""
-    global _PROCESS_CACHE, _PROCESS_CACHE_SIZE, _PROCESS_KERNEL_CACHES
+    global _PROCESS_CACHE, _PROCESS_KERNEL_CACHES
     store = _process_store(store_token)
     cache = None
     if cache_size > 0:
         if (
             _PROCESS_CACHE is None
-            or _PROCESS_CACHE_SIZE != cache_size
-            or getattr(_PROCESS_CACHE, "store", None) is not store
+            or _PROCESS_CACHE.bound != cache_size
+            or _PROCESS_CACHE.store is not store
         ):
-            _PROCESS_CACHE = store_backed_activation_cache(store, cache_size)
-            _PROCESS_CACHE_SIZE = cache_size
+            _PROCESS_CACHE = ActivationCache(cache_size, store)
         cache = _PROCESS_CACHE
     if (
         _PROCESS_KERNEL_CACHES is None
-        or getattr(_PROCESS_KERNEL_CACHES, "store", None) is not store
+        or _PROCESS_KERNEL_CACHES.solve_cache.store is not store
     ):
-        _PROCESS_KERNEL_CACHES = store_backed_caches(store)
+        _PROCESS_KERNEL_CACHES = KernelCaches(store)
     return _simulate(SimulationJob.from_dict(job_data), cache, _PROCESS_KERNEL_CACHES)
 
 
@@ -422,12 +420,14 @@ class SimulationService:
         Worker count.  ``1`` runs serially in the calling thread.
     executor:
         ``"auto"`` (serial for one worker, threads otherwise), ``"serial"``,
-        ``"thread"`` or ``"process"``.
+        ``"thread"``, ``"process"`` or ``"cluster"``.
     use_cache:
         Enable the shared activation cache (see :mod:`repro.service.cache`).
     cache_size:
         Maximum cached activations (per service, or per worker process for
-        the ``"process"`` executor).
+        the ``"process"`` and ``"cluster"`` executors).  Caching is on only
+        when ``use_cache`` is true and ``cache_size`` is positive — the same
+        decision for every executor, so the fingerprint never depends on it.
     metrics:
         An existing :class:`ServiceMetrics` registry to record into; a fresh
         one is created when omitted.
@@ -473,9 +473,11 @@ class SimulationService:
         self.use_cache = use_cache
         self.cache_size = cache_size
         self.store = resolve_store(store)
+        #: The activation memo, or ``None``: decided once here, and handed
+        #: to worker processes as its bound (0 for none).
         self.cache = (
-            store_backed_activation_cache(self.store, cache_size)
-            if use_cache
+            ActivationCache(cache_size, self.store)
+            if use_cache and cache_size > 0
             else None
         )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
@@ -487,9 +489,7 @@ class SimulationService:
         #: candidate columns.  Callers may inject one to pool across
         #: services/sessions.
         self.kernel_caches = (
-            kernel_caches
-            if kernel_caches is not None
-            else store_backed_caches(self.store)
+            kernel_caches if kernel_caches is not None else KernelCaches(self.store)
         )
 
     # ------------------------------------------------------------------ #
@@ -568,7 +568,7 @@ class SimulationService:
         return results
 
     def _run_processes(self, jobs, progress) -> list[SimulationResult]:
-        cache_size = self.cache_size if self.use_cache else 0
+        cache_size = self.cache.bound if self.cache is not None else 0
         token = self.store.process_token() if self.store is not None else None
         results: list[SimulationResult | None] = [None] * len(jobs)
         with ProcessPoolExecutor(max_workers=self.workers) as pool:
@@ -592,7 +592,7 @@ class SimulationService:
         coordinator = ShardCoordinator(
             self.workers,
             mode="process",
-            cache_size=self.cache_size if self.use_cache else 0,
+            cache_size=self.cache.bound if self.cache is not None else 0,
             store=self.store,
         )
         results = coordinator.run(jobs, progress)
@@ -602,5 +602,5 @@ class SimulationService:
     def __repr__(self) -> str:
         return (
             f"SimulationService(workers={self.workers}, executor={self.executor!r}, "
-            f"cache={'on' if self.use_cache else 'off'})"
+            f"cache={'on' if self.cache is not None else 'off'})"
         )

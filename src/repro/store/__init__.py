@@ -2,27 +2,21 @@
 
 Public surface:
 
+* :class:`Memo` — the one bounded, thread-safe LRU memo every cache in the
+  library is built from; ``Memo(kind, bound, store=...)`` puts a store
+  behind it (a store hit is promoted into the LRU, a put writes through);
 * :class:`ContentStore` with :meth:`ContentStore.open` /
   :meth:`ContentStore.in_memory`, plus ``stats()``/``gc()``/``clear()``
-  maintenance;
+  maintenance — it has no local front of its own, every kind is fronted by
+  a :class:`Memo`;
 * the :class:`CacheBackend` protocol with the :class:`SQLiteBackend` and
   :class:`MemoryBackend` implementations;
-* store-backed drop-ins for the in-process caches
-  (:class:`StoreBackedKernelCaches`, :class:`StoreBackedSolveCache`,
-  :class:`StoreBackedActivationCache`);
 * :func:`resolve_store`, which applies the ``REPRO_STORE`` escape hatch
   (``REPRO_STORE=0`` force-disables every binding, ``REPRO_STORE=path``
   opts the whole process into a shared store).
 """
 
 from repro.store.backend import CacheBackend, MemoryBackend, SQLiteBackend
-from repro.store.bindings import (
-    StoreBackedActivationCache,
-    StoreBackedKernelCaches,
-    StoreBackedSolveCache,
-    store_backed_activation_cache,
-    store_backed_caches,
-)
 from repro.store.content import (
     STAT_NAMES,
     ContentStore,
@@ -30,19 +24,16 @@ from repro.store.content import (
     resolve_store,
     store_enabled,
 )
+from repro.store.memo import Memo
 
 __all__ = [
     "STAT_NAMES",
     "CacheBackend",
     "ContentStore",
+    "Memo",
     "MemoryBackend",
     "SQLiteBackend",
-    "StoreBackedActivationCache",
-    "StoreBackedKernelCaches",
-    "StoreBackedSolveCache",
     "encode_key",
     "resolve_store",
-    "store_backed_activation_cache",
-    "store_backed_caches",
     "store_enabled",
 ]

@@ -1,8 +1,8 @@
 """Byte-level backends of the persistent content-addressed store.
 
 A backend is a namespaced ``(namespace, key) → bytes`` map — nothing more.
-Everything value-shaped (pickling, versioned namespaces, the local LRU
-front, statistics) lives in :class:`~repro.store.content.ContentStore`;
+Everything value-shaped (pickling, versioned namespaces, statistics)
+lives in :class:`~repro.store.content.ContentStore`;
 everything durability-shaped (files, transactions, cross-process locking)
 lives here, behind the :class:`CacheBackend` protocol:
 
@@ -257,10 +257,9 @@ class SQLiteBackend:
         return cursor.rowcount if cursor.rowcount >= 0 else 0
 
     def trim(self, namespace: str, max_entries: int) -> int:
-        # Oldest-first eviction, exactly the LRU-by-write-time discipline of
-        # the in-memory fronts.  One statement, hence one transaction — a
-        # concurrent writer either lands before the snapshot (and may be
-        # trimmed) or after (and survives); never half-deleted.
+        # Oldest-first eviction by write time.  One statement, hence one
+        # transaction — a concurrent writer either lands before the snapshot
+        # (and may be trimmed) or after (and survives); never half-deleted.
         cursor = self._retry(
             self._connection().execute,
             "DELETE FROM entries WHERE namespace = ? AND key NOT IN ("

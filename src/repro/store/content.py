@@ -15,8 +15,9 @@ run — which is exactly the property a shared persistent store needs.
   with ``version`` defaulting to :data:`repro.version.__version__`, so a
   release that changes any pickled layout simply never sees the old rows
   (and :meth:`gc` reclaims them).
-* **Write-through with a local LRU front** — reads hit a small in-process
-  dict first; backend reads and writes happen outside any lock so SQLite
+* **No local front** — every cache kind is already fronted by a bounded
+  :class:`~repro.store.memo.Memo`, so each ``get``/``put`` here goes to the
+  backend; backend reads and writes happen outside any lock so SQLite
   latency never serialises worker threads.
 * **Misses, never errors** — a corrupted, truncated or unpicklable entry
   (or a failing backend) degrades to a miss: the caller recomputes, the
@@ -36,7 +37,6 @@ import hashlib
 import os
 import pickle
 import threading
-from collections import OrderedDict
 
 from repro.obs import tracer as obs
 from repro.store.backend import CacheBackend, MemoryBackend, SQLiteBackend
@@ -47,14 +47,12 @@ from repro.version import __version__
 #: Prometheus series).
 STAT_NAMES = (
     "hits",
-    "local_hits",
     "misses",
     "puts",
     "corrupt",
     "errors",
     "bytes_read",
     "bytes_written",
-    "evictions",
 )
 
 
@@ -69,39 +67,26 @@ def encode_key(key: object) -> str:
     return hashlib.blake2b(repr(key).encode("utf-8"), digest_size=20).hexdigest()
 
 
-class _KindState:
-    """Per-kind mutable state: the local LRU front and the counters."""
-
-    __slots__ = ("front", "counters")
-
-    def __init__(self) -> None:
-        self.front: OrderedDict = OrderedDict()
-        self.counters = dict.fromkeys(STAT_NAMES, 0)
-
-
 class ContentStore:
     """A shared, persistent map of content-addressed cache entries.
 
     One store serves many cache *kinds* (``solve``, ``exmem``, ``optable``,
-    ``activation``); each kind gets its own versioned namespace, its own
-    bounded local LRU front and its own counters.  All methods are
-    thread-safe, and when the backend is SQLite the same file may be open
-    from many processes at once (see :class:`~repro.store.backend.SQLiteBackend`).
+    ``activation``); each kind gets its own versioned namespace and its own
+    counters.  All methods are thread-safe, and when the backend is SQLite
+    the same file may be open from many processes at once (see
+    :class:`~repro.store.backend.SQLiteBackend`).
     """
 
     def __init__(
         self,
         backend: CacheBackend,
         *,
-        local_entries: int = 1024,
         version: str = __version__,
     ):
-        if local_entries < 0:
-            raise ValueError("local_entries must be >= 0")
         self._backend = backend
-        self._local_entries = local_entries
         self._version = version
-        self._kinds: dict[str, _KindState] = {}
+        #: kind → its counters (see :data:`STAT_NAMES`).
+        self._kinds: dict[str, dict[str, int]] = {}
         self._lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------
@@ -146,18 +131,18 @@ class ContentStore:
 
     # -- internals ------------------------------------------------------
 
-    def _state(self, kind: str) -> _KindState:
+    def _kind_counters(self, kind: str) -> dict[str, int]:
         with self._lock:
-            state = self._kinds.get(kind)
-            if state is None:
-                state = self._kinds[kind] = _KindState()
-            return state
+            counters = self._kinds.get(kind)
+            if counters is None:
+                counters = self._kinds[kind] = dict.fromkeys(STAT_NAMES, 0)
+            return counters
 
-    def _bump(self, state: _KindState, kind: str, name: str, amount: int = 1) -> None:
+    def _bump(self, counters: dict, kind: str, name: str, amount: int = 1) -> None:
         # Counter writes race benignly under the GIL only for the local
         # ints; keep them under the lock, but keep obs outside it.
         with self._lock:
-            state.counters[name] += amount
+            counters[name] += amount
         obs.count(f"store.{kind}.{name}", amount)
 
     # -- the cache surface ----------------------------------------------
@@ -168,30 +153,17 @@ class ContentStore:
         Corrupted entries and backend failures are misses by design — a
         warm store can never make a run fail, only make it faster.
         """
-        state = self._state(kind)
+        counters = self._kind_counters(kind)
         digest = encode_key(key)
-        with self._lock:
-            if digest in state.front:
-                state.front.move_to_end(digest)
-                value = state.front[digest]
-                state.counters["hits"] += 1
-                state.counters["local_hits"] += 1
-                local_hit = True
-            else:
-                local_hit = False
-        if local_hit:
-            obs.count(f"store.{kind}.hit")
-            return value
-
         try:
             payload = self._backend.get(self.namespace(kind), digest)
         except Exception:
-            self._bump(state, kind, "errors")
-            self._bump(state, kind, "misses")
+            self._bump(counters, kind, "errors")
+            self._bump(counters, kind, "misses")
             obs.count(f"store.{kind}.miss")
             return None
         if payload is None:
-            self._bump(state, kind, "misses")
+            self._bump(counters, kind, "misses")
             obs.count(f"store.{kind}.miss")
             return None
         try:
@@ -199,54 +171,37 @@ class ContentStore:
         except Exception:
             # Truncated write, version skew inside a namespace, bit rot:
             # drop the row so the next run does not pay the decode again.
-            self._bump(state, kind, "corrupt")
-            self._bump(state, kind, "misses")
+            self._bump(counters, kind, "corrupt")
+            self._bump(counters, kind, "misses")
             obs.count(f"store.{kind}.miss")
             try:
                 self._backend.delete(self.namespace(kind), digest)
             except Exception:
                 pass
             return None
-        self._bump(state, kind, "bytes_read", len(payload))
-        self._bump(state, kind, "hits")
+        self._bump(counters, kind, "bytes_read", len(payload))
+        self._bump(counters, kind, "hits")
         obs.count(f"store.{kind}.hit")
-        self._promote(state, digest, value)
         return value
 
     def put(self, kind: str, key: object, value: object) -> None:
-        """Write-through: the local front and the backend both see ``value``."""
-        state = self._state(kind)
+        """Write ``value`` to the backend (failures are counted, not raised)."""
+        counters = self._kind_counters(kind)
         digest = encode_key(key)
-        self._promote(state, digest, value)
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
             self._backend.put(self.namespace(kind), digest, payload)
         except Exception:
-            self._bump(state, kind, "errors")
+            self._bump(counters, kind, "errors")
             return
-        self._bump(state, kind, "puts")
-        self._bump(state, kind, "bytes_written", len(payload))
-
-    def _promote(self, state: _KindState, digest: str, value: object) -> None:
-        if self._local_entries == 0:
-            return
-        with self._lock:
-            state.front[digest] = value
-            state.front.move_to_end(digest)
-            while len(state.front) > self._local_entries:
-                state.front.popitem(last=False)
-                state.counters["evictions"] += 1
+        self._bump(counters, kind, "puts")
+        self._bump(counters, kind, "bytes_written", len(payload))
 
     # -- maintenance ----------------------------------------------------
 
     def stats(self) -> dict:
         """Counters per kind plus backend entry/byte totals per namespace."""
-        with self._lock:
-            kinds = {
-                kind: dict(state.counters) for kind, state in self._kinds.items()
-            }
-            for kind, state in self._kinds.items():
-                kinds[kind]["local_entries"] = len(state.front)
+        kinds = self.counters()
         namespaces = {}
         try:
             for namespace in self._backend.namespaces():
@@ -264,7 +219,7 @@ class ContentStore:
     def counters(self) -> dict[str, dict[str, int]]:
         """Just the per-kind counters (the `/metrics` surface)."""
         with self._lock:
-            return {kind: dict(state.counters) for kind, state in self._kinds.items()}
+            return {kind: dict(counters) for kind, counters in self._kinds.items()}
 
     def gc(self, max_entries_per_kind: int | None = None) -> dict:
         """Reclaim stale data: other-version namespaces, then oversize kinds.
@@ -285,7 +240,7 @@ class ContentStore:
         return {"dropped": dropped, "trimmed": trimmed}
 
     def clear(self) -> None:
-        """Drop every entry — backend rows, local fronts and counters."""
+        """Drop every entry — backend rows and counters."""
         self._backend.clear()
         with self._lock:
             self._kinds.clear()

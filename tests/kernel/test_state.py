@@ -284,12 +284,3 @@ class TestKernelCaches:
         assert first is again
         other_capacity = caches.shared_slices((4, 4), tables)
         assert other_capacity is not first
-
-    def test_exmem_columns_roundtrip(self):
-        caches = KernelCaches()
-        assert caches.exmem_columns("fp", 4) is None
-        caches.store_exmem_columns("fp", 4, ("pairs", "columns"))
-        assert caches.exmem_columns("fp", 4) == ("pairs", "columns")
-        assert caches.exmem_columns("fp", None) is None
-        info = caches.info()
-        assert info["exmem_tables"] == 1

@@ -1,7 +1,5 @@
 """Tests for the activation cache and the caching scheduler wrapper."""
 
-import threading
-
 import pytest
 
 from repro.core.problem import SchedulingProblem
@@ -80,50 +78,6 @@ class TestSignature:
         assert all(job.arrival == 0.0 for job in slots)
         assert {job.application for job in slots} == {"lambda1", "lambda2"}
         assert slots[0].deadline in (9.0, 4.0)
-
-
-class TestActivationCache:
-    def test_lru_eviction(self):
-        cache = ActivationCache(maxsize=2)
-        cache.put(("k1",), "r1")
-        cache.put(("k2",), "r2")
-        assert cache.get(("k1",)) == "r1"  # refresh k1
-        cache.put(("k3",), "r3")  # evicts k2 (least recently used)
-        assert cache.get(("k2",)) is None
-        assert cache.get(("k1",)) == "r1"
-        assert cache.get(("k3",)) == "r3"
-
-    def test_counters_and_info(self):
-        cache = ActivationCache(maxsize=4)
-        assert cache.get(("missing",)) is None
-        cache.put(("k",), "r")
-        assert cache.get(("k",)) == "r"
-        info = cache.info()
-        assert info["hits"] == 1 and info["misses"] == 1
-        assert info["hit_rate"] == pytest.approx(0.5)
-        cache.clear()
-        assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
-
-    def test_zero_size_disables_storing(self):
-        cache = ActivationCache(maxsize=0)
-        cache.put(("k",), "r")
-        assert cache.get(("k",)) is None
-
-    def test_thread_safety_smoke(self):
-        cache = ActivationCache(maxsize=64)
-
-        def worker(start):
-            for index in range(200):
-                key = (start, index % 80)
-                cache.get(key)
-                cache.put(key, index)
-
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert len(cache) <= 64
 
 
 class TestCachingScheduler:

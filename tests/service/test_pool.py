@@ -115,6 +115,21 @@ class TestCachingBehaviour:
         assert service.cache is None
         assert service.metrics.cache_hit_rate == 0.0
 
+    def test_cache_size_zero_is_cache_off_on_every_executor(self):
+        """A zero-size cache means no cache: the same fingerprint on every
+        executor, equal to ``use_cache=False``."""
+        spec = BatchSpec.sweep(
+            arrival_rates=[1.5],
+            schedulers=["mmkp-mdf"],
+            traces_per_point=4,
+            num_requests=6,
+        )
+        uncached = SimulationService(use_cache=False).run_batch(spec).fingerprint()
+        for executor in ("serial", "thread", "process", "cluster"):
+            service = SimulationService(workers=2, executor=executor, cache_size=0)
+            assert service.cache is None
+            assert service.run_batch(spec).fingerprint() == uncached, executor
+
     def test_cached_and_uncached_agree_on_admissions(self):
         spec = small_sweep(traces=6, num_requests=5)
         cached = SimulationService(workers=1, use_cache=True).run_batch(spec)

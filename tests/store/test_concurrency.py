@@ -1,23 +1,19 @@
-"""Regression tests for cache eviction under concurrent access.
+"""Regression tests for one store under concurrent access.
 
-Satellite of the store PR: the in-process caches must survive many threads
-evicting against each other, and one SQLite store must survive many
-*processes* reading, writing and garbage-collecting at once (WAL mode,
-busy timeouts and per-PID connections are what make this hold).
+One SQLite store must survive many *processes* reading, writing and
+garbage-collecting at once (WAL mode, busy timeouts and per-PID connections
+are what make this hold).  The thread storms against the in-process memos
+live in ``tests/store/test_memo.py``.
 """
 
-import threading
 from concurrent.futures import ProcessPoolExecutor
 
-from repro.kernel.caches import KernelCaches
-from repro.optable.view import SolveCache
-from repro.service.cache import ActivationCache
-from repro.store import ContentStore, StoreBackedSolveCache
+from repro.store import ContentStore
 
 
 def _hammer_store(path: str, worker: int) -> dict:
     """One worker process: interleave puts, gets, trims and gc on one file."""
-    store = ContentStore.open(path, local_entries=8)
+    store = ContentStore.open(path)
     try:
         for index in range(120):
             key = (worker % 2, index % 30)
@@ -49,62 +45,3 @@ class TestMultiprocessStore:
         assert size > 0
         assert store.gc()["dropped"] == 0
         store.close()
-
-
-def _thread_storm(cache_op, threads: int = 8, iterations: int = 200):
-    """Run ``cache_op(thread_index, iteration)`` from many threads at once."""
-    errors = []
-    barrier = threading.Barrier(threads)
-
-    def loop(thread_index: int) -> None:
-        barrier.wait()
-        try:
-            for iteration in range(iterations):
-                cache_op(thread_index, iteration)
-        except Exception as error:  # noqa: BLE001 — recorded for the assert
-            errors.append(error)
-
-    pool = [threading.Thread(target=loop, args=(i,)) for i in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
-    assert errors == []
-
-
-class TestConcurrentEviction:
-    """Tiny capacities force eviction on nearly every put."""
-
-    def test_solve_cache(self):
-        cache = SolveCache(max_entries=4)
-        _thread_storm(
-            lambda t, i: (cache.put((t, i % 16), i), cache.get((t, (i + 1) % 16)))
-        )
-        assert len(cache) <= 4
-        info = cache.info()
-        assert info["hits"] + info["misses"] > 0
-
-    def test_store_backed_solve_cache(self):
-        cache = StoreBackedSolveCache(ContentStore.in_memory(), max_entries=4)
-        _thread_storm(
-            lambda t, i: (cache.put((t, i % 16), i), cache.get((t, (i + 1) % 16)))
-        )
-        assert len(cache) <= 4
-
-    def test_activation_cache(self):
-        cache = ActivationCache(maxsize=4)
-        _thread_storm(
-            lambda t, i: (cache.put((t, i % 16), i), cache.get((t, (i + 1) % 16)))
-        )
-        assert len(cache) <= 4
-
-    def test_kernel_caches_exmem(self):
-        caches = KernelCaches()
-        caches.MAX_EXMEM_TABLES = 4
-
-        def op(t, i):
-            caches.store_exmem_columns(f"fp{(t + i) % 16}", None, (t, i))
-            caches.exmem_columns(f"fp{i % 16}", None)
-
-        _thread_storm(op)
-        assert caches.info()["exmem_tables"] <= 4

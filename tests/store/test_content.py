@@ -1,4 +1,4 @@
-"""ContentStore semantics: versioned namespaces, local front, degraded misses."""
+"""ContentStore semantics: versioned namespaces, backend reads, degraded misses."""
 
 import pickle
 
@@ -29,33 +29,15 @@ class TestContentStore:
         assert store.get("solve", "absent") is None
         assert store.counters()["solve"]["misses"] == 1
 
-    def test_local_front_hit(self):
-        store = ContentStore.in_memory()
-        store.put("solve", "k", "v")
-        store.get("solve", "k")
-        counters = store.counters()["solve"]
-        assert counters["local_hits"] == 1
-        assert counters["hits"] == 1
-
     def test_backend_hit_after_cold_front(self):
         backend = MemoryBackend()
         writer = ContentStore(backend)
         writer.put("solve", "k", "v")
-        reader = ContentStore(backend)  # fresh front, same backend
+        reader = ContentStore(backend)  # fresh counters, same backend
         assert reader.get("solve", "k") == "v"
         counters = reader.counters()["solve"]
         assert counters["hits"] == 1
-        assert counters["local_hits"] == 0
         assert counters["bytes_read"] > 0
-
-    def test_local_front_bound_and_evictions(self):
-        store = ContentStore.in_memory(local_entries=2)
-        for index in range(5):
-            store.put("solve", index, index)
-        counters = store.counters()["solve"]
-        assert counters["evictions"] == 3
-        # Evicted from the front, still served by the backend.
-        assert store.get("solve", 0) == 0
 
     def test_version_namespaces_isolate(self):
         backend = MemoryBackend()
@@ -105,7 +87,7 @@ class TestDegradedMisses:
 
     def test_corrupted_entry_is_a_miss(self):
         backend = MemoryBackend()
-        store = ContentStore(backend, local_entries=0)
+        store = ContentStore(backend)
         store.put("solve", "k", "value")
         backend.put(store.namespace("solve"), encode_key("k"), b"\x80garbage!")
         assert store.get("solve", "k") is None
@@ -116,7 +98,7 @@ class TestDegradedMisses:
 
     def test_truncated_entry_is_a_miss(self):
         backend = MemoryBackend()
-        store = ContentStore(backend, local_entries=0)
+        store = ContentStore(backend)
         payload = pickle.dumps({"big": list(range(100))})
         backend.put(store.namespace("solve"), encode_key("k"), payload[: len(payload) // 2])
         assert store.get("solve", "k") is None
@@ -141,8 +123,9 @@ class TestDegradedMisses:
         store = ContentStore(FlakyBackend())
         store.put("solve", "k", "v")
         assert store.counters()["solve"]["errors"] == 1
-        # The local front still serves the value in-process.
-        assert store.get("solve", "k") == "v"
+        # Nothing was persisted, so a read misses (a Memo in front of the
+        # store still serves the value in-process, see test_memo.py).
+        assert store.get("solve", "k") is None
 
 
 class TestResolveStore:

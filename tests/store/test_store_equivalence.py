@@ -101,7 +101,6 @@ class TestMotivationalEquivalence:
         # rerun hits at least once per job (every job has >= 1 activation).
         counters = warm.store.counters()["activation"]
         assert counters["hits"] >= len(spec.jobs)
-        assert counters["local_hits"] == 0  # all served by the backend
 
 
 class TestProcessAndClusterEquivalence:
