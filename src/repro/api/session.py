@@ -377,10 +377,10 @@ class Session:
 
         ``executor`` routes the full-table regeneration through the
         distributed sweep engine (:func:`repro.dse.sweep.run_sweep`) instead
-        of the serial explorer: ``"serial"``, ``"thread"``, ``"process"`` or
-        ``"cluster"``, with ``workers`` parallel workers and an optional
-        content ``store`` (instance or path) memoising exploration tasks
-        across workers and reruns.  The resulting tables are bit-identical
+        of the serial explorer: one of :data:`repro.cluster.EXECUTORS`, with
+        ``workers`` parallel workers and an optional content ``store``
+        (instance or path) memoising exploration tasks across workers and
+        reruns.  The resulting tables are bit-identical
         to the serial path; only the wall time changes.  ``store=None``
         falls back to the session's own store.
         """

@@ -66,6 +66,7 @@ from repro.api.spec import (
     SchedulerSpec,
     WorkloadSpec,
 )
+from repro.cluster import EXECUTORS
 from repro.io import (
     load_json,
     save_json,
@@ -79,6 +80,12 @@ from repro.workload import EvaluationSuite
 from repro.workload.suite import scaled_census, table_iii_census
 
 
+_EXECUTOR_HELP = (
+    "shard coordinator mode (auto: serial for one worker, threads otherwise; "
+    "process and cluster: worker processes)"
+)
+
+
 def _add_service_options(parser: argparse.ArgumentParser) -> None:
     """The shared SimulationService flags (one definition for every command)."""
     parser.add_argument(
@@ -86,10 +93,9 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--executor",
-        choices=["auto", "serial", "thread", "process", "cluster"],
+        choices=EXECUTORS,
         default="auto",
-        help="fan-out backend (auto: serial for one worker, threads otherwise; "
-        "cluster: sharded process pool with work stealing)",
+        help=_EXECUTOR_HELP,
     )
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the activation cache"
@@ -285,10 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--executor",
-        choices=["serial", "thread", "process", "cluster"],
+        choices=EXECUTORS,
         default="serial",
-        help="sweep executor (serial: inline; thread/process/cluster: "
-        "shard coordinator with work stealing)",
+        help=_EXECUTOR_HELP,
     )
     sweep.add_argument(
         "--store", default=None, metavar="PATH",

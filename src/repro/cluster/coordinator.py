@@ -1,68 +1,82 @@
-"""Sharded batch execution with work stealing (:class:`ShardCoordinator`).
+"""Sharded execution with work stealing (:class:`ShardCoordinator`).
 
-The service's executors fan a batch out job-by-job; the coordinator instead
-splits a batch into contiguous **work units** (shards), gives every worker
+The coordinator is the one fan-out for batch and sweep work.  It splits a
+list of items into contiguous **work units** (shards), gives every worker
 its own unit deque, and lets idle workers *steal* from the busiest rival's
-tail — so a batch whose job costs are skewed (one census trace next to many
-motivational ones) still keeps every core busy without any cost model.
+tail — so a batch whose item costs are skewed (one census trace next to
+many motivational ones) still keeps every core busy without any cost model.
+What a unit *does* is the caller's ``unit(items) -> results`` function:
+:class:`~repro.service.pool.SimulationService` passes one that simulates
+jobs, :func:`~repro.dse.sweep.run_sweep` one that explores design points.
 
 Execution modes:
 
-* ``"thread"`` — units run on coordinator threads sharing the service's
-  activation/kernel caches (and, transitively, a bound content store);
-* ``"process"`` — units run in a shared :class:`ProcessPoolExecutor`; each
-  worker process opens the content store by its path token, so shards warm
-  each other through the store even across process boundaries.
+* ``"serial"`` — units run in the calling thread;
+* ``"thread"`` — units run on coordinator threads, each inside a copy of
+  the caller's :mod:`contextvars` context (so a :mod:`repro.obs` tracer
+  follows the work);
+* ``"process"`` — units run in a shared :class:`ProcessPoolExecutor`, so
+  ``unit`` and the items must pickle.
 
-Failure isolation is layered: a *job* that raises is already captured as an
-``error`` result inside :func:`~repro.service.pool._simulate`; a *shard*
-whose worker dies (a killed process, a broken pool) is retried up to
-``max_retries`` times — on a fresh pool when the old one broke — and only
-then marked failed, job by job, without touching any other shard.
+Failure isolation: a unit that raises — a killed worker process, a broken
+pool, any exception — is retried up to ``max_retries`` times (on a fresh
+pool when the old one broke), and only then are its items handed, one by
+one, to the caller's ``failure(index, error)``; no other shard is touched.
 
-Determinism: results are merged by absolute job index, so the batch
-fingerprint is independent of worker count, unit size, steal order and
-retry history — ``workers=1`` equals ``workers=N`` equals a warm-store
-rerun, which the equivalence tests pin down.
+Determinism: results are merged by absolute item index, so the output is
+independent of worker count, unit size, steal order and retry history —
+``workers=1`` equals ``workers=N`` equals a warm-store rerun, which the
+equivalence tests pin down.
+
+This module stays import-light: the DSE sweep imports it on every online
+run, so it loads neither :mod:`repro.service` nor
+:mod:`concurrent.futures.process` until a unit needs them.
 """
 
 from __future__ import annotations
 
+import contextvars
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.exceptions import WorkloadError
-from repro.kernel.caches import KernelCaches
-from repro.service.jobs import BatchSpec, SimulationJob
-from repro.service.pool import (
-    BatchResults,
-    SimulationResult,
-    _process_run_unit,
-    _simulate,
-)
-from repro.store.content import ContentStore
-from repro.store.memo import Memo
 
-#: Execution modes accepted by :class:`ShardCoordinator`.
-MODES = ("thread", "process")
+#: Executor names accepted by the batch service, the sweep and the CLI.
+EXECUTORS = ("auto", "serial", "thread", "process", "cluster")
+
+#: Execution modes of :class:`ShardCoordinator`.
+MODES = ("serial", "thread", "process")
 
 
-def _job_payload(job: SimulationJob) -> dict:
-    """Default payload converter: the job's JSON-serialisable dict form."""
-    return job.to_dict()
+def executor_mode(executor: str, workers: int) -> str:
+    """The coordinator mode an executor name selects.
+
+    ``"auto"`` is serial for one worker and threads otherwise;
+    ``"cluster"`` is the historical name of process mode.
+    """
+    if executor not in EXECUTORS:
+        raise WorkloadError(f"unknown executor {executor!r}; choose from {EXECUTORS}")
+    if executor == "auto":
+        return "serial" if workers == 1 else "thread"
+    return "process" if executor == "cluster" else executor
+
+
+def _process_run_unit(jobs, cache_size, store_token=None):
+    """Process-mode unit of a simulation batch; a harness may replace it."""
+    from repro.service import pool
+
+    return pool._process_run_unit(jobs, cache_size, store_token)
 
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """A contiguous shard of a batch: jobs ``start .. start+len(jobs)-1``."""
+    """A contiguous shard: items ``start .. start+len(jobs)-1``."""
 
     index: int
     start: int
-    jobs: tuple[SimulationJob, ...]
+    jobs: tuple[Any, ...]
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -70,7 +84,7 @@ class WorkUnit:
 
 @dataclass
 class CoordinatorStats:
-    """What the coordinator did to one batch (diagnostics, not results)."""
+    """What the coordinator did to one run (diagnostics, not results)."""
 
     units: int = 0
     steals: int = 0
@@ -89,7 +103,7 @@ class CoordinatorStats:
 
 
 def split_units(
-    jobs: Sequence[SimulationJob], workers: int, unit_size: int | None = None
+    jobs: Sequence[Any], workers: int, unit_size: int | None = None
 ) -> list[WorkUnit]:
     """Split ``jobs`` into contiguous work units.
 
@@ -113,6 +127,10 @@ def split_units(
     return units
 
 
+#: Placeholder of a result slot no unit has filled yet.
+_PENDING = object()
+
+
 class ShardCoordinator:
     """Dispatch work units to workers with stealing and bounded retry.
 
@@ -120,40 +138,15 @@ class ShardCoordinator:
     ----------
     workers:
         Concurrent workers (coordinator threads; in ``"process"`` mode each
-        one drives a slot of a shared process pool).
+        one drives a slot of a shared process pool).  ``"serial"`` mode has
+        one worker, the calling thread.
     mode:
-        ``"thread"`` or ``"process"`` (see module docstring).
+        ``"serial"``, ``"thread"`` or ``"process"`` (see module docstring).
     unit_size:
-        Jobs per shard; defaults to ``len(jobs) // (workers * 4)``.
+        Items per shard; defaults to ``len(items) // (workers * 4)``.
     max_retries:
-        How many times a failed *shard* is re-executed before its jobs are
-        recorded as errors.
-    cache:
-        Activation memo shared by ``"thread"``-mode units (optional).
-    kernel_caches:
-        Kernel warm-start caches shared by ``"thread"``-mode units.
-    cache_size:
-        Activation-memo bound handed to worker processes (0: no memo).
-    store:
-        The shared :class:`~repro.store.ContentStore`; process workers
-        reopen it via :meth:`~repro.store.ContentStore.process_token`.
-    thread_runner:
-        Optional ``job -> result`` callable executed per job in ``"thread"``
-        mode; defaults to the simulation runner.  Together with
-        ``process_entry``/``payload``/``failure`` this turns the coordinator
-        into a generic shard executor (the DSE sweep runs exploration tasks
-        through it) while the default wiring stays the simulation batch.
-    process_entry:
-        Optional top-level (picklable) ``(payloads, cache_size, token) ->
-        results`` function executed per unit in ``"process"`` mode; defaults
-        to the simulation unit entry.
-    payload:
-        Optional ``job -> picklable payload`` converter used before shipping
-        a unit to a worker process; defaults to ``job.to_dict()``.
-    failure:
-        Optional ``(job, error_message) -> result`` converter recording a
-        shard that exhausted its retries; defaults to
-        :meth:`SimulationResult.from_error`.
+        How many times a failed *shard* is re-executed before its items are
+        handed to ``failure``.
     """
 
     def __init__(
@@ -163,14 +156,6 @@ class ShardCoordinator:
         mode: str = "process",
         unit_size: int | None = None,
         max_retries: int = 2,
-        cache: Memo | None = None,
-        kernel_caches: KernelCaches | None = None,
-        cache_size: int = 4096,
-        store: ContentStore | None = None,
-        thread_runner: Callable | None = None,
-        process_entry: Callable | None = None,
-        payload: Callable | None = None,
-        failure: Callable | None = None,
     ):
         if workers < 1:
             raise WorkloadError(f"worker count must be positive, got {workers}")
@@ -178,55 +163,45 @@ class ShardCoordinator:
             raise WorkloadError(f"unknown cluster mode {mode!r}; choose from {MODES}")
         if max_retries < 0:
             raise WorkloadError("max_retries must be >= 0")
-        self.workers = workers
+        self.workers = 1 if mode == "serial" else workers
         self.mode = mode
         self.unit_size = unit_size
         self.max_retries = max_retries
-        self.cache = cache
-        self.kernel_caches = kernel_caches
-        self.cache_size = cache_size
-        self.store = store
-        self._thread_runner = thread_runner
-        self._process_entry = process_entry
-        self._payload = payload
-        self._failure = failure
         self.stats = CoordinatorStats()
-        self._pool: ProcessPoolExecutor | None = None
+        self._stats_lock = threading.Lock()
+        self._pool = None
         self._pool_generation = 0
         self._pool_lock = threading.Lock()
 
-    # ------------------------------------------------------------------ #
-    # Public surface
-    # ------------------------------------------------------------------ #
-    def run_batch(
-        self,
-        batch: BatchSpec | Sequence[SimulationJob],
-        progress: Callable[[int, SimulationResult], None] | None = None,
-    ) -> BatchResults:
-        """Shard, execute and deterministically merge one batch."""
-        jobs = list(batch.jobs if isinstance(batch, BatchSpec) else batch)
-        return BatchResults(self.run(jobs, progress))
-
     def run(
         self,
-        jobs: Sequence[SimulationJob],
-        progress: Callable[[int, SimulationResult], None] | None = None,
-    ) -> list[SimulationResult]:
-        """Execute ``jobs`` and return results in absolute job order."""
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        units = split_units(jobs, self.workers, self.unit_size)
+        items: Sequence[Any],
+        unit: Callable[[tuple], list],
+        failure: Callable[[int, str], Any],
+        progress: Callable[[int, Any], None] | None = None,
+    ) -> list:
+        """Execute ``items`` shard by shard; return results in item order.
+
+        ``unit(shard_items)`` returns one result per item of its shard.
+        ``failure(index, error)`` returns the result recorded for item
+        ``index`` when its shard ran out of retries.  ``progress(index,
+        result)`` fires for every item of a unit as soon as the unit
+        completes — completion order, on the worker that ran it (the
+        calling thread in ``"serial"`` mode), under the coordinator's
+        results lock.
+        """
+        items = list(items)
+        units = split_units(items, self.workers, self.unit_size)
         self.stats = CoordinatorStats(
             units=len(units), per_worker_units=[0] * self.workers
         )
-        results: list[SimulationResult | None] = [None] * len(jobs)
+        results: list = [_PENDING] * len(items)
         results_lock = threading.Lock()
 
         # Round-robin initial placement; worker i owns deque i.
         deques: list[deque[WorkUnit]] = [deque() for _ in range(self.workers)]
-        for unit in units:
-            deques[unit.index % self.workers].append(unit)
+        for shard in units:
+            deques[shard.index % self.workers].append(shard)
         queue_lock = threading.Lock()
 
         def take(worker: int) -> WorkUnit | None:
@@ -237,9 +212,7 @@ class ShardCoordinator:
                 # Steal from the tail of the longest rival deque — the tail
                 # shards are the ones their owner would reach last, so the
                 # steal does not fight the owner for its next unit.
-                rival = max(
-                    (d for d in deques if d), key=len, default=None
-                )
+                rival = max((d for d in deques if d), key=len, default=None)
                 if rival is None:
                     return None
                 self.stats.steals += 1
@@ -247,97 +220,90 @@ class ShardCoordinator:
 
         def worker_loop(worker: int) -> None:
             while True:
-                unit = take(worker)
-                if unit is None:
+                shard = take(worker)
+                if shard is None:
                     return
-                unit_results = self._run_unit_with_retry(unit)
+                shard_results = self._run_unit_with_retry(shard, unit, failure)
                 self.stats.per_worker_units[worker] += 1
                 with results_lock:
-                    for offset, result in enumerate(unit_results):
-                        results[unit.start + offset] = result
+                    for offset, result in enumerate(shard_results):
+                        results[shard.start + offset] = result
                     if progress is not None:
-                        for offset, result in enumerate(unit_results):
-                            progress(unit.start + offset, result)
+                        for offset, result in enumerate(shard_results):
+                            progress(shard.start + offset, result)
 
-        threads = [
-            threading.Thread(
-                target=worker_loop, args=(index,), name=f"shard-worker-{index}"
-            )
-            for index in range(self.workers)
-        ]
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            if self.mode == "serial":
+                worker_loop(0)
+            else:
+                # One context copy per thread: a context cannot be entered
+                # by two threads at once.
+                threads = [
+                    threading.Thread(
+                        target=contextvars.copy_context().run,
+                        args=(worker_loop, index),
+                        name=f"shard-worker-{index}",
+                    )
+                    for index in range(self.workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
         finally:
             self._shutdown_pool()
-        missing = [index for index, result in enumerate(results) if result is None]
-        if missing:  # pragma: no cover — the retry path always fills results
-            raise WorkloadError(f"shard coordinator lost results for jobs {missing}")
+        missing = [index for index, result in enumerate(results) if result is _PENDING]
+        if missing:
+            raise WorkloadError(f"shard coordinator lost results for items {missing}")
         return results
 
     # ------------------------------------------------------------------ #
     # Unit execution
     # ------------------------------------------------------------------ #
-    def _run_unit_with_retry(self, unit: WorkUnit) -> list[SimulationResult]:
-        """Execute one shard, retrying on worker death, then failing it."""
-        error: str = "unknown shard failure"
+    def _run_unit_with_retry(self, shard: WorkUnit, unit, failure) -> list:
+        """Execute one shard, retrying on any error, then failing it."""
+        error = "unknown shard failure"
         for attempt in range(self.max_retries + 1):
             if attempt:
-                self.stats.retries += 1
+                with self._stats_lock:
+                    self.stats.retries += 1
             try:
-                return self._execute_unit(unit)
-            except BrokenProcessPool as exc:
-                # The whole pool is gone — every concurrent shard sees this;
-                # each retries on a fresh pool.
-                self._invalidate_pool()
-                error = f"BrokenProcessPool: {exc}"
+                if self.mode == "process":
+                    return self._run_in_pool(unit, shard.jobs)
+                return unit(shard.jobs)
             except Exception as exc:  # noqa: BLE001 — shard-level isolation
                 error = f"{type(exc).__name__}: {exc}"
-        self.stats.failed_units += 1
-        if self._failure is not None:
-            return [self._failure(job, error) for job in unit.jobs]
-        return [SimulationResult.from_error(job, error) for job in unit.jobs]
+        with self._stats_lock:
+            self.stats.failed_units += 1
+        return [failure(shard.start + offset, error) for offset in range(len(shard))]
 
-    def _execute_unit(self, unit: WorkUnit) -> list[SimulationResult]:
-        if self.mode == "thread":
-            if self._thread_runner is not None:
-                return [self._thread_runner(job) for job in unit.jobs]
-            return [
-                _simulate(job, self.cache, self.kernel_caches) for job in unit.jobs
-            ]
+    def _run_in_pool(self, unit, items: tuple) -> list:
+        from concurrent.futures.process import BrokenProcessPool
+
         pool, generation = self._acquire_pool()
-        token = self.store.process_token() if self.store is not None else None
-        entry = self._process_entry if self._process_entry is not None else _process_run_unit
-        to_payload = self._payload if self._payload is not None else _job_payload
-        future = pool.submit(
-            entry,
-            [to_payload(job) for job in unit.jobs],
-            self.cache_size,
-            token,
-        )
         try:
-            return future.result()
+            return pool.submit(unit, items).result()
         except BrokenProcessPool:
+            # Drop only the pool this shard used: a rival shard may already
+            # have replaced it with a healthy one.
             self._invalidate_pool(generation)
             raise
 
     # ------------------------------------------------------------------ #
     # Shared process pool (recreated when broken)
     # ------------------------------------------------------------------ #
-    def _acquire_pool(self) -> tuple[ProcessPoolExecutor, int]:
+    def _acquire_pool(self):
         with self._pool_lock:
             if self._pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._pool = ProcessPoolExecutor(max_workers=self.workers)
                 self._pool_generation += 1
             return self._pool, self._pool_generation
 
-    def _invalidate_pool(self, generation: int | None = None) -> None:
+    def _invalidate_pool(self, generation: int) -> None:
         with self._pool_lock:
-            if generation is not None and generation != self._pool_generation:
-                return  # someone else already replaced the broken pool
-            if self._pool is not None:
+            if generation == self._pool_generation and self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
 
@@ -355,9 +321,11 @@ class ShardCoordinator:
 
 
 __all__ = [
+    "EXECUTORS",
     "MODES",
     "CoordinatorStats",
     "ShardCoordinator",
     "WorkUnit",
+    "executor_mode",
     "split_units",
 ]

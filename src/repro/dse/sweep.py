@@ -12,10 +12,12 @@ three performance layers that already exist:
   ``(platform, variant, scale)`` exploration tasks and records how many
   evaluations that saved (``explorations_deduped``).
 * **Execute** — tasks fan out through the
-  :class:`~repro.cluster.ShardCoordinator` (thread/process/cluster executors,
-  work stealing, bounded retry); the :class:`~repro.store.ContentStore`
-  memoises finished tasks under the ``"dse"`` kind so shards warm each other
-  across workers and across reruns.
+  :class:`~repro.cluster.ShardCoordinator` in the mode every executor name
+  selects (serial, thread or process; work stealing, bounded retry, one
+  :class:`~repro.exceptions.WorkloadError` naming the first failed task);
+  the :class:`~repro.store.ContentStore` memoises finished tasks under the
+  ``"dse"`` kind so shards warm each other across workers and across
+  reruns.
 * **Merge** — shard results stream, in plan order, into one incremental
   Pareto frontier per (platform, variant); the resulting tables are
   bit-identical to :meth:`DesignSpaceExplorer.explore` and are summarised by
@@ -35,11 +37,13 @@ worker count, store temperature and ``REPRO_SOLVER_NUMPY`` mode.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from repro.cluster.coordinator import EXECUTORS, ShardCoordinator, executor_mode
 from repro.core.config import ConfigTable, OperatingPoint
 from repro.dataflow.applications import paper_applications
 from repro.dataflow.graph import KPNGraph
@@ -51,12 +55,6 @@ from repro.obs import tracer as obs
 from repro.platforms.platform import Platform
 from repro.store.content import ContentStore, resolve_store
 from repro.workload.suite import EvaluationSuite, scaled_census
-
-#: Executors accepted by :func:`run_sweep`.  ``"serial"`` runs inline;
-#: the rest map onto :class:`~repro.cluster.ShardCoordinator` modes
-#: (``"process"`` and ``"cluster"`` are synonyms — the cluster coordinator
-#: *is* the process fan-out with work stealing and store warm starts).
-EXECUTORS = ("serial", "thread", "process", "cluster")
 
 #: Content-store namespace of memoised exploration tasks.  Bump when the
 #: exploration pipeline changes incompatibly.
@@ -401,33 +399,14 @@ def run_exploration_task(
     return {"points": points, "cached": False}
 
 
-@dataclass(frozen=True)
-class _TaskFailure:
-    """Sentinel recorded when a shard exhausted its retries."""
-
-    variant: str
-    scale: float
-    error: str
-
-
-def _sweep_task_failure(task: ExplorationTask, error: str) -> _TaskFailure:
-    return _TaskFailure(variant=task.variant, scale=task.scale, error=error)
-
-
-def _sweep_process_entry(
-    tasks: list[ExplorationTask], cache_size: int, token: str | None
-) -> list[dict]:
-    """Unit entry point inside a worker process (pickled by the pool)."""
+def _explore_in_worker(token: str | None, tasks) -> list[dict]:
+    """Process-mode unit: explore ``tasks`` on the store reopened by token."""
     store = ContentStore.open(token) if token else None
     try:
         return [run_exploration_task(task, store) for task in tasks]
     finally:
         if store is not None:
             store.close()
-
-
-def _task_identity(task: ExplorationTask) -> ExplorationTask:
-    return task
 
 
 # ---------------------------------------------------------------------- #
@@ -700,20 +679,19 @@ def run_sweep(
     platforms:
         Live platforms overriding the spec's registry names.
     executor:
-        One of :data:`EXECUTORS`; ``"serial"`` runs inline, the others fan
-        the plan out through a :class:`~repro.cluster.ShardCoordinator`.
+        One of :data:`EXECUTORS`, naming the
+        :class:`~repro.cluster.ShardCoordinator` mode the plan's tasks run
+        in (:func:`~repro.cluster.executor_mode`).
     workers, unit_size, max_retries:
-        Coordinator knobs (ignored by the serial executor).
+        Coordinator knobs (``"serial"`` runs one worker).
     store:
         Content store (or path) memoising exploration tasks and Lagrangian
         solves across workers and reruns; ``None`` consults ``REPRO_STORE``.
     progress:
-        Optional ``(task_index, outcome) -> None`` callback.
+        Optional ``(task_index, outcome) -> None`` callback, fired as each
+        work unit completes (``outcome`` is ``None`` for a failed task).
     """
-    if executor not in EXECUTORS:
-        raise WorkloadError(
-            f"unknown sweep executor {executor!r}; choose from {EXECUTORS}"
-        )
+    mode = executor_mode(executor, workers)
     store = resolve_store(store)
 
     with obs.span("sweep.plan", category="sweep") as span:
@@ -724,37 +702,25 @@ def run_sweep(
     with obs.span(
         "sweep.execute", category="sweep", executor=executor, workers=workers
     ) as span:
-        coordinator_stats = None
-        if executor == "serial":
-            outcomes: list = []
-            for index, task in enumerate(plan.tasks):
-                outcome = run_exploration_task(task, store)
-                outcomes.append(outcome)
-                if progress is not None:
-                    progress(index, outcome)
+        if mode == "process":
+            token = store.process_token() if store is not None else None
+            unit = functools.partial(_explore_in_worker, token)
         else:
-            from repro.cluster.coordinator import ShardCoordinator
 
-            mode = "thread" if executor == "thread" else "process"
-            coordinator = ShardCoordinator(
-                workers,
-                mode=mode,
-                unit_size=unit_size,
-                max_retries=max_retries,
-                store=store,
-                thread_runner=lambda task: run_exploration_task(task, store),
-                process_entry=_sweep_process_entry,
-                payload=_task_identity,
-                failure=_sweep_task_failure,
-            )
-            outcomes = coordinator.run(plan.tasks, progress)
-            coordinator_stats = coordinator.stats.as_dict()
-        failures = [o for o in outcomes if isinstance(o, _TaskFailure)]
-        if failures:
-            first = failures[0]
+            def unit(tasks):
+                return [run_exploration_task(task, store) for task in tasks]
+
+        failed: dict[int, str] = {}
+        coordinator = ShardCoordinator(
+            workers, mode=mode, unit_size=unit_size, max_retries=max_retries
+        )
+        outcomes = coordinator.run(plan.tasks, unit, failed.__setitem__, progress)
+        if failed:
+            first = min(failed)
+            task = plan.tasks[first]
             raise WorkloadError(
-                f"{len(failures)} exploration task(s) failed; first: "
-                f"{first.variant}@{first.scale}: {first.error}"
+                f"{len(failed)} exploration task(s) failed; first: "
+                f"{task.variant}@{task.scale}: {failed[first]}"
             )
         store_hits = sum(1 for outcome in outcomes if outcome["cached"])
         span.annotate(tasks=len(plan.tasks), store_hits=store_hits)
@@ -781,8 +747,7 @@ def run_sweep(
     stats["store"] = store is not None
     stats["store_hits"] = store_hits
     stats["store_misses"] = len(plan.tasks) - store_hits
-    if coordinator_stats is not None:
-        stats["coordinator"] = coordinator_stats
+    stats["coordinator"] = coordinator.stats.as_dict()
     if solver_stats:
         stats["solver"] = solver_stats
     return SweepResult(

@@ -19,9 +19,10 @@ Modules
   :class:`CachingScheduler`: an ``activation`` :class:`~repro.store.memo.Memo`
   over canonical scheduling-problem signatures, so structurally identical
   activations across traces are solved once.
-* :mod:`repro.service.pool` — :class:`SimulationService`: serial, threaded,
-  multi-process or cluster fan-out with per-job seeding, failure isolation
-  and ordered, bit-reproducible results.
+* :mod:`repro.service.pool` — :class:`SimulationService`: batches fanned
+  out through one :class:`~repro.cluster.ShardCoordinator` (serial, thread
+  or process mode) with per-job seeding, failure isolation and ordered,
+  bit-reproducible results.
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics`: counters and
   histograms (acceptance rate, search time, energy, cache hit rate) with a
   ``snapshot()`` the CLI prints.
@@ -59,7 +60,7 @@ Cache keys are canonical problem signatures — capacity, table content
 fingerprints, sorted job residuals and *relative* deadlines, scheduler name —
 so hits are exact modulo a time shift and request renaming.  One cache is
 shared across all traces of a batch (per worker process under the
-``"process"`` executor).
+``"process"`` and ``"cluster"`` executors).
 
 The corresponding CLI entry point is ``repro-rm batch`` (see
 :mod:`repro.cli`).

@@ -261,6 +261,11 @@ class SimulationJob:
             ),
         )
 
+    def __reduce__(self):
+        # A job pickles as its JSON form, so a worker process rebuilds live
+        # tables and platforms itself instead of unpickling the parent's.
+        return SimulationJob.from_dict, (self.to_dict(),)
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SimulationJob):
             return NotImplemented

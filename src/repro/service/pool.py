@@ -4,16 +4,17 @@
 into a :class:`BatchResults`: every job is materialised, simulated by its own
 :class:`~repro.runtime.manager.RuntimeManager` (with an optional shared
 activation :class:`~repro.store.memo.Memo`) and summarised into a
-picklable :class:`SimulationResult`.  Four executors are available:
+picklable :class:`SimulationResult`.  Every batch runs through one
+:class:`~repro.cluster.ShardCoordinator` — work units, work stealing and
+bounded shard retry — in the mode its executor name selects
+(:func:`~repro.cluster.executor_mode`):
 
-* ``"serial"`` — run in the calling thread (the ``workers=1`` default);
-* ``"thread"`` — a thread pool sharing one activation cache, so repeated
-  activations *across* traces hit;
-* ``"process"`` — a process pool for CPU parallelism; each worker keeps a
-  process-local cache (cache statistics are not aggregated in this mode);
-* ``"cluster"`` — the :class:`~repro.cluster.ShardCoordinator`: the batch is
-  split into work units executed by a process pool with work stealing and
-  bounded shard retry.
+* ``"serial"`` — the calling thread (``"auto"`` with one worker);
+* ``"thread"`` — coordinator threads sharing one activation cache, so
+  repeated activations *across* traces hit (``"auto"`` with more workers);
+* ``"process"`` or ``"cluster"`` — a process pool for CPU parallelism; each
+  worker keeps a process-local cache (cache statistics are not aggregated
+  in this mode).
 
 A service may additionally be bound to a persistent
 :class:`~repro.store.ContentStore` (``store=`` or the ``REPRO_STORE``
@@ -39,17 +40,18 @@ job's ``error`` string; the rest of the batch is unaffected.
 
 from __future__ import annotations
 
-import contextvars
+import functools
 import hashlib
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.analysis.experiments import SchedulerRun, SuiteResults
 from repro.analysis.stats import BoxplotStats
 from repro.api.registry import governors as _governors
 from repro.api.registry import schedulers as _schedulers
+from repro.cluster import coordinator as _coordinator
+from repro.cluster.coordinator import ShardCoordinator, executor_mode
 from repro.energy.budget import EnergyBudget
 from repro.exceptions import WorkloadError
 from repro.kernel.caches import KernelCaches
@@ -60,9 +62,6 @@ from repro.service.jobs import BatchSpec, SimulationJob
 from repro.service.metrics import ServiceMetrics
 from repro.store.content import ContentStore, resolve_store
 from repro.store.memo import Memo
-
-#: Executor names accepted by :class:`SimulationService`.
-EXECUTORS = ("auto", "serial", "thread", "process", "cluster")
 
 
 @dataclass(frozen=True)
@@ -379,9 +378,9 @@ def _process_store(store_token: str | None) -> ContentStore | None:
 
 
 def _process_simulate(
-    job_data: Mapping, cache_size: int, store_token: str | None = None
+    job: SimulationJob, cache_size: int, store_token: str | None = None
 ) -> SimulationResult:
-    """Worker-process entry point: rebuild the job and simulate it."""
+    """Simulate one job inside a worker process, on its process caches."""
     global _PROCESS_CACHE, _PROCESS_KERNEL_CACHES
     store = _process_store(store_token)
     cache = None
@@ -398,17 +397,18 @@ def _process_simulate(
         or _PROCESS_KERNEL_CACHES.solve_cache.store is not store
     ):
         _PROCESS_KERNEL_CACHES = KernelCaches(store)
-    return _simulate(SimulationJob.from_dict(job_data), cache, _PROCESS_KERNEL_CACHES)
+    return _simulate(job, cache, _PROCESS_KERNEL_CACHES)
 
 
 def _process_run_unit(
-    job_datas: Sequence[Mapping], cache_size: int, store_token: str | None = None
+    jobs: Sequence[SimulationJob], cache_size: int, store_token: str | None = None
 ) -> list[SimulationResult]:
-    """Worker-process entry point for one shard (see :mod:`repro.cluster`)."""
-    return [
-        _process_simulate(job_data, cache_size, store_token)
-        for job_data in job_datas
-    ]
+    """Worker-process entry point for one shard (see :mod:`repro.cluster`).
+
+    Each job crossed the process boundary as its JSON form
+    (``SimulationJob.__reduce__``), never as live tables or platforms.
+    """
+    return [_process_simulate(job, cache_size, store_token) for job in jobs]
 
 
 class SimulationService:
@@ -464,12 +464,9 @@ class SimulationService:
     ):
         if workers < 1:
             raise WorkloadError(f"worker count must be positive, got {workers}")
-        if executor not in EXECUTORS:
-            raise WorkloadError(
-                f"unknown executor {executor!r}; choose from {EXECUTORS}"
-            )
         self.workers = workers
         self.executor = executor
+        self._mode = executor_mode(executor, workers)
         self.use_cache = use_cache
         self.cache_size = cache_size
         self.store = resolve_store(store)
@@ -481,7 +478,7 @@ class SimulationService:
             else None
         )
         self.metrics = metrics if metrics is not None else ServiceMetrics()
-        #: Shard statistics of the most recent ``"cluster"`` batch.
+        #: Shard statistics of the most recent batch (any executor).
         self.cluster_stats = None
         #: Incremental-kernel warm starts shared by every job of every batch
         #: this service runs (content-keyed, hence safe across heterogeneous
@@ -502,30 +499,43 @@ class SimulationService:
     ) -> BatchResults:
         """Simulate every job of the batch and return ordered results.
 
-        ``progress`` (if given) is called as ``progress(index, result)`` from
-        the coordinating thread whenever a job completes — completion order,
-        not job order.  The returned results are always in job order.
+        The batch runs through one :class:`~repro.cluster.ShardCoordinator`
+        in the mode the executor selects.  ``progress`` (if given) is called
+        as ``progress(index, result)`` for every job of a work unit as soon
+        as that unit completes — completion order, not job order — on the
+        worker thread that ran it (the calling thread for ``"serial"``),
+        under the coordinator's results lock.  The returned results are
+        always in job order.
         """
         jobs = list(batch.jobs if isinstance(batch, BatchSpec) else batch)
-        if not jobs:
-            return BatchResults(())
-        executor = self.executor
-        if executor == "auto":
-            executor = "serial" if self.workers == 1 else "thread"
+        if self._mode == "process":
+            # Looked up per batch: the coordinator's binding is a seam a
+            # harness may replace.
+            unit = functools.partial(
+                _coordinator._process_run_unit,
+                cache_size=self.cache.bound if self.cache is not None else 0,
+                store_token=(
+                    self.store.process_token() if self.store is not None else None
+                ),
+            )
+        else:
+
+            def unit(shard):
+                return [_simulate(job, self.cache, self.kernel_caches) for job in shard]
 
         cache_before = self.cache.info() if self.cache is not None else None
-        if executor == "serial":
-            results = self._run_serial(jobs, progress)
-        elif executor == "thread":
-            results = self._run_threads(jobs, progress)
-        elif executor == "cluster":
-            results = self._run_cluster(jobs, progress)
-        else:
-            results = self._run_processes(jobs, progress)
+        coordinator = ShardCoordinator(self.workers, mode=self._mode)
+        results = coordinator.run(
+            jobs,
+            unit,
+            lambda index, error: SimulationResult.from_error(jobs[index], error),
+            progress,
+        )
+        self.cluster_stats = coordinator.stats
 
         for result in results:
             self.metrics.observe_result(result)
-        if self.cache is not None and executor not in ("process", "cluster"):
+        if self.cache is not None and self._mode != "process":
             after = self.cache.info()
             self.metrics.observe_cache(
                 {
@@ -534,70 +544,6 @@ class SimulationService:
                 }
             )
         return BatchResults(results)
-
-    def _run_serial(self, jobs, progress) -> list[SimulationResult]:
-        results = []
-        for index, job in enumerate(jobs):
-            result = _simulate(job, self.cache, self.kernel_caches)
-            results.append(result)
-            if progress is not None:
-                progress(index, result)
-        return results
-
-    def _run_threads(self, jobs, progress) -> list[SimulationResult]:
-        results: list[SimulationResult | None] = [None] * len(jobs)
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            # Each job runs inside a copy of the submitting thread's
-            # contextvars context, so context-propagated state (a repro.obs
-            # tracer) follows the simulations onto the pool threads.
-            futures = {
-                pool.submit(
-                    contextvars.copy_context().run,
-                    _simulate,
-                    job,
-                    self.cache,
-                    self.kernel_caches,
-                ): index
-                for index, job in enumerate(jobs)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                if progress is not None:
-                    progress(index, results[index])
-        return results
-
-    def _run_processes(self, jobs, progress) -> list[SimulationResult]:
-        cache_size = self.cache.bound if self.cache is not None else 0
-        token = self.store.process_token() if self.store is not None else None
-        results: list[SimulationResult | None] = [None] * len(jobs)
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            futures = {
-                pool.submit(
-                    _process_simulate, job.to_dict(), cache_size, token
-                ): index
-                for index, job in enumerate(jobs)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                results[index] = future.result()
-                if progress is not None:
-                    progress(index, results[index])
-        return results
-
-    def _run_cluster(self, jobs, progress) -> list[SimulationResult]:
-        # Imported lazily: repro.cluster imports this module.
-        from repro.cluster.coordinator import ShardCoordinator
-
-        coordinator = ShardCoordinator(
-            self.workers,
-            mode="process",
-            cache_size=self.cache.bound if self.cache is not None else 0,
-            store=self.store,
-        )
-        results = coordinator.run(jobs, progress)
-        self.cluster_stats = coordinator.stats
-        return results
 
     def __repr__(self) -> str:
         return (

@@ -82,6 +82,9 @@ class TestDeterminismMatrix:
         result = run_sweep(SPEC, executor=executor, workers=2)
         assert result.frontier_fingerprint == reference.frontier_fingerprint
         assert result.points == reference.points
+        for run in (reference, result):  # every executor is a coordinator mode
+            assert run.stats["coordinator"]["units"] > 0
+            assert run.stats["coordinator"]["failed_units"] == 0
 
     def test_solver_backend_does_not_change_answers(self, reference):
         with solver_numpy_override(False):
@@ -194,17 +197,38 @@ class TestCoordinatorHooks:
     def test_failure_hook_replaces_default_simulation_error(self):
         from repro.cluster.coordinator import ShardCoordinator
 
-        def boom(job):
+        def boom(items):
             raise RuntimeError("shard exploded")
 
-        coordinator = ShardCoordinator(
-            1,
-            mode="thread",
-            max_retries=1,
-            thread_runner=boom,
-            failure=lambda job, error: ("failed", job, error),
+        coordinator = ShardCoordinator(1, mode="thread", max_retries=1)
+        results = coordinator.run(
+            ["j1", "j2"], boom, lambda index, error: ("failed", index, error)
         )
-        results = coordinator.run(["j1", "j2"])
         assert [r[0] for r in results] == ["failed", "failed"]
-        assert [r[1] for r in results] == ["j1", "j2"]
+        assert [r[1] for r in results] == [0, 1]
         assert all("shard exploded" in r[2] for r in results)
+        assert coordinator.stats.failed_units == 2  # one-item units
+
+
+class TestTaskFailures:
+    def test_failing_task_raises_the_same_error_on_every_executor(self, monkeypatch):
+        import repro.dse.sweep as sweep_module
+
+        doomed = plan_sweep(SPEC).tasks[1]
+        explore = sweep_module.run_exploration_task
+
+        def flaky(task, store=None):
+            if (task.variant, task.scale) == (doomed.variant, doomed.scale):
+                raise RuntimeError("exploration exploded")
+            return explore(task, store)
+
+        monkeypatch.setattr(sweep_module, "run_exploration_task", flaky)
+        messages = set()
+        for executor in ("serial", "thread"):
+            with pytest.raises(WorkloadError) as info:
+                run_sweep(SPEC, executor=executor, workers=2, unit_size=1, max_retries=1)
+            messages.add(str(info.value))
+        assert messages == {
+            "1 exploration task(s) failed; first: "
+            f"{doomed.variant}@{doomed.scale}: RuntimeError: exploration exploded"
+        }
