@@ -10,8 +10,8 @@ once (platform, tables — lazily, cached) and exposes every way of running it:
   the run is still in flight.
 * :meth:`Session.run_batch` — fan the spec out into seeded trials through
   the concurrent :class:`~repro.service.pool.SimulationService`.
-* :meth:`Session.explore` — (re)generate operating-point tables with the
-  :class:`~repro.dse.DesignSpaceExplorer` per the spec's DSE section.
+* :meth:`Session.explore` — resolve the spec's DSE section into
+  operating-point tables (or run it through the distributed sweep).
 
 The facade composes the existing subsystems; it adds no behaviour of its
 own, so ``Session.from_spec(spec).run()`` is bit-identical to wiring the
@@ -205,7 +205,12 @@ class Session:
 
     @property
     def tables(self) -> Mapping:
-        """The application → configuration-table mapping (resolved once)."""
+        """The application → configuration-table mapping (resolved once).
+
+        Named and DSE table sets resolve through the per-process memo of
+        :func:`repro.dse.tables.design_tables`, so a new session on a known
+        set never re-runs the exploration.
+        """
         if self._tables is None:
             self._tables = self._spec.resolve_tables(self.platform)
         return self._tables
@@ -368,16 +373,18 @@ class Session:
     ):
         """Run the DSE flow of the spec's ``dse`` section.
 
-        Without arguments, regenerates the full per-application table set on
-        the session's platform and caches it as the session tables (so a
-        subsequent :meth:`run` schedules against the freshly explored
-        points).  With ``graph``, explores that one KPN graph and returns
-        its :class:`~repro.core.config.ConfigTable` without touching the
+        Without arguments, resolves the full per-application table set on
+        the session's platform through the per-process memo of
+        :func:`repro.dse.tables.design_tables` (the DSE runs only on its
+        first miss) and caches it as the session tables, so a subsequent
+        :meth:`run` schedules against those points.  With ``graph``,
+        explores that one KPN graph and returns its
+        :class:`~repro.core.config.ConfigTable` without touching the
         session state.
 
-        ``executor`` routes the full-table regeneration through the
+        ``executor`` runs the full-table exploration through the
         distributed sweep engine (:func:`repro.dse.sweep.run_sweep`) instead
-        of the serial explorer: one of :data:`repro.cluster.EXECUTORS`, with
+        of the memo: one of :data:`repro.cluster.EXECUTORS`, with
         ``workers`` parallel workers and an optional content ``store``
         (instance or path) memoising exploration tasks across workers and
         reruns.  The resulting tables are bit-identical

@@ -378,15 +378,17 @@ class DSESpec:
             )
 
     def build_tables(self, platform=None):
-        """Run the DSE flow and return the operating-point tables."""
-        from repro.dse import paper_operating_points, reduced_tables
+        """The operating-point tables on ``platform`` (Odroid XU4 by default).
 
-        tables = paper_operating_points(
-            platform, input_sizes=self.input_sizes, sweep_opps=self.sweep_opps
+        Resolved through :func:`repro.dse.tables.design_tables`, so the DSE
+        runs at most once per process for each platform and option set;
+        every call returns a fresh mapping.
+        """
+        from repro.dse.tables import design_tables
+
+        return design_tables(
+            platform, self.input_sizes, self.sweep_opps, self.max_points
         )
-        if self.max_points is not None:
-            tables = reduced_tables(tables, max_points=self.max_points)
-        return tables
 
     def to_dict(self) -> dict:
         data: dict[str, Any] = {}
@@ -445,6 +447,14 @@ class ExperimentSpec:
                 f"experiment spec: unknown engine {self.engine!r}; "
                 f"choose from {ENGINES}"
             )
+        if self.tables is not None:
+            from repro.workload import TABLE_SETS
+
+            if self.tables not in TABLE_SETS:
+                raise WorkloadError(
+                    f"experiment spec: unknown table set {self.tables!r}; "
+                    f"choose from {sorted(TABLE_SETS)}"
+                )
         if self.tables is not None and self.tables_inline is not None:
             raise WorkloadError(
                 "experiment spec: tables and tables_inline are mutually exclusive"
@@ -496,9 +506,9 @@ class ExperimentSpec:
         This is the bridge into :class:`~repro.service.pool.SimulationService`
         batches: one spec fans out into many jobs (one per trial seed).
         ``tables`` injects already-materialised tables (the
-        :class:`~repro.api.session.Session` cache) — essential for
-        DSE-generated tables, which would otherwise be re-explored by every
-        job of a batch.
+        :class:`~repro.api.session.Session` cache), so the jobs of a batch
+        carry one mapping.  Named sets travel by name; inline and DSE
+        tables are resolved here (DSE ones through the per-process memo).
         """
         from repro.service.jobs import SimulationJob, TraceSpec
 

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -49,11 +48,12 @@ from repro.dataflow.applications import paper_applications
 from repro.dataflow.graph import KPNGraph
 from repro.dse.explorer import DesignSpaceExplorer
 from repro.dse.pareto import pareto_front
-from repro.dse.tables import reduced_tables
+from repro.dse.tables import platform_fingerprint, reduced_tables
 from repro.exceptions import WorkloadError
 from repro.obs import tracer as obs
 from repro.platforms.platform import Platform
 from repro.store.content import ContentStore, resolve_store
+from repro.store.memo import Memo
 from repro.workload.suite import EvaluationSuite, scaled_census
 
 #: Content-store namespace of memoised exploration tasks.  Bump when the
@@ -155,20 +155,6 @@ class SweepSpec:
 # ---------------------------------------------------------------------- #
 # Fingerprints
 # ---------------------------------------------------------------------- #
-def platform_fingerprint(platform: Platform) -> str:
-    """Content fingerprint of a platform, OPP ladders included.
-
-    Two registry entries that build value-identical platforms collide — the
-    planner then explores the design space once for both.  The ladder is part
-    of the content because :func:`~repro.energy.opp.scaled_platform` derives
-    the scaled platforms from it.
-    """
-    from repro.io.serialization import platform_to_dict
-
-    payload = json.dumps(platform_to_dict(platform), sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-
 def graph_fingerprint(graph: KPNGraph) -> str:
     """Content fingerprint of a KPN graph (processes, cycles, channels)."""
     payload = repr(
@@ -364,14 +350,14 @@ def plan_sweep(
 #: its allocation enumeration and scaled-platform cache across every task the
 #: worker executes — the kernel-style incrementality of the serial path,
 #: preserved inside each worker.
-_EXPLORERS: dict[str, DesignSpaceExplorer] = {}
+_EXPLORERS = Memo("explorer", 8)
 
 
 def _explorer_for(task: ExplorationTask) -> DesignSpaceExplorer:
     explorer = _EXPLORERS.get(task.platform_fp)
     if explorer is None:
         explorer = DesignSpaceExplorer(task.platform)
-        _EXPLORERS[task.platform_fp] = explorer
+        _EXPLORERS.put(task.platform_fp, explorer)
     return explorer
 
 

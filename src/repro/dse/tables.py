@@ -2,19 +2,85 @@
 
 These helpers run the full DSE pipeline (application model → allocations →
 mapping → simulation → Pareto filter) for the three paper applications and
-all their input-size variants on a given platform.  They are the entry point
-used by the evaluation workload and the benchmarks.
+all their input-size variants on a given platform.  As in the paper, the
+tables are computed once at design time: :func:`design_tables` memoises them
+per process behind :meth:`~repro.api.spec.DSESpec.build_tables` and
+:func:`~repro.workload.named_tables`; :func:`paper_operating_points` is the
+un-memoised primitive.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 from typing import Mapping
 
 from repro.core.config import ConfigTable
 from repro.dataflow.applications import paper_applications
 from repro.dse.explorer import DesignSpaceExplorer
+from repro.exceptions import WorkloadError
 from repro.platforms.odroid import odroid_xu4
 from repro.platforms.platform import Platform
+from repro.store.memo import Memo
+
+#: Explored table sets by (platform fingerprint, input sizes, OPP sweep, cap).
+#: Values are plain dicts of immutable ConfigTables that never leave the memo:
+#: every caller gets its own copy of the mapping.
+_TABLES = Memo("tables", 16)
+
+
+def platform_fingerprint(platform: Platform) -> str:
+    """Content fingerprint of a platform, OPP ladders included.
+
+    Two registry entries that build value-identical platforms collide — the
+    sweep planner then explores the design space once for both, and
+    :func:`design_tables` shares one memo entry.  The ladder is part of the
+    content because :func:`~repro.energy.opp.scaled_platform` derives the
+    scaled platforms from it.
+    """
+    from repro.io.serialization import platform_to_dict
+
+    payload = json.dumps(platform_to_dict(platform), sort_keys=True)
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def design_tables(
+    platform: Platform | None = None,
+    input_sizes: tuple[str, ...] | None = None,
+    sweep_opps: bool = False,
+    max_points: int | None = None,
+) -> dict[str, ConfigTable]:
+    """The design-time tables, explored at most once per process.
+
+    Same parameters as :func:`paper_operating_points`, plus ``max_points``
+    (:func:`reduced_tables` applied to the full set, so a reduced set and
+    its full set share one exploration).  The result is memoised by the
+    platform's content fingerprint and the options; each call returns a
+    fresh ``dict`` over the shared, immutable tables.  Errors are never
+    memoised.
+
+    Raises
+    ------
+    WorkloadError
+        When ``input_sizes`` matches no application variant.
+    """
+    platform = platform or odroid_xu4()
+    if input_sizes is not None:
+        input_sizes = tuple(input_sizes)
+    key = (platform_fingerprint(platform), input_sizes, sweep_opps, max_points)
+    tables = _TABLES.get(key)
+    if tables is None:
+        if max_points is None:
+            tables = paper_operating_points(platform, input_sizes, sweep_opps)
+            if not tables:
+                raise WorkloadError(
+                    f"no application variants match input_sizes={input_sizes!r}"
+                )
+        else:
+            full = design_tables(platform, input_sizes, sweep_opps)
+            tables = reduced_tables(full, max_points=max_points)
+        _TABLES.put(key, tables)
+    return dict(tables)
 
 
 def paper_operating_points(
@@ -23,6 +89,9 @@ def paper_operating_points(
     sweep_opps: bool = False,
 ) -> dict[str, ConfigTable]:
     """Operating-point tables for every application/input-size variant.
+
+    Runs the DSE on every call; :func:`design_tables` is the memoised
+    resolver the library uses.
 
     Parameters
     ----------

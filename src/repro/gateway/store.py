@@ -13,7 +13,9 @@ Named sessions add spec-level reuse on top: submitting with
 platform and resolved tables included — alive under that name, so repeat
 submissions of the *same* spec skip table resolution entirely.  A named
 session whose spec changes is transparently rebuilt (the caches persist;
-they are keyed by content, not by name).
+they are keyed by content, not by name).  Fresh sessions, anonymous ones
+included, resolve named and DSE table sets through the per-process memo of
+:func:`repro.dse.tables.design_tables`, so no submission re-runs the DSE.
 
 Tenants are isolated from each other by construction: nothing in one
 tenant's store is reachable from another's.  A gateway configured with a

@@ -39,7 +39,7 @@ from repro.io import (
 )
 from repro.platforms import Platform
 from repro.runtime.trace import RequestTrace, poisson_trace
-from repro.workload import named_tables
+from repro.workload import TABLE_SETS, named_tables
 
 #: The scheduler plugin registry (see :mod:`repro.api.registry`).  Kept under
 #: its historical name: the registry is a read-only Mapping, so legacy code
@@ -154,6 +154,11 @@ class SimulationJob:
             raise WorkloadError(
                 f"job {self.name!r}: unknown engine {self.engine!r}; "
                 f"choose from {ENGINES}"
+            )
+        if isinstance(self.tables, str) and self.tables not in TABLE_SETS:
+            raise WorkloadError(
+                f"job {self.name!r}: unknown table set {self.tables!r}; "
+                f"choose from {sorted(TABLE_SETS)}"
             )
         if self.governor is not None:
             from repro.api.registry import governors

@@ -20,8 +20,13 @@ from repro.workload.motivational import (
     scenario_s2,
 )
 
+#: The DSE-generated sets as the ``max_points`` cap of a default
+#: ``DSESpec`` on the Odroid XU4: ``"paper"`` is ``DSESpec()`` and
+#: ``"paper-reduced"`` is ``DSESpec(max_points=8)``.
+_DSE_TABLE_SETS = {"paper": None, "paper-reduced": 8}
+
 #: Names accepted by :func:`named_tables`.
-TABLE_SETS = ("motivational", "paper", "paper-reduced")
+TABLE_SETS = ("motivational", *_DSE_TABLE_SETS)
 
 
 def named_tables(name: str):
@@ -32,20 +37,19 @@ def named_tables(name: str):
     * ``"paper-reduced"`` — the DSE tables capped at 8 points per app (the
       size used for the EX-MEM comparison).
 
-    The registry gives declarative specs (batch files, CLI arguments) a
-    stable vocabulary without embedding table contents.
+    The two DSE sets resolve through :func:`repro.dse.tables.design_tables`,
+    so they share one exploration per process; every call returns a fresh
+    mapping.  The registry gives declarative specs (batch files, CLI
+    arguments) a stable vocabulary without embedding table contents.
     """
     if name == "motivational":
         return motivational_tables()
-    if name in ("paper", "paper-reduced"):
+    if name in _DSE_TABLE_SETS:
         # Local import: the DSE flow is comparatively heavy and only needed
         # when a paper-scale table set is actually requested.
-        from repro.dse import paper_operating_points, reduced_tables
+        from repro.dse.tables import design_tables
 
-        tables = paper_operating_points()
-        if name == "paper-reduced":
-            tables = reduced_tables(tables, max_points=8)
-        return tables
+        return design_tables(max_points=_DSE_TABLE_SETS[name])
     raise WorkloadError(
         f"unknown table set {name!r}; choose from {sorted(TABLE_SETS)}"
     )

@@ -116,6 +116,16 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             ExperimentSpec(tables=None, tables_inline=None, dse=None)
 
+    def test_unknown_table_set_is_rejected_at_construction(self):
+        # Not once per job later: a typo fails where the spec is built.
+        valid = r"\['motivational', 'paper', 'paper-reduced'\]"
+        with pytest.raises(WorkloadError, match=f"unknown table set 'papr'.*{valid}"):
+            ExperimentSpec(tables="papr")
+        data = ExperimentSpec().to_dict()
+        data["tables"] = "papr"
+        with pytest.raises(WorkloadError, match=f"unknown table set 'papr'.*{valid}"):
+            ExperimentSpec.from_dict(data)
+
     def test_dse_with_named_tables_is_rejected_not_ignored(self):
         # The silent-footgun shape: the defaulted tables="motivational" next
         # to a dse section would shadow the exploration entirely.

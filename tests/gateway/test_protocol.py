@@ -53,6 +53,12 @@ class TestRunSubmission:
         with pytest.raises(ProtocolError, match="invalid experiment spec"):
             parse_run_submission({"spec": {"name": "x", "workload": {"kind": "?"}}})
 
+    def test_unknown_table_set_fails_at_submission(self):
+        body = _spec_body()
+        body["spec"]["tables"] = "papr"
+        with pytest.raises(ProtocolError, match="unknown table set 'papr'"):
+            parse_run_submission(body)
+
     @pytest.mark.parametrize("tenant", ["", "a b", "a/b", "x" * 129, 7])
     def test_bad_tenant_names(self, tenant):
         with pytest.raises(ProtocolError):

@@ -108,6 +108,11 @@ class TestSimulationJob:
         with pytest.raises(WorkloadError, match="engine"):
             SimulationJob("bogus", engine="bogus", trace_spec=TraceSpec(0.2, 4))
 
+    def test_unknown_table_set_is_rejected_at_construction(self):
+        valid = r"\['motivational', 'paper', 'paper-reduced'\]"
+        with pytest.raises(WorkloadError, match=f"unknown table set 'papr'.*{valid}"):
+            SimulationJob("typo", tables="papr", trace_spec=TraceSpec(0.2, 3))
+
     def test_missing_name_raises(self):
         with pytest.raises(SerializationError):
             SimulationJob.from_dict({"trace_spec": {"arrival_rate": 1, "num_requests": 1}})
