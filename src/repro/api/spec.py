@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.exceptions import SerializationError, WorkloadError
+from repro.exceptions import ReproError, SerializationError, WorkloadError
 
 #: The time-advance engines of the runtime manager (kept as a literal so
 #: importing the spec tree stays light; equality with
@@ -263,9 +263,10 @@ class SchedulerSpec:
         factory = schedulers[self.name]
         try:
             return factory(**self.options)
-        except TypeError as error:
-            # Keep spec mistakes inside the ReproError hierarchy (the CLI's
-            # error contract) instead of leaking factory TypeErrors.
+        except (TypeError, ReproError) as error:
+            # Unknown keys surface as TypeErrors, out-of-range values as the
+            # scheduler's own ReproError; both become one WorkloadError naming
+            # the options (the CLI's error contract) instead of a raw traceback.
             raise WorkloadError(
                 f"scheduler {self.name!r} rejected its options "
                 f"{sorted(self.options)}: {error}"

@@ -1,14 +1,15 @@
-"""Dense-matrix numpy backend of the Lagrangian MMKP solver.
+"""Dense-matrix numpy backend of the batched Lagrangian MMKP solver.
 
 The pure-Python subgradient method in :mod:`repro.knapsack.lagrangian` walks
-every group and item per iteration; this backend runs the same method on
-padded ``(groups x max_items)`` value and ``(groups x max_items x dims)``
-weight ndarrays — the whole relaxed selection is one penalty broadcast plus a
-per-group ``argmax``, the greedy repair is a masked savings matrix, and
-:func:`solve_many` stacks same-shape problems into one 3-D tensor and runs
-*all* their subgradient loops lock-step (converged problems drop out of the
-updates through an active mask, exactly as if each had broken out of its own
-loop).
+every group and item per iteration and serves every single solve; this
+backend serves :func:`~repro.knapsack.solve_lagrangian_many` only.  It runs
+the same method on padded ``(groups x max_items)`` value and
+``(groups x max_items x dims)`` weight ndarrays — the whole relaxed
+selection is one penalty broadcast plus a per-group ``argmax``, the greedy
+repair is a masked savings matrix, and :func:`solve_many` stacks same-shape
+problems into one 3-D tensor and runs *all* their subgradient loops
+lock-step (converged problems drop out of the updates through an active
+mask, exactly as if each had broken out of its own loop).
 
 Every fast path reproduces the pure path's floats **bit-identically**:
 
@@ -22,9 +23,10 @@ Every fast path reproduces the pure path's floats **bit-identically**:
   updates.
 
 The backend is selected automatically when numpy is importable; set
-``REPRO_SOLVER_NUMPY=0`` to force the pure path (the benchmarks use
-:func:`solver_numpy_override` to A/B the two on one host).  The pure path is
-always available and remains the reference the equivalence suite trusts.
+``REPRO_SOLVER_NUMPY=0`` to run batches on the pure loop instead (the
+benchmarks use :func:`solver_numpy_override` to A/B the two on one host).
+The equivalence suites check both against the seed subgradient loop of the
+reference oracle in ``tests/reference``.
 """
 
 from __future__ import annotations
@@ -46,13 +48,6 @@ _ENABLED = HAVE_NUMPY and os.environ.get("REPRO_SOLVER_NUMPY", "1") not in (
     "false",
     "no",
 )
-
-#: ``groups x max_items`` element count below which the *single-problem*
-#: dense path loses to the pure loops (array set-up costs more than the
-#: Python it saves on the paper's 1-4-job census instances).  The batched
-#: :func:`solve_many` entry has no threshold: stacking amortises the set-up
-#: across the whole batch.
-DENSE_MIN_ELEMENTS = 64
 
 
 def solver_numpy_enabled() -> bool:
@@ -156,14 +151,6 @@ def pack_dense(problem) -> DensePack:
         pack = DensePack(problem)
         problem._dense_pack = pack
     return pack
-
-
-def use_dense_for(problem) -> bool:
-    """Should a *single* ``solve_lagrangian`` call take the dense path?"""
-    if not _ENABLED:
-        return False
-    values = problem.dense_values
-    return len(values) * max(len(group) for group in values) >= DENSE_MIN_ELEMENTS
 
 
 # --------------------------------------------------------------------- #
@@ -429,11 +416,6 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
     return results
 
 
-def solve_one(problem, max_iterations: int, initial_step: float):
-    """Dense solve of a single problem (a lock-step batch of one)."""
-    return solve_packed([pack_dense(problem)], max_iterations, initial_step)[0]
-
-
 def solve_many(problems, max_iterations: int, initial_step: float):
     """Dense solve of many problems, grouped by knapsack dimension count.
 
@@ -448,12 +430,10 @@ def solve_many(problems, max_iterations: int, initial_step: float):
         buckets.setdefault(pack.shape_key[2], []).append(index)
     results: list = [None] * len(packs)
     for indices in buckets.values():
-        solved = solve_packed([packs[i] for i in indices], max_iterations, initial_step)
+        solved = _solve_stacked(
+            [packs[i] for i in indices], max_iterations, initial_step
+        )
         for i, result in zip(indices, solved):
             results[i] = result
     return results
 
-
-def solve_packed(packs, max_iterations: int, initial_step: float):
-    """Solve a same-dimension pack list; see :func:`_solve_stacked` for details."""
-    return _solve_stacked(packs, max_iterations, initial_step)

@@ -11,13 +11,17 @@ method used by Wildermann et al. that underlies the paper's MMKP-LR baseline
 Besides the dual bound and multipliers, the solver also reports a *primal*
 feasible solution obtained by greedily repairing the relaxed selection.
 
-Two implementations share this module's public surface.  The pure-Python
-subgradient loop below is the always-available reference; on hosts with numpy
-the :mod:`repro.knapsack._dense` backend runs the same method on padded
-ndarrays (and :func:`solve_lagrangian_many` runs whole batches of same-shape
-relaxations lock-step).  The dense path reproduces the pure path
+Every single solve runs the pure-Python subgradient loop below.  Most of its
+iterations reproduce the previous relaxed selection, so the loop derives the
+load, value, subgradient and greedy repair once per distinct selection and
+replays them; the dual value and the multiplier step still run every
+iteration.  On hosts with numpy, :func:`solve_lagrangian_many` hands whole
+batches to the :mod:`repro.knapsack._dense` backend, which runs the same
+method on stacked padded ndarrays lock-step and reproduces the loop
 bit-identically — same selections, multipliers, dual bounds and iteration
-counts — and ``REPRO_SOLVER_NUMPY=0`` forces the pure path everywhere.
+counts.  ``REPRO_SOLVER_NUMPY=0`` keeps those batches on the loop too.  The
+seed loop the production loop was derived from is kept as the reference in
+``tests/reference/oracle.py``.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+from repro.exceptions import SchedulingError
 from repro.knapsack import _dense
 from repro.knapsack.mmkp import MMKPProblem, MMKPSolution
 
@@ -106,7 +111,7 @@ def _relaxed_selection(problem: MMKPProblem, multipliers: list[float]) -> list[i
     return selection
 
 
-def _repair(problem: MMKPProblem, selection: list[int]) -> MMKPSolution:
+def _repair(problem: MMKPProblem, selection: Sequence[int]) -> MMKPSolution:
     """Turn a (possibly infeasible) relaxed selection into a feasible one.
 
     Groups whose current item overflows the capacities are downgraded to the
@@ -142,6 +147,18 @@ def _repair(problem: MMKPProblem, selection: list[int]) -> MMKPSolution:
     return MMKPSolution(None, float("-inf"), False)
 
 
+def check_max_iterations(value, name: str = "max_iterations") -> int:
+    """Return ``value`` if it is a usable iteration cap: an ``int`` >= 1.
+
+    A cap below 1 would skip the loop and report an infinite dual bound with
+    no primal; a float or string fails only mid-run.  ``bool`` is rejected
+    too, although it is an ``int`` subclass.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchedulingError(f"{name} must be an int >= 1, got {value!r}")
+    return value
+
+
 def solve_lagrangian(
     problem: MMKPProblem,
     max_iterations: int = 100,
@@ -154,7 +171,8 @@ def solve_lagrangian(
     problem:
         The MMKP instance (values are maximised).
     max_iterations:
-        Maximum number of subgradient iterations (the paper uses 100).
+        Maximum number of subgradient iterations, an ``int`` >= 1 (the
+        paper uses 100).
     initial_step:
         Initial step size; the step decays as ``initial_step / sqrt(k)``.
 
@@ -167,9 +185,7 @@ def solve_lagrangian(
     >>> result.solution.feasible
     True
     """
-    if _dense.use_dense_for(problem):
-        raw = _dense.solve_one(problem, max_iterations, initial_step)
-        return _wrap_dense_result(raw)
+    check_max_iterations(max_iterations)
     return _solve_lagrangian_pure(problem, max_iterations, initial_step)
 
 
@@ -185,10 +201,11 @@ def solve_lagrangian_many(
     tensor and their subgradient loops run lock-step — a sweep's admission
     solves amortise into a handful of array operations per iteration instead
     of one Python loop nest per problem.  Without it (or without numpy) each
-    problem runs through the pure reference solver.  Either way the results
+    problem runs through the pure subgradient loop.  Either way the results
     are bit-identical to calling :func:`solve_lagrangian` per problem, in
     input order.
     """
+    check_max_iterations(max_iterations)
     problems = list(problems)
     if not problems:
         return []
@@ -218,35 +235,53 @@ def _solve_lagrangian_pure(
     max_iterations: int = 100,
     initial_step: float = 1.0,
 ) -> LagrangianResult:
-    """The pure-Python reference subgradient loop (always available)."""
+    """The pure-Python subgradient loop behind every single solve.
+
+    Each iteration takes the relaxed selection, the dual value and the
+    multiplier step.  What depends only on the selection — load, value,
+    subgradient with its convergence test, and the greedy repair — is
+    derived once per distinct selection and kept in ``derived``: a replayed
+    selection reproduces those floats exactly, and an equal primal value
+    never passes the strict ``>`` best-primal update, so the result is
+    bit-identical to re-deriving them every iteration.
+    """
+    capacities = problem.capacities
     multipliers = [0.0] * problem.num_dimensions
     best_dual = float("inf")
     best_multipliers = list(multipliers)
     best_primal = MMKPSolution(None, float("-inf"), False)
+    derived: dict[tuple[int, ...], tuple] = {}
     iteration = 0
 
     for iteration in range(1, max_iterations + 1):
-        selection = _relaxed_selection(problem, multipliers)
-        used = problem.weights_of(selection)
-        relaxed_value = problem.value_of(selection) + sum(
-            multiplier * (capacity - weight)
-            for multiplier, capacity, weight in zip(
-                multipliers, problem.capacities, used
+        selection = tuple(_relaxed_selection(problem, multipliers))
+        entry = derived.get(selection)
+        if entry is None:
+            used = problem.weights_of(selection)
+            # Subgradient: capacity violation per dimension.
+            subgradient = [
+                weight - capacity for weight, capacity in zip(used, capacities)
+            ]
+            entry = derived[selection] = (
+                used,
+                problem.value_of(selection),
+                subgradient,
+                all(abs(g) < 1e-12 for g in subgradient),
+                _repair(problem, selection),
             )
+        used, value, subgradient, converged, primal = entry
+        relaxed_value = value + sum(
+            multiplier * (capacity - weight)
+            for multiplier, capacity, weight in zip(multipliers, capacities, used)
         )
         if relaxed_value < best_dual:
             best_dual = relaxed_value
             best_multipliers = list(multipliers)
 
-        primal = _repair(problem, selection)
         if primal.feasible and primal.value > best_primal.value:
             best_primal = primal
 
-        # Subgradient: capacity violation per dimension.
-        subgradient = [
-            weight - capacity for weight, capacity in zip(used, problem.capacities)
-        ]
-        if all(abs(g) < 1e-12 for g in subgradient):
+        if converged:
             break
         step = initial_step / (iteration**0.5)
         multipliers = [

@@ -24,6 +24,7 @@ from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.core.segment import JobMapping, MappingSegment, Schedule
 from repro.knapsack import MMKPProblem, solve_lagrangian, solve_lagrangian_many
+from repro.knapsack.lagrangian import check_max_iterations
 from repro.obs import tracer as obs
 from repro.optable.view import ProblemView, SolveCache
 from repro.schedulers.base import Scheduler, SchedulingResult
@@ -54,8 +55,8 @@ class MMKPLRScheduler(Scheduler):
     Parameters
     ----------
     max_subgradient_iterations:
-        Iteration limit of the subgradient method per segment (the paper uses
-        100).
+        Iteration limit of the subgradient method per segment, an ``int``
+        >= 1 (the paper uses 100).
 
     Examples
     --------
@@ -72,7 +73,9 @@ class MMKPLRScheduler(Scheduler):
         max_subgradient_iterations: int = 100,
         solve_cache: Memo | None = None,
     ):
-        self._max_iterations = max_subgradient_iterations
+        self._max_iterations = check_max_iterations(
+            max_subgradient_iterations, "max_subgradient_iterations"
+        )
         #: Fingerprint-keyed memo for the segment relaxations.  Per instance
         #: by default: a runtime-manager run (one scheduler, many arrivals)
         #: reuses solves, while independent schedulers — and wall-time

@@ -166,6 +166,18 @@ class TestValidation:
         with pytest.raises(WorkloadError, match="bogus"):
             SchedulerSpec(name="mmkp-mdf", options={"bogus": 1}).build()
 
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, "10", True])
+    def test_unusable_lr_iteration_cap_raises_workload_error(self, cap):
+        spec = SchedulerSpec(
+            name="mmkp-lr", options={"max_subgradient_iterations": cap}
+        )
+        with pytest.raises(WorkloadError, match="max_subgradient_iterations"):
+            spec.build()
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_integer_lr_iteration_caps_build(self, cap):
+        SchedulerSpec(name="mmkp-lr", options={"max_subgradient_iterations": cap}).build()
+
 
 class TestBuilders:
     def test_sections_build_live_objects(self):

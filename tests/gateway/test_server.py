@@ -141,6 +141,20 @@ class TestStreaming:
         assert frames[-1]["kind"] == "error"
         assert frames[-1]["data"]["error"]["type"] == "timeout"
 
+    def test_unusable_lr_iteration_cap_ends_in_an_error_envelope(self, client):
+        spec = ExperimentSpec(
+            name="gw-cap",
+            workload=WorkloadSpec.scenario("S1"),
+            scheduler=SchedulerSpec(
+                name="mmkp-lr", options={"max_subgradient_iterations": 0}
+            ),
+        )
+        with pytest.raises(GatewayError) as info:
+            client.run(spec)
+        error = info.value.body["error"]["error"]
+        assert error["type"] == "workload"
+        assert "max_subgradient_iterations" in error["message"]
+
 
 class TestHttpSurface:
     def test_healthz(self, client):

@@ -2,15 +2,17 @@
 
 Hypothesis drives random MMKP instances — 1-D to 3-D, ragged group sizes,
 negative values (admission relaxations maximise *negated* energy), zero
-capacities, and instances where every selection is infeasible — through both
-``solve_lagrangian`` paths.  The agreement is exact: multipliers, dual
-bound, iteration count, selection indices and primal value are compared via
-``repr`` so even a ``-0.0``/``0.0`` flip or a last-ulp drift fails loudly.
+capacities, and instances where every selection is infeasible — through the
+stacked dense backend and the pure subgradient loop.  The agreement is
+exact: multipliers, dual bound, iteration count, selection indices and
+primal value are compared via ``repr`` so even a ``-0.0``/``0.0`` flip or a
+last-ulp drift fails loudly.
 
 ``solve_lagrangian_many`` takes the stacked dense path for *every* problem
 when numpy is enabled (no size threshold), so tiny instances still exercise
-the backend; the single-solve threshold path is covered separately by
-lowering ``DENSE_MIN_ELEMENTS``.
+the backend; single solves always take the pure loop.  The dense
+single-problem path is also checked against the seed loop of the reference
+oracle.
 """
 
 import pytest
@@ -25,7 +27,7 @@ from repro.knapsack import (
     solve_lagrangian_many,
     solver_numpy_override,
 )
-from repro.knapsack import _dense
+from tests.reference.oracle import reference_solve_lagrangian
 
 pytestmark = pytest.mark.skipif(
     not HAVE_NUMPY, reason="dense backend needs numpy"
@@ -119,17 +121,11 @@ def test_batched_many_matches_pure(problems):
 @settings(max_examples=100, deadline=None)
 @given(problem=mmkp_instances())
 def test_single_solve_threshold_path_matches_pure(problem):
-    """``solve_lagrangian`` itself, with the dense path forced for any size."""
-    original = _dense.DENSE_MIN_ELEMENTS
-    _dense.DENSE_MIN_ELEMENTS = 1
-    try:
-        with solver_numpy_override(True):
-            dense = solve_lagrangian(problem)
-    finally:
-        _dense.DENSE_MIN_ELEMENTS = original
-    with solver_numpy_override(False):
-        pure = solve_lagrangian(problem)
-    assert result_fingerprint(dense) == result_fingerprint(pure)
+    """The dense single-problem path against the oracle's seed loop."""
+    with solver_numpy_override(True):
+        (dense,) = solve_lagrangian_many([problem])
+    seed = reference_solve_lagrangian(problem)
+    assert result_fingerprint(dense) == result_fingerprint(seed)
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,13 +4,19 @@ import random
 
 import pytest
 
+from repro.exceptions import SchedulingError
 from repro.knapsack import (
     MMKPItem,
     MMKPProblem,
     solve_exact,
     solve_greedy,
     solve_lagrangian,
+    solve_lagrangian_many,
 )
+
+#: Iteration caps the solvers must reject: below 1, fractional, a string,
+#: and ``True`` (an ``int`` subclass).
+BAD_CAPS = [0, -3, 2.5, "10", True]
 
 
 def tight_problem():
@@ -124,6 +130,20 @@ class TestLagrangianSolver:
     def test_iteration_limit_respected(self):
         result = solve_lagrangian(tight_problem(), max_iterations=5)
         assert result.iterations <= 5
+
+    @pytest.mark.parametrize("cap", BAD_CAPS)
+    def test_unusable_iteration_cap_is_rejected(self, cap):
+        with pytest.raises(SchedulingError, match="max_iterations"):
+            solve_lagrangian(tight_problem(), max_iterations=cap)
+        with pytest.raises(SchedulingError, match="max_iterations"):
+            solve_lagrangian_many([tight_problem()], max_iterations=cap)
+
+    @pytest.mark.parametrize("cap", [1, 100])
+    def test_integer_iteration_caps_are_accepted(self, cap):
+        (batched,) = solve_lagrangian_many([tight_problem()], max_iterations=cap)
+        single = solve_lagrangian(tight_problem(), max_iterations=cap)
+        assert 1 <= single.iterations <= cap
+        assert batched == single
 
     def test_unconstrained_problem_converges_immediately(self):
         # Capacities so large the relaxed selection is already feasible.

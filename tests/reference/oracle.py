@@ -10,7 +10,9 @@ implementation those fast paths were derived from, written directly over
 * :class:`ReferenceMDF` / :func:`pack_jobs_edf` — Algorithm 1 with the list
   MDF priority, packing each probe from scratch with the seed placement loop;
 * :class:`ReferenceLR` — the single-segment Lagrangian baseline building its
-  MMKP items per segment;
+  MMKP items per segment and solving them with
+  :func:`reference_solve_lagrangian`, the seed subgradient loop that
+  re-derives load, value and greedy repair on every iteration;
 * :func:`segment_energy` / :func:`budget_admits` — objective (2a) per
   segment and the power-cap / energy-budget walk over a truncated schedule;
 * :class:`ReferenceRuntime` — the arrival-by-arrival runtime manager that
@@ -19,11 +21,11 @@ implementation those fast paths were derived from, written directly over
 Every float is produced by the same operations in the same order as the
 production path, so schedules, execution logs and batch fingerprints must be
 *identical*, not merely close; the equivalence suites assert it.  The oracle
-uses only core data types, the public energy helpers and governors, the
-knapsack solvers and the production EX-MEM and fixed schedulers (which have
-no seed twin).  It never goes through the code it checks: the admission
-pipeline, the pack memo, the kernel caches, the load ledger or the runtime
-manager's private methods.
+uses only core data types (the MMKP containers among them), the public
+energy helpers and governors, and the production EX-MEM and fixed
+schedulers (which have no seed twin).  It never goes through the code it
+checks: the knapsack solvers, the admission pipeline, the pack memo, the
+kernel caches, the load ledger or the runtime manager's private methods.
 
 Only tests and benchmarks import this module; nothing under ``src/`` may.
 """
@@ -47,7 +49,7 @@ from repro.energy.budget import BudgetDecision, EnergyBudget
 from repro.energy.governor import FrequencyGovernor, stretch_schedule
 from repro.energy.opp import OPPDecision, decide, ensure_opps
 from repro.exceptions import AdmissionError, SchedulingError
-from repro.knapsack import MMKPItem, MMKPProblem, solve_lagrangian
+from repro.knapsack import LagrangianResult, MMKPItem, MMKPProblem, MMKPSolution
 from repro.platforms.platform import Platform
 from repro.platforms.resources import ResourceVector
 from repro.runtime.log import ExecutedInterval, ExecutionLog, RequestOutcome
@@ -325,6 +327,153 @@ def _feasible_configs(
 # ---------------------------------------------------------------------- #
 # MMKP-LR
 # ---------------------------------------------------------------------- #
+def _relaxed_selection(problem: MMKPProblem, multipliers: list[float]) -> list[int]:
+    """Per-group argmax of the Lagrangian-reduced value.
+
+    Runs on the problem's dense columns: the subgradient loop evaluates this
+    for every item on every iteration, so the flat tuples (no MMKPItem
+    attribute lookups) carry most of the solver's hot path.
+    """
+    selection = []
+    dimensions = len(multipliers)
+    if dimensions == 1:
+        # Unrolled penalty for the dominant 1-D/2-D instances: the same
+        # additions in the same order as ``sum(...)``, minus the generator
+        # machinery (a ±0.0 sign is the only representable difference and no
+        # comparison observes it).
+        (m0,) = multipliers
+        for group_values, group_rows in zip(problem.dense_values, problem.dense_rows):
+            best_index = 0
+            best_reduced = float("-inf")
+            for index in range(len(group_values)):
+                reduced = group_values[index] - m0 * group_rows[index][0]
+                if reduced > best_reduced:
+                    best_reduced = reduced
+                    best_index = index
+            selection.append(best_index)
+        return selection
+    if dimensions == 2:
+        m0, m1 = multipliers
+        for group_values, group_rows in zip(problem.dense_values, problem.dense_rows):
+            best_index = 0
+            best_reduced = float("-inf")
+            for index in range(len(group_values)):
+                row = group_rows[index]
+                reduced = group_values[index] - (m0 * row[0] + m1 * row[1])
+                if reduced > best_reduced:
+                    best_reduced = reduced
+                    best_index = index
+            selection.append(best_index)
+        return selection
+    for group_values, group_rows in zip(problem.dense_values, problem.dense_rows):
+        best_index = 0
+        best_reduced = float("-inf")
+        for index in range(len(group_values)):
+            reduced = group_values[index] - sum(
+                multiplier * weight
+                for multiplier, weight in zip(multipliers, group_rows[index])
+            )
+            if reduced > best_reduced:
+                best_reduced = reduced
+                best_index = index
+        selection.append(best_index)
+    return selection
+
+
+def _repair(problem: MMKPProblem, selection: list[int]) -> MMKPSolution:
+    """Turn a (possibly infeasible) relaxed selection into a feasible one.
+
+    Groups whose current item overflows the capacities are downgraded to the
+    item with the smallest capacity-normalised weight until the selection
+    fits; ties are broken in favour of higher value.
+    """
+    rows = problem.dense_rows
+    current = list(selection)
+    for _ in range(problem.num_groups * max(len(g) for g in rows)):
+        if problem.is_feasible(current):
+            return MMKPSolution(tuple(current), problem.value_of(current), True)
+        # Find the dimension with the largest relative violation.
+        used = problem.weights_of(current)
+        violations = [
+            (used[d] - problem.capacities[d]) / (problem.capacities[d] or 1.0)
+            for d in range(problem.num_dimensions)
+        ]
+        worst_dim = max(range(problem.num_dimensions), key=lambda d: violations[d])
+        # Downgrade the group contributing most to that dimension to a lighter item.
+        best_group, best_item, best_saving = None, None, 0.0
+        for group_index, group_rows in enumerate(rows):
+            current_weight = group_rows[current[group_index]][worst_dim]
+            for item_index in range(len(group_rows)):
+                saving = current_weight - group_rows[item_index][worst_dim]
+                if saving > best_saving:
+                    best_saving = saving
+                    best_group, best_item = group_index, item_index
+        if best_group is None:
+            break
+        current[best_group] = best_item
+    if problem.is_feasible(current):
+        return MMKPSolution(tuple(current), problem.value_of(current), True)
+    return MMKPSolution(None, float("-inf"), False)
+
+
+def reference_solve_lagrangian(
+    problem: MMKPProblem,
+    max_iterations: int = 100,
+    initial_step: float = 1.0,
+) -> LagrangianResult:
+    """The seed subgradient loop, re-deriving everything every iteration.
+
+    Load, value, subgradient and greedy repair are recomputed on every one
+    of the (up to ``max_iterations``) iterations, even when the relaxed
+    selection did not change.  Production ``solve_lagrangian`` and both
+    ``solve_lagrangian_many`` backends must equal it bit for bit.
+    """
+    multipliers = [0.0] * problem.num_dimensions
+    best_dual = float("inf")
+    best_multipliers = list(multipliers)
+    best_primal = MMKPSolution(None, float("-inf"), False)
+    iteration = 0
+
+    for iteration in range(1, max_iterations + 1):
+        selection = _relaxed_selection(problem, multipliers)
+        used = problem.weights_of(selection)
+        relaxed_value = problem.value_of(selection) + sum(
+            multiplier * (capacity - weight)
+            for multiplier, capacity, weight in zip(
+                multipliers, problem.capacities, used
+            )
+        )
+        if relaxed_value < best_dual:
+            best_dual = relaxed_value
+            best_multipliers = list(multipliers)
+
+        primal = _repair(problem, selection)
+        if primal.feasible and primal.value > best_primal.value:
+            best_primal = primal
+
+        # Subgradient: capacity violation per dimension.
+        subgradient = [
+            weight - capacity for weight, capacity in zip(used, problem.capacities)
+        ]
+        if all(abs(g) < 1e-12 for g in subgradient):
+            break
+        step = initial_step / (iteration**0.5)
+        multipliers = [
+            max(0.0, multiplier + step * gradient)
+            for multiplier, gradient in zip(multipliers, subgradient)
+        ]
+
+    best_primal = MMKPSolution(
+        best_primal.selection, best_primal.value, best_primal.feasible, iteration
+    )
+    return LagrangianResult(
+        multipliers=tuple(best_multipliers),
+        dual_bound=best_dual,
+        solution=best_primal,
+        iterations=iteration,
+    )
+
+
 @dataclass
 class _PendingJob:
     job: Job
@@ -444,7 +593,7 @@ class ReferenceLR(Scheduler):
                 or [MMKPItem(value=0.0, weights=(0.0,) * len(capacity), label=None)]
             )
 
-        relaxation = solve_lagrangian(
+        relaxation = reference_solve_lagrangian(
             MMKPProblem([float(c) for c in capacity], groups),
             max_iterations=self._max_iterations,
         )

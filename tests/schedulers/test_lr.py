@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.config import ConfigTable, OperatingPoint
+from repro.exceptions import SchedulingError
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.platforms.resources import ResourceVector
@@ -54,6 +55,11 @@ class TestStructure:
             result.statistics["subgradient_iterations"]
             <= 3 * result.statistics["segments"]
         )
+
+    @pytest.mark.parametrize("cap", [0, -3, 2.5, "10", True])
+    def test_unusable_iteration_limit_is_rejected(self, cap):
+        with pytest.raises(SchedulingError, match="max_subgradient_iterations"):
+            MMKPLRScheduler(max_subgradient_iterations=cap)
 
 
 class TestRejection:

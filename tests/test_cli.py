@@ -219,6 +219,20 @@ class TestRunCommand:
         assert main(["run", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_unusable_lr_iteration_cap_exits_2(self, tmp_path, capsys):
+        from repro.api import ExperimentSpec, SchedulerSpec, WorkloadSpec
+
+        path = tmp_path / "cap.json"
+        ExperimentSpec(
+            name="cli-cap",
+            workload=WorkloadSpec.scenario("S1"),
+            scheduler=SchedulerSpec(
+                name="mmkp-lr", options={"max_subgradient_iterations": 0}
+            ),
+        ).save(path)
+        assert main(["run", str(path)]) == 2
+        assert "max_subgradient_iterations" in capsys.readouterr().err
+
     def test_missing_spec_file_reports_an_error(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
         assert "error:" in capsys.readouterr().err
