@@ -116,7 +116,8 @@ def run_pytest_benches(extra_args: list[str]) -> tuple[dict, int]:
     )
 
 
-def _census_problems():
+def _census_problems(sets: int):
+    """``sets`` independent lists of the census problems, plus the scale."""
     from repro.dse import paper_operating_points, reduced_tables
     from repro.platforms import odroid_xu4
     from repro.workload import EvaluationSuite
@@ -129,21 +130,38 @@ def _census_problems():
     tables = reduced_tables(paper_operating_points(platform), max_points=max_points)
     census = table_iii_census() if fraction >= 1.0 else scaled_census(fraction)
     suite = EvaluationSuite.generate(tables, census, seed=seed)
-    problems = [case.problem(platform, tables) for case in suite.cases]
-    return problems, {"fraction": fraction, "max_points": max_points, "seed": seed}
+    problem_sets = [
+        [case.problem(platform, tables) for case in suite.cases] for _ in range(sets)
+    ]
+    return problem_sets, {"fraction": fraction, "max_points": max_points, "seed": seed}
 
 
-def _throughput(scheduler_factory, problems, repeats: int) -> float:
-    """Best activations-per-second over ``repeats`` sweeps of the census."""
-    best = float("inf")
-    for _ in range(repeats):
-        # A fresh scheduler per sweep: per-instance solve memos start cold.
-        scheduler = scheduler_factory()
-        started = time.perf_counter()
-        for problem in problems:
-            scheduler.schedule(problem)
-        best = min(best, time.perf_counter() - started)
-    return len(problems) / best
+def _sweep_s(scheduler_factory, problems) -> float:
+    """Seconds one fresh scheduler takes to activate on every problem."""
+    # A fresh scheduler per sweep: per-instance solve memos start cold.
+    scheduler = scheduler_factory()
+    started = time.perf_counter()
+    for problem in problems:
+        scheduler.schedule(problem)
+    return time.perf_counter() - started
+
+
+def _throughput(sides, repeats: int) -> list[float]:
+    """Best activations-per-second of each ``(factory, problems)`` side.
+
+    Every repeat runs one census sweep per side, alternating which side goes
+    first, so a slow phase of the host lands on both sides instead of on
+    one.  Each side sweeps its own problem objects: a per-problem cache (the
+    lazily built ``problem.view()``) one side fills never speeds up the other.
+    """
+    best = [float("inf")] * len(sides)
+    for repeat in range(repeats):
+        order = list(range(len(sides)))
+        if repeat % 2:
+            order.reverse()
+        for side in order:
+            best[side] = min(best[side], _sweep_s(*sides[side]))
+    return [len(problems) / seconds for (_, problems), seconds in zip(sides, best)]
 
 
 def measure_kernel_metrics(repeats: int = 3) -> dict:
@@ -157,7 +175,7 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
     from repro.schedulers import MMKPLRScheduler, MMKPMDFScheduler
     from tests.reference.oracle import ReferenceLR, ReferenceMDF
 
-    problems, scale = _census_problems()
+    (problems, reference_problems), scale = _census_problems(sets=2)
     metrics: dict = {"scale": scale, "census_cases": len(problems)}
 
     # Fig. 2 hot path: MMKP-MDF activation throughput over the census.
@@ -166,8 +184,9 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
         "mmkp-lr": (MMKPLRScheduler, ReferenceLR),
     }
     for name, (factory, reference) in schedulers.items():
-        columnar = _throughput(factory, problems, repeats)
-        legacy = _throughput(reference, problems, repeats)
+        columnar, legacy = _throughput(
+            [(factory, problems), (reference, reference_problems)], repeats
+        )
         metrics[f"scheduling_rate/{name}"] = {
             "throughput_columnar_per_s": round(columnar, 2),
             "throughput_list_per_s": round(legacy, 2),

@@ -8,28 +8,32 @@ MMKP for every one of those activations is pure waste.
 
 :func:`ActivationCache` builds the ``activation``
 :class:`~repro.store.memo.Memo`: a bounded LRU map from a canonical
-:class:`~repro.core.problem.SchedulingProblem` signature to the canonical
-scheduling result.  :class:`CachingScheduler` wraps any
+:class:`~repro.core.problem.SchedulingProblem` signature to a compact record
+of the canonical scheduling result.  :class:`CachingScheduler` wraps any
 :class:`~repro.schedulers.base.Scheduler` with it:
 
 1. every incoming problem is *canonicalised* — time is re-anchored at 0,
-   jobs are sorted and renamed to stable slots ``j0..jn`` — and the signature
-   (capacity, table fingerprints, sorted job residuals/relative deadlines) is
-   looked up;
-2. on a miss the wrapped scheduler solves the canonical problem and the
-   canonical result is stored;
-3. hit or miss, the canonical result is re-hydrated against the *original*
-   problem (times shifted back, canonical slots re-bound to the real jobs).
+   jobs are sorted into stable slots ``j0..jn`` — and the signature
+   (capacity, the tables' ``OpTable`` fingerprints, sorted job
+   residuals/relative deadlines, namespaced by the scheduler's registry
+   name) is looked up;
+2. on a miss the wrapped scheduler solves the canonical problem and its
+   result is stored as a builtins-only record (see :func:`_record`), so a
+   store row stays a few hundred bytes;
+3. hit or miss, the record is re-hydrated against the *original* problem
+   (times shifted back, slots re-bound to the real jobs) through the
+   validating :class:`~repro.core.segment.MappingSegment` and
+   :class:`~repro.core.segment.Schedule` constructors.
 
-Because the canonical transformation is applied on **both** paths, the
-returned schedule is a pure function of the problem — independent of cache
-state, hit order, worker count or sharing — which is what makes
-``SimulationService`` batches bit-reproducible regardless of parallelism.
-The flip side: the wrapped heuristic sees jobs in canonical order, so it may
-break ties differently than on the raw problem.  A cached run can therefore
-differ from an *uncached* run in tie-break decisions (never in validity —
-returned schedules satisfy the same constraints (2b)–(2e), which the test
-suite checks), while remaining bit-identical from run to run.
+Because both paths re-hydrate the same record, the returned schedule is a
+pure function of the problem — independent of cache state, hit order, worker
+count or sharing — which is what makes ``SimulationService`` batches
+bit-reproducible regardless of parallelism.  The flip side: the wrapped
+heuristic sees jobs in canonical order, so it may break ties differently
+than on the raw problem.  A cached run can therefore differ from an
+*uncached* run in tie-break decisions (never in validity — returned
+schedules satisfy the same constraints (2b)–(2e), which the test suite
+checks), while remaining bit-identical from run to run.
 
 The cache is thread-safe; one instance may be shared by all worker threads of
 a batch so activations repeated *across* traces hit as well.
@@ -39,7 +43,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-from repro.core.config import ConfigTable
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
 from repro.core.segment import JobMapping, MappingSegment, Schedule
@@ -47,24 +50,11 @@ from repro.schedulers.base import Scheduler, SchedulingResult
 from repro.store.memo import Memo
 
 
-def table_fingerprint(table: ConfigTable) -> tuple:
-    """A content-based identity of a configuration table.
-
-    Two tables with the same operating points (in the same order) produce the
-    same fingerprint, regardless of object identity — deserialised tables hit
-    cache entries populated from freshly built ones.
-    """
-    return tuple(
-        (tuple(point.resources), point.execution_time, point.energy)
-        for point in table
-    )
-
-
 def _canonical_order(problem: SchedulingProblem) -> list[Job]:
     """The problem's *real* jobs sorted into canonical slot order.
 
     This is the one place the canonical sort key lives; the signature, the
-    slot naming and the hit-path rebinding all derive from this ordering.
+    slot naming and the record's slot indices all derive from this ordering.
     """
     now = problem.now
     return sorted(
@@ -111,10 +101,13 @@ def problem_signature(
 
     The key is built from the platform capacity, the sorted job residuals and
     *relative* deadlines and the content fingerprints of the tables the jobs
-    actually use, plus a ``namespace`` (normally the scheduler name) so
-    different algorithms never share entries.  Absolute times and request
-    names are deliberately absent: activations that only differ by a time
-    shift or by naming collide — which is exactly the point.
+    actually use, plus a ``namespace`` (normally the scheduler's registry
+    name) so different algorithms and configurations never share entries.
+    A table enters as the fingerprint its interned
+    :class:`~repro.optable.table.OpTable` computed once, so the key does not
+    grow with the tables.  Absolute times and request names are deliberately
+    absent: activations that only differ by a time shift or by naming
+    collide — which is exactly the point.
 
     ``ordered`` (the :func:`_canonical_order` of the problem) may be passed
     to avoid re-sorting on the activation hot path.
@@ -128,15 +121,47 @@ def problem_signature(
         for job in ordered
     )
     table_keys = tuple(
-        table_fingerprint(tables[application])
+        tables[application].optable.fingerprint
         for application in sorted({job.application for job in ordered})
     )
     return (namespace, tuple(problem.capacity), jobs_key, table_keys)
 
 
 def ActivationCache(maxsize: int = 4096, store=None) -> Memo:
-    """The ``activation`` :class:`~repro.store.memo.Memo` of canonical results."""
+    """The ``activation`` :class:`~repro.store.memo.Memo` of canonical records."""
     return Memo("activation", maxsize, store)
+
+
+def _record(canonical: SchedulingResult, slot_jobs: list[Job]) -> tuple:
+    """The builtins-only memo value of a canonical result.
+
+    ``(segments, assignment, energy, solver_search_time, statistics)``:
+    ``segments`` is ``None`` for a rejection, else one ``(start, end,
+    ((slot, config_index), ...))`` per segment at canonical times;
+    ``assignment`` is ``((slot, config_index), ...)``.  A slot is the job's
+    index in the canonical order.
+    """
+    slots = {job.name: index for index, job in enumerate(slot_jobs)}
+    segments = None
+    if canonical.schedule is not None:
+        segments = tuple(
+            (
+                segment.start,
+                segment.end,
+                tuple((slots[m.job_name], m.config_index) for m in segment),
+            )
+            for segment in canonical.schedule
+        )
+    assignment = tuple(
+        (slots[name], config) for name, config in canonical.assignment.items()
+    )
+    return (
+        segments,
+        assignment,
+        canonical.energy,
+        canonical.search_time,
+        dict(canonical.statistics),
+    )
 
 
 class CachingScheduler(Scheduler):
@@ -146,6 +171,11 @@ class CachingScheduler(Scheduler):
     :class:`~repro.schedulers.base.Scheduler` whose ``name`` equals the
     wrapped scheduler's, so logs, reports and benchmarks group results
     identically with and without caching.
+
+    ``namespace`` separates the cache entries of differently configured
+    schedulers; it defaults to the wrapped scheduler's ``name``.  Pass the
+    registry name the scheduler was built from — two registered
+    configurations of one class share a ``name`` but must not share results.
 
     Examples
     --------
@@ -160,10 +190,16 @@ class CachingScheduler(Scheduler):
     12.95
     """
 
-    def __init__(self, scheduler: Scheduler, cache: Memo | None = None):
+    def __init__(
+        self,
+        scheduler: Scheduler,
+        cache: Memo | None = None,
+        namespace: str | None = None,
+    ):
         self._inner = scheduler
         self.cache = cache if cache is not None else ActivationCache()
         self.name = scheduler.name
+        self._namespace = scheduler.name if namespace is None else namespace
 
     @property
     def inner(self) -> Scheduler:
@@ -179,68 +215,57 @@ class CachingScheduler(Scheduler):
 
     def _solve(self, problem: SchedulingProblem) -> SchedulingResult:
         ordered = _canonical_order(problem)
-        key = problem_signature(problem, namespace=self._inner.name, ordered=ordered)
-        canonical = self.cache.get(key)
-        hit = canonical is not None
-        if canonical is None:
+        key = problem_signature(problem, namespace=self._namespace, ordered=ordered)
+        record = self.cache.get(key)
+        hit = record is not None
+        if record is None:
+            slot_jobs = _slot_jobs(ordered, problem.now)
             canonical_problem = SchedulingProblem(
-                problem.capacity,
-                problem.tables,
-                _slot_jobs(ordered, problem.now),
-                now=0.0,
+                problem.capacity, problem.tables, slot_jobs, now=0.0
             )
-            canonical = self._inner.schedule(canonical_problem)
-            self.cache.put(key, canonical)
-        result = self._rehydrate(canonical, problem, ordered)
-        statistics = dict(result.statistics)
+            record = _record(self._inner.schedule(canonical_problem), slot_jobs)
+            self.cache.put(key, record)
+        return self._rehydrate(record, problem.now, ordered, hit)
+
+    @staticmethod
+    def _rehydrate(
+        record: tuple, now: float, ordered: list[Job], hit: bool
+    ) -> SchedulingResult:
+        """Translate a canonical record back to the original problem.
+
+        Slots map back to the real jobs in canonical order and all times
+        shift by the activation time.  Applied on hits *and* misses, so the
+        output never depends on which path produced it.
+        """
+        segments, assignment, energy, solver_search_time, statistics = record
+        schedule = None
+        if segments is not None:
+            schedule = Schedule(
+                [
+                    MappingSegment(
+                        start + now,
+                        end + now,
+                        [
+                            JobMapping(job=ordered[slot], config_index=config)
+                            for slot, config in mappings
+                        ],
+                    )
+                    for start, end, mappings in segments
+                ]
+            )
+        statistics = dict(statistics)
         statistics["cache_hit"] = 1.0 if hit else 0.0
         # What the underlying solver originally spent on this activation.
         # The Scheduler.schedule() wrapper re-times _solve, so the reported
         # search_time is this activation's *actual* cost — microseconds on a
         # hit — which is what the runtime manager's overhead accounting
         # should see; the canonical solve cost stays available here.
-        statistics["solver_search_time"] = canonical.search_time
+        statistics["solver_search_time"] = solver_search_time
         return SchedulingResult(
-            schedule=result.schedule,
-            assignment=result.assignment,
-            energy=result.energy,
+            schedule=schedule,
+            assignment={ordered[slot].name: config for slot, config in assignment},
+            energy=energy,
             statistics=statistics,
-        )
-
-    def _rehydrate(
-        self,
-        canonical: SchedulingResult,
-        problem: SchedulingProblem,
-        ordered: list[Job],
-    ) -> SchedulingResult:
-        """Translate a canonical result back to the original problem.
-
-        Canonical slot names map back to the real jobs in canonical order and
-        all times shift by the activation time.  Applied on hits *and*
-        misses, so the output never depends on which path produced it.
-        """
-        if canonical.schedule is None:
-            return canonical
-        now = problem.now
-        slot_jobs = {f"j{index}": job for index, job in enumerate(ordered)}
-        segments = []
-        for segment in canonical.schedule:
-            mappings = [
-                JobMapping(job=slot_jobs[mapping.job_name], config_index=mapping.config_index)
-                for mapping in segment
-            ]
-            segments.append(
-                MappingSegment(segment.start + now, segment.end + now, mappings)
-            )
-        assignment = {
-            slot_jobs[slot].name: config
-            for slot, config in canonical.assignment.items()
-        }
-        return SchedulingResult(
-            schedule=Schedule(segments),
-            assignment=assignment,
-            energy=canonical.energy,
-            statistics=canonical.statistics,
         )
 
     def __repr__(self) -> str:

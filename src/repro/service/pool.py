@@ -321,7 +321,7 @@ def _simulate(
         platform = job.resolve_platform()
         scheduler = _schedulers.build(job.scheduler)
         if cache is not None:
-            scheduler = CachingScheduler(scheduler, cache)
+            scheduler = CachingScheduler(scheduler, cache, namespace=job.scheduler)
         trace = job.resolve_trace(tables)
         governor = (
             _governors.build(job.governor) if job.governor is not None else None

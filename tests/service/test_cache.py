@@ -1,17 +1,32 @@
 """Tests for the activation cache and the caching scheduler wrapper."""
 
+import pickle
+import pickletools
+
 import pytest
 
+from repro.api import register_scheduler
+from repro.api.registry import schedulers as scheduler_registry
+from repro.core.config import ConfigTable, OperatingPoint
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
-from repro.schedulers import MMKPMDFScheduler
+from repro.platforms.resources import ResourceVector
+from repro.schedulers import (
+    ExMemScheduler,
+    FixedMinEnergyScheduler,
+    MMKPLRScheduler,
+    MMKPMDFScheduler,
+)
 from repro.service.cache import (
     ActivationCache,
     CachingScheduler,
     canonical_jobs,
     problem_signature,
-    table_fingerprint,
 )
+from repro.service.jobs import SimulationJob, TraceSpec
+from repro.service.pool import SimulationService
+from repro.store import ContentStore
+from repro.store.content import encode_key
 from repro.workload.motivational import motivational_platform, motivational_tables
 
 
@@ -69,7 +84,24 @@ class TestSignature:
         # A rebuilt (equal-content) table set collides — content, not identity.
         rebuilt = make_problem(platform, motivational_tables())
         assert problem_signature(problem) == problem_signature(rebuilt)
-        assert table_fingerprint(tables["lambda1"]) != table_fingerprint(tables["lambda2"])
+        assert tables["lambda1"].optable.fingerprint != tables["lambda2"].optable.fingerprint
+
+    def test_key_size_does_not_grow_with_the_tables(self, platform):
+        def problem(points):
+            table = ConfigTable(
+                "app",
+                [
+                    OperatingPoint(ResourceVector([1 + i % 2, i % 3]), 4.0 + i, 9.0 - i / 10)
+                    for i in range(points)
+                ],
+            )
+            return SchedulingProblem(
+                platform, {"app": table}, [Job("a", "app", 0.0, 50.0)], now=0.0
+            )
+
+        small, large = problem_signature(problem(8)), problem_signature(problem(80))
+        assert small != large
+        assert len(repr(small)) == len(repr(large))
 
     def test_canonical_jobs_are_sorted_relative_slots(self, platform, tables):
         problem = make_problem(platform, tables, now=5.0, names=("zz", "aa"))
@@ -143,3 +175,109 @@ class TestCachingScheduler:
         second = cached.schedule(impossible)
         assert not first.feasible and not second.feasible
         assert cached.cache.hits == 1
+
+
+def _builtins_only(value) -> bool:
+    """Whether ``value`` is built from tuples, dicts, numbers and strings."""
+    if value is None or type(value) in (bool, int, float, str):
+        return True
+    if type(value) is tuple:
+        return all(_builtins_only(item) for item in value)
+    if type(value) is dict:
+        return all(_builtins_only(k) and _builtins_only(v) for k, v in value.items())
+    return False
+
+
+#: Pickle opcodes that name a class or call a constructor.
+_OBJECT_OPCODES = {
+    "GLOBAL", "STACK_GLOBAL", "INST", "OBJ", "NEWOBJ", "NEWOBJ_EX", "REDUCE", "BUILD",
+}
+
+
+class TestStoredRecord:
+    @pytest.mark.parametrize(
+        "factory",
+        [MMKPMDFScheduler, MMKPLRScheduler, ExMemScheduler, FixedMinEnergyScheduler],
+    )
+    def test_store_row_holds_builtins_only(self, platform, tables, factory):
+        store = ContentStore.in_memory()
+        cached = CachingScheduler(factory(), ActivationCache(store=store))
+        admitted = make_problem(platform, tables, now=2.0)
+        rejected = SchedulingProblem(
+            platform, tables, [Job("a", "lambda2", 0.0, 0.5)], now=0.0
+        )
+        for problem in (admitted, rejected):
+            result = cached.schedule(problem)
+            key = problem_signature(problem, cached.inner.name)
+            payload = store.backend.get(store.namespace("activation"), encode_key(key))
+            assert payload is not None
+            opcodes = {opcode.name for opcode, _, _ in pickletools.genops(payload)}
+            assert not opcodes & _OBJECT_OPCODES
+            record = pickle.loads(payload)
+            assert _builtins_only(record)
+            assert (record[0] is None) == (not result.feasible)
+        assert cached.schedule(admitted).feasible
+
+
+@pytest.fixture()
+def two_iteration_lr():
+    """``mmkp-lr-2it``: MMKP-LR registered with a 2-iteration subgradient loop."""
+    name = "mmkp-lr-2it"
+    register_scheduler(name, lambda: MMKPLRScheduler(max_subgradient_iterations=2))
+    yield name
+    scheduler_registry.unregister(name)
+
+
+def _lr_job(scheduler: str) -> SimulationJob:
+    return SimulationJob(
+        scheduler,
+        scheduler=scheduler,
+        platform="odroid-xu4",
+        tables="paper-reduced",
+        trace_spec=TraceSpec(1.5, 30, seed=5),
+    )
+
+
+def _summary(result) -> tuple:
+    assert result.ok, result.error
+    return result.fingerprint_key(), result.total_energy
+
+
+def _isolated(*names: str) -> dict:
+    """Each job run alone on its own store-less serial service."""
+    return {
+        name: _summary(SimulationService(workers=1).run_batch([_lr_job(name)])[0])
+        for name in names
+    }
+
+
+class TestRegistryNamespace:
+    """Two registered configurations of one class never share activations."""
+
+    @pytest.mark.parametrize("first_default", [True, False])
+    def test_one_service_batch_matches_isolated_runs(
+        self, two_iteration_lr, first_default
+    ):
+        order = ["mmkp-lr", two_iteration_lr]
+        if not first_default:
+            order.reverse()
+        isolated = _isolated(*order)
+        assert isolated["mmkp-lr"][1] != isolated[two_iteration_lr][1]
+        batch = SimulationService(workers=1).run_batch([_lr_job(n) for n in order])
+        assert [_summary(result) for result in batch] == [isolated[n] for n in order]
+
+    def test_services_sharing_a_store_match_isolated_runs(self, two_iteration_lr):
+        isolated = _isolated("mmkp-lr", two_iteration_lr)
+        store = ContentStore.in_memory()
+        for name in ("mmkp-lr", two_iteration_lr):
+            service = SimulationService(workers=1, store=store)
+            assert _summary(service.run_batch([_lr_job(name)])[0]) == isolated[name]
+
+    def test_namespace_defaults_to_the_scheduler_name(self, platform, tables):
+        cache = ActivationCache()
+        problem = make_problem(platform, tables)
+        CachingScheduler(MMKPMDFScheduler(), cache).schedule(problem)
+        CachingScheduler(MMKPMDFScheduler(), cache, namespace="mdf-b").schedule(problem)
+        assert (cache.hits, cache.misses) == (0, 2)
+        CachingScheduler(MMKPMDFScheduler(), cache, namespace="mmkp-mdf").schedule(problem)
+        assert cache.hits == 1
