@@ -11,6 +11,9 @@ Two checks:
   deadline misses.
 """
 
+import gc
+import random
+import statistics
 import time
 
 from repro.energy import PerformanceGovernor, ScheduleAwareGovernor
@@ -22,19 +25,43 @@ from repro.workload.motivational import motivational_platform, motivational_tabl
 #: Poisson workload driven through the manager for the overhead measurement.
 NUM_REQUESTS = 150
 ARRIVAL_RATE = 0.25
-#: Acceptance threshold on the metered / unmetered wall-clock ratio.
+#: Acceptance threshold on the median metered / unmetered wall-clock ratio.
 MAX_OVERHEAD = 1.10
-#: Best-of repetitions (the minimum filters scheduler/OS noise).
-REPEATS = 5
+#: Metered/unmetered pairs; each pair yields one ratio.
+PAIRS = 40
 
 
-def _best_run_seconds(manager, trace) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        manager.run(trace)
-        best = min(best, time.perf_counter() - start)
-    return best
+def _run_seconds(manager, trace) -> float:
+    start = time.perf_counter()
+    manager.run(trace)
+    return time.perf_counter() - start
+
+
+def _pair_ratios(metered, unmetered, trace) -> list[float]:
+    """One metered/unmetered wall-clock ratio per pair.
+
+    The two runs of a pair go in random order (fixed seed), so a slow phase
+    of the host lands on either side with equal odds instead of on all the
+    runs of one side; the collector runs between pairs, not inside them.
+    """
+    order = random.Random(2020)
+    ratios = []
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(PAIRS):
+            if order.random() < 0.5:
+                with_meter = _run_seconds(metered, trace)
+                without_meter = _run_seconds(unmetered, trace)
+            else:
+                without_meter = _run_seconds(unmetered, trace)
+                with_meter = _run_seconds(metered, trace)
+            ratios.append(with_meter / without_meter)
+            gc.collect()
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return ratios
 
 
 def test_online_meter_overhead(benchmark):
@@ -46,16 +73,17 @@ def test_online_meter_overhead(benchmark):
     unmetered = RuntimeManager.from_components(
         platform, tables, MMKPMDFScheduler(), account_energy=False
     )
-    # Warm up both paths, then take the best of several runs each.
+    # Warm up both paths, then gate the median of the pair ratios.
     metered.run(trace)
     unmetered.run(trace)
-    with_meter = _best_run_seconds(metered, trace)
-    without_meter = _best_run_seconds(unmetered, trace)
-    ratio = with_meter / without_meter
+    ratios = _pair_ratios(metered, unmetered, trace)
+    ratio = statistics.median(ratios)
+    quartiles = statistics.quantiles(ratios, n=4)
     print(
-        f"\nE8 — meter overhead over {NUM_REQUESTS} requests: "
-        f"{without_meter * 1000:.2f} ms -> {with_meter * 1000:.2f} ms "
-        f"({(ratio - 1) * 100:+.1f} %)"
+        f"\nE8 — meter overhead over {NUM_REQUESTS} requests, {len(ratios)} "
+        f"pairs: median {(ratio - 1) * 100:+.1f} % "
+        f"(quartiles {(quartiles[0] - 1) * 100:+.1f} to "
+        f"{(quartiles[2] - 1) * 100:+.1f} %)"
     )
     assert ratio < MAX_OVERHEAD, (
         f"online energy accounting costs {(ratio - 1) * 100:.1f} % "

@@ -2,8 +2,9 @@
 
 Drives one online runtime-manager trace at *high load* (large active sets,
 ~50 % admission) through MMKP-MDF twice: once on the production runtime
-manager (the incremental kernel: prefix-resumable EDF packing, monotone
-feasibility filtering, ledger-gated pruning, shared view slices) and once on
+manager (the incremental kernel: EDF probes resumed from the committed
+trajectory, monotone feasibility filtering, ledger-gated pruning, shared
+view slices) and once on
 the reference oracle of ``tests/reference`` (the seed: list-based
 Algorithm 1 and 2, full re-solve per arrival).  Both runs must produce
 bit-identical logs.

@@ -56,12 +56,17 @@ class EventBridge:
         """Hand one item to the loop (called on the worker thread).
 
         Blocks while ``capacity`` items are already in flight; raises
-        :class:`BridgeClosed` if the bridge was shut down (the executor
-        thread should treat that as "stop simulating").
+        :class:`BridgeClosed` if the bridge was shut down or its loop closed
+        (the executor thread should treat that as "stop simulating").
         """
         while not self._slots.acquire(timeout=0.1):
             if self._closed.is_set():
                 raise BridgeClosed("event bridge is closed")
+            if self._loop.is_closed():
+                # A closed loop drops its pending callbacks, so the slots
+                # of items still in flight never come back.
+                self._closed.set()
+                raise BridgeClosed("event loop is gone")
         if self._closed.is_set():
             self._slots.release()
             raise BridgeClosed("event bridge is closed")

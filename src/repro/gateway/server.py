@@ -709,13 +709,17 @@ class GatewayServer:
             record.finish(record.events[-1]["data"]["log"])
             self.metrics.runs_completed.increment()
         except (AdmissionTimeout, RunTimeout) as error:
-            bridge.close()
             record.fail(protocol.error_body("timeout", str(error)))
             self.metrics.runs_failed.increment()
         except Exception as error:  # noqa: BLE001 — failure isolation per run
-            bridge.close()
             record.fail(protocol.error_from(error))
             self.metrics.runs_failed.increment()
+        finally:
+            # However the run ends — a cancellation at daemon teardown
+            # included — release a worker still emitting into the bridge.
+            # A finished run's events were all delivered before its executor
+            # future resolved, so closing drops nothing.
+            bridge.close()
 
     async def _execute_batch(self, record, submission) -> None:
         deadline = (

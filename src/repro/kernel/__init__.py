@@ -11,10 +11,10 @@ delta-based admission pipeline:
   maintained companion of the committed schedule: O(1) committed completion
   times, the ghost-prune gate and shared per-segment busy-core rows for the
   governor, the budget admission check and the energy accounting.
-* :class:`PackMemo` — the prefix-resumable EDF packing trajectory that lets
-  Algorithm 1's configuration probes keep the placements of unaffected jobs
-  and replay only the dirty suffix, with a from-scratch fallback whenever
-  the prefix diverges.
+* :class:`PackMemo` — the activation's committed EDF trajectory: an
+  Algorithm 1 configuration probe resumes it at the trial job's rank,
+  keeps the placements before that rank and replays only the committed
+  suffix.
 * :class:`KernelCaches` — content-keyed warm starts (table slices, MMKP-LR
   relaxations, EX-MEM candidate columns) shared across runs, batch jobs and
   DSE sweep points.

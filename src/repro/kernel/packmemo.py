@@ -1,45 +1,55 @@
-"""Prefix-resumable EDF packing state (the delta half of Algorithm 2).
+"""The activation's committed EDF trajectory (the delta half of Algorithm 2).
 
-Algorithm 1 probes configurations by re-running the EDF packer on the full
-trial assignment — every probe re-places *every* already-committed job from
-an empty timeline, even though consecutive probes differ in exactly one
-``(job, configuration)`` decision.  Because the packer places jobs in a
-deterministic order (non-decreasing deadline, then name) and each placement
-depends only on the segment state left by the placements before it, the
-packed timeline after the first ``p`` placements is a pure function of the
-first ``p`` ``(job, configuration)`` steps.
+Algorithm 1 validates every candidate ``(job, configuration)`` by packing the
+trial assignment with the EDF packer.  The packer places jobs in a fixed
+order (non-decreasing deadline, then name), and each placement depends only
+on the segment state left by the placements before it, so the packed
+timeline after the first ``p`` placements is a pure function of the first
+``p`` ``(job, configuration)`` steps.
 
-A :class:`PackMemo` records that trajectory: the step sequence of the last
-pack plus a snapshot of the working segment state *after* every step.  The
-next pack replays only the suffix after the longest shared step prefix —
-unaffected jobs keep their packed mapping segments verbatim, the first
-changed decision marks the dirty suffix, and the re-placed suffix is spliced
-onto the shared prefix.  Since the resumed computation starts from the exact
-state the seed computation would have reached and replays the identical
-float operations, the packed schedule is bit-identical to a from-scratch
-pack; the equivalence suite asserts it.
+A :class:`PackMemo` holds the *committed* trajectory of one Algorithm 1
+walk: the steps of its last successful probe in EDF-rank order, their ranks,
+and the working segment state after each step — filled lazily, because most
+of them are never resumed from.  A probe of a trial job that is not yet
+committed finds the job's rank among the committed steps by bisection,
+resumes from the state before that rank, places the trial job and replays
+only the committed suffix.  A failed probe records nothing; a successful one
+becomes the committed trajectory.  Since a resumed pack starts from the
+exact state a from-scratch pack reaches and replays the identical float
+operations, every schedule is bit-identical to the reference oracle's; the
+equivalence suites assert it.
 
 The working state is a list of *immutable* segment records ``(start, end,
 mappings)`` plus one flat int column of busy cores per resource type.  A
-snapshot is a shallow copy of each list (pointer-width per segment) and
-placements copy-on-write only the records they touch; a resume copies the
-snapshot's columns rather than re-deriving them from the records.
+snapshot is a shallow copy of each list (pointer-width per segment), and
+placements copy-on-write only the records they touch.
 
 One memo is valid for exactly one scheduler activation (fixed ``now``, job
 set, remaining ratios and capacity); it lives on the activation's
-:class:`~repro.optable.view.ProblemView` and dies with it.
+:class:`~repro.optable.view.ProblemView` and dies with it.  A problem can be
+solved more than once, so each walk starts with :meth:`PackMemo.restart`.
 """
 
 from __future__ import annotations
+
+from itertools import starmap
+
+from repro.core.segment import MappingSegment, Schedule
 
 #: One immutable working segment: ``(start, end, mappings)`` with
 #: ``mappings`` a tuple of :class:`~repro.core.segment.JobMapping` in
 #: placement order.
 SegmentRecord = tuple
 
+#: One placement step: ``(rank, mapping, resources row, execution time,
+#: remaining ratio, deadline + 1e-9)`` with ``mapping`` the step's
+#: :class:`~repro.core.segment.JobMapping`; every field is a constant of the
+#: activation once the job's configuration is chosen.
+Step = tuple
+
 
 class PackMemo:
-    """Trajectory of the most recent EDF pack over one activation.
+    """Committed EDF trajectory of one Algorithm 1 walk.
 
     Parameters
     ----------
@@ -49,25 +59,32 @@ class PackMemo:
     Attributes
     ----------
     steps:
-        The ``(job name, configuration index)`` placement steps of the last
-        pack, in EDF placement order.
+        The committed :data:`Step` tuples, in EDF placement order.
+    ranks:
+        ``ranks[i]`` is the EDF rank of ``steps[i]`` within the activation's
+        whole job set; sorted, so a trial job's position is one bisection.
     snapshots:
-        ``snapshots[i]`` is the working state after the first ``i`` steps
-        (``snapshots[0]`` is the empty timeline): the list of immutable
+        ``snapshots[i]`` is the working state after the first ``i`` steps,
+        or ``None`` until a probe needs it: the list of immutable
         :data:`SegmentRecord` tuples followed by one usage column per
         resource type, so ``snapshots[i][1 + k][s]`` is the number of
-        type-``k`` cores busy in segment ``s``.  Keeping one per step costs
-        pointer-array and int-array copies, not a deep copy.
-    resumed_steps / replayed_steps:
-        Diagnostic counters: placements skipped by prefix reuse vs. actually
-        executed (the kernel's delta-hit accounting reads them).
+        type-``k`` cores busy in segment ``s``.  ``snapshots[0]`` (the empty
+        timeline) and ``snapshots[-1]`` (the committed schedule) are always
+        filled.
+    order:
+        Job name → ``(rank, job, OpTable)`` over the activation's job set,
+        in rank order (lazy).
+    packs / resumed_packs / resumed_steps / replayed_steps:
+        Diagnostic counters: packer calls, calls that resumed a non-empty
+        prefix, placements skipped by resuming vs. actually executed (the
+        kernel's delta accounting reads them).
     """
 
     __slots__ = (
         "steps",
+        "ranks",
         "snapshots",
-        "placements",
-        "edf_jobs",
+        "order",
         "packs",
         "resumed_packs",
         "resumed_steps",
@@ -75,32 +92,43 @@ class PackMemo:
     )
 
     def __init__(self, dimension: int) -> None:
-        self.steps: list[tuple[str, int]] = []
-        self.snapshots: list[tuple] = [((),) * (1 + dimension)]
-        #: name → ``(config, resources row, execution time, JobMapping)`` of
-        #: the job's most recently placed configuration (per-activation
-        #: constants; re-derived only when the probed configuration changes).
-        self.placements: dict[str, tuple] = {}
-        #: The activation's full job set in EDF placement order (lazy).
-        self.edf_jobs = None
+        self.steps: list[Step] = []
+        self.ranks: list[int] = []
+        self.snapshots: list[tuple | None] = [((),) * (1 + dimension)]
+        self.order: dict | None = None
         self.packs = 0
-        #: Packs that resumed a non-empty shared prefix (vs. from scratch).
         self.resumed_packs = 0
         self.resumed_steps = 0
         self.replayed_steps = 0
 
-    def resume(self, shared: int) -> list[list]:
-        """Truncate the trajectory to ``shared`` steps and return a working copy.
+    def restart(self) -> None:
+        """Start an empty committed trajectory (a new Algorithm 1 walk)."""
+        self.steps.clear()
+        self.ranks.clear()
+        del self.snapshots[1:]
 
-        The copy is ``[records, column_0, column_1, ...]``, fresh lists the
-        caller may mutate freely (the records are immutable and shared with
-        the snapshots).  The packer extends the trajectory by appending to
-        :attr:`steps` and :attr:`snapshots` in lock-step, one entry per
-        placement that passed its deadline check — the post-state of a
-        *failed* placement is never recorded, because it is not a valid
-        resume point (a later pack sharing the failing step must replay, and
-        re-fail, it).
+    def commit(self, position: int, step: Step, state: list) -> None:
+        """Make a successful probe the committed trajectory.
+
+        The trial ``step`` is inserted at ``position`` and ``state`` is the
+        working state after the last step.  Snapshots up to ``position``
+        stay valid; later ones are dropped, except the final state, which
+        the memo keeps without copying (resumes copy it before mutating).
         """
-        del self.steps[shared:]
-        del self.snapshots[shared + 1 :]
-        return list(map(list, self.snapshots[shared]))
+        self.steps.insert(position, step)
+        self.ranks.insert(position, step[0])
+        tail = len(self.steps) - position
+        self.snapshots[position + 1 :] = [None] * (tail - 1) + [tuple(state)]
+
+    def schedule(self) -> Schedule:
+        """The committed schedule, materialised from the final state."""
+        return materialise(self.snapshots[-1][0])
+
+
+def materialise(records) -> Schedule:
+    """The :class:`Schedule` of a list of working segment records.
+
+    The records are sorted and disjoint by construction, so this goes
+    through the trusted constructors (no re-sort, no re-validation).
+    """
+    return Schedule._trusted(tuple(starmap(MappingSegment._trusted, records)))

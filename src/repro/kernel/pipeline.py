@@ -16,10 +16,11 @@ reschedules alike, in four named stages over an explicit
     Build the :class:`~repro.core.problem.SchedulingProblem`, seed its
     columnar view with the run's cross-activation
     :class:`~repro.optable.view.SharedSlices`, and activate the scheduler.
-    The delta machinery lives below this stage: the EDF packer resumes from
-    placement prefixes shared with the activation's previous probe, falling
-    back to a full re-pack whenever the prefix diverges — which is what
-    keeps every schedule bit-identical to the seed's full re-solve.
+    The delta machinery lives below this stage: each configuration probe
+    resumes the activation's committed EDF trajectory at the trial job's
+    rank and replays only the committed suffix, from the exact state a full
+    re-pack reaches — which is what keeps every schedule bit-identical to
+    the seed's full re-solve.
 ``commit``
     Prune, apply the governor, check the energy envelope and install the
     schedule — sharing one :class:`~repro.kernel.state.LoadLedger` across

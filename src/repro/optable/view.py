@@ -75,7 +75,7 @@ class ProblemView:
             self._fitting: dict[str, tuple[int, ...]] = {}
             #: app → per-fitting-point float weight rows for MMKP groups.
             self._weight_rows: dict[str, tuple[tuple[float, ...], ...]] = {}
-        #: Per-activation prefix-resumable EDF pack trajectory (lazy).
+        #: Per-activation committed EDF pack trajectory (lazy).
         self._pack_memo = None
 
     def pack_memo(self):

@@ -10,37 +10,47 @@ remaining work.  The result is ``None`` when some job would miss its deadline.
 
 from __future__ import annotations
 
-from itertools import starmap
-from typing import Mapping
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Mapping
 
-from repro.core.problem import SchedulingProblem
-from repro.core.segment import JobMapping, MappingSegment, Schedule, TIME_EPSILON
+from repro.core.segment import JobMapping, TIME_EPSILON
 from repro.exceptions import SchedulingError
+from repro.kernel.packmemo import materialise
+
+if TYPE_CHECKING:  # pragma: no cover — typing only
+    from repro.core.problem import SchedulingProblem
+    from repro.core.request import Job
+    from repro.core.segment import Schedule
+    from repro.kernel.packmemo import PackMemo, Step
+    from repro.optable.table import OpTable
 
 #: Remaining-ratio threshold below which a job counts as finished.
 _RATIO_EPSILON = 1e-9
 
-#: ``assignment.get`` default marking a job the assignment leaves out.
-_UNASSIGNED = object()
-
 
 def pack_jobs_edf(
-    problem: SchedulingProblem, assignment: Mapping[str, int]
-) -> Schedule | None:
+    problem: SchedulingProblem,
+    assignment: Mapping[str, int],
+    trial: str | None = None,
+) -> Schedule | PackMemo | None:
     """Build mapping segments for the jobs listed in ``assignment``.
 
-    Packing resumes from the longest ``(job, configuration)`` placement
-    prefix shared with the activation's previous pack (see
-    :class:`~repro.kernel.packmemo.PackMemo`); one walk over the
-    activation's EDF order finds that prefix and collects the dirty suffix.
-    The working state is a list of *immutable* segment records ``(start,
-    end, mappings)`` plus one int usage column per resource type, which the
-    feasibility probe scans.  Placements copy-on-write only the records they
-    touch, and each memo snapshot keeps its columns, so recording one
-    snapshot per step is a few flat list copies.  The arithmetic — and
-    therefore every float — is identical to a from-scratch pack from an
-    empty schedule, the seed packer of the reference oracle; the
-    equivalence tests assert it.
+    * Without ``trial``, the whole assignment is packed from the empty
+      timeline; the activation's committed trajectory is left alone.
+    * With ``trial`` — Algorithm 1's configuration probe — the pack runs on
+      the committed EDF trajectory of the current walk (see
+      :class:`~repro.kernel.packmemo.PackMemo`).  ``assignment`` is the
+      committed assignment plus the configuration of ``trial``, a job not
+      yet committed, and only that one entry is read.  The trial job's EDF
+      rank among the committed steps is found by bisection; the pack
+      resumes from the state before that rank, places the trial job and
+      replays the committed suffix.  A successful probe becomes the
+      committed trajectory; a failed one changes nothing.
+
+    Placements copy-on-write only the segment records they touch.  The
+    arithmetic — and therefore every float — is identical to a from-scratch
+    pack from an empty schedule, the seed packer of the reference oracle;
+    the equivalence tests assert it.
 
     Parameters
     ----------
@@ -51,12 +61,25 @@ def pack_jobs_edf(
         appear in the assignment are ignored (Algorithm 1 calls the packer
         with partial assignments while it incrementally selects
         configurations).
+    trial:
+        Name of the probed job, or ``None`` to pack the whole assignment.
 
     Returns
     -------
-    Schedule or None
-        The feasible schedule, or ``None`` if some assigned job cannot meet
-        its deadline with the given configurations.
+    Schedule, PackMemo or None
+        ``None`` if some assigned job cannot meet its deadline with the given
+        configurations.  Otherwise the feasible schedule — or, for a
+        ``trial`` probe, the committed :class:`PackMemo`, whose
+        :meth:`~repro.kernel.packmemo.PackMemo.schedule` materialises it, so
+        a caller that probes many configurations builds one schedule.
+
+    Raises
+    ------
+    SchedulingError
+        If an assigned configuration index is out of range (checked before
+        any placement), ``trial`` is not a job of the problem, or the probe
+        does not add exactly the uncommitted ``trial`` to the committed
+        trajectory.
 
     Examples
     --------
@@ -68,74 +91,65 @@ def pack_jobs_edf(
     """
     view = problem.view()
     memo = view.pack_memo()
+    memo.packs += 1
+    order = memo.order
+    if order is None:
+        # The EDF placement order of the activation's whole job set: name →
+        # (rank, job, table), inserted in rank order.
+        order = memo.order = {
+            job.name: (rank, job, view.optable(job.application))
+            for rank, job in enumerate(
+                sorted(problem.jobs, key=lambda j: (j.deadline, j.name))
+            )
+        }
+    snapshots = memo.snapshots
+    # Every new step is derived (and its configuration validated) before any
+    # placement, so an out-of-range configuration raises even when an
+    # earlier placement would miss its deadline first.
+    if trial is None:
+        placing = [
+            _step(entry, assignment[name])
+            for name, entry in order.items()
+            if name in assignment
+        ]
+        position = resume = 0
+    else:
+        entry = order.get(trial)
+        if entry is None:
+            raise SchedulingError(f"trial job {trial!r} is not a job of the problem")
+        rank = entry[0]
+        ranks = memo.ranks
+        position = bisect_left(ranks, rank)
+        if len(assignment) != len(ranks) + 1 or (
+            position < len(ranks) and ranks[position] == rank
+        ):
+            # A stale trajectory (the walk did not restart it) or a trial
+            # that is already committed: resuming would pack other jobs
+            # than the assignment names.
+            raise SchedulingError(
+                f"trial job {trial!r} does not extend the committed trajectory"
+            )
+        trial_step = _step(entry, assignment[trial])
+        # Resume from the nearest filled snapshot at or before the trial's
+        # rank; the committed steps in between are replayed and their
+        # snapshots filled on the way.
+        resume = position
+        while snapshots[resume] is None:
+            resume -= 1
+        steps = memo.steps
+        placing = steps[resume:position]
+        placing.append(trial_step)
+        placing += steps[position:]
+    memo.resumed_steps += resume
+    if resume:
+        memo.resumed_packs += 1
+    fill = position - resume
+
+    state = list(map(list, snapshots[resume]))
+    segments = state[0]
     capacity = view.capacity
     dimension = len(capacity)
-    now = problem.now
-    memo.packs += 1
-
-    # The EDF placement order of the *full* job set is a constant of the
-    # activation; walking it and skipping unassigned jobs preserves the
-    # exact relative order a per-pack sort of the assigned subset would
-    # produce.
-    edf_jobs = memo.edf_jobs
-    if edf_jobs is None:
-        edf_jobs = memo.edf_jobs = sorted(
-            problem.jobs, key=lambda j: (j.deadline, j.name)
-        )
-
-    # One walk over the EDF order: match the recorded step prefix, then
-    # collect the dirty suffix — validated (and its placement constants
-    # derived) before any placement, so an out-of-range configuration raises
-    # even when an earlier placement fails its deadline first.  The raise
-    # waits until the memo is resumed and counted, as for any other pack.
-    # Prefix jobs were validated when their steps were recorded; repeat
-    # probes hit the per-activation placement cache.
-    recorded = memo.steps
-    depth = len(recorded)
-    placements = memo.placements
-    lookup = assignment.get
-    shared = 0
-    suffix = []
-    invalid = None
-    for job in edf_jobs:
-        name = job.name
-        config_index = lookup(name, _UNASSIGNED)
-        if config_index is _UNASSIGNED:
-            continue
-        if not suffix and shared < depth:
-            step = recorded[shared]
-            if step[0] == name and step[1] == config_index:
-                shared += 1
-                continue
-        placement = placements.get(name)
-        if placement is None or placement[0] != config_index:
-            table = view.optable(job.application)
-            if not 0 <= config_index < len(table.times):
-                invalid = SchedulingError(
-                    f"job {name!r}: configuration {config_index} out of range"
-                )
-                break
-            placement = placements[name] = (
-                config_index,
-                table.resources[config_index],
-                table.times[config_index],
-                JobMapping(job, config_index),
-            )
-        suffix.append((job, placement))
-
-    state = memo.resume(shared)
-    memo.resumed_steps += shared
-    # Resume-vs-fallback outcome of this pack: a non-empty shared prefix
-    # resumes mid-placement, an empty one replays from scratch.  Counted on
-    # the memo (plain int — this runs once per candidate probe) and rolled
-    # onto the activation's phase.solve span by the admission pipeline.
-    if shared:
-        memo.resumed_packs += 1
-    if invalid is not None:
-        raise invalid
-    steps = memo.steps
-    snapshots = memo.snapshots
-    segments = state[0]
+    now = view.now
     # On two-cluster platforms the columns and rows are unrolled into
     # locals; other dimensions loop over them.  Either way the probe is the
     # same integer adds and compares per resource type.
@@ -148,8 +162,8 @@ def pack_jobs_edf(
 
     # No "already mapped in this segment" guard: job names are unique and
     # each job's own placement only moves forward, so it cannot trigger.
-    for job, (config_index, row, execution_time, mapping) in suffix:
-        remaining_ratio = job.remaining_ratio
+    for executed, step in enumerate(placing, 1):
+        _, mapping, row, execution_time, remaining_ratio, limit = step
         finish_time: float | None = None
         if two_dim:
             row0, row1 = row[0], row[1]
@@ -236,14 +250,36 @@ def pack_jobs_edf(
                     columns[k].append(row[k])
             finish_time = end
 
-        memo.replayed_steps += 1
-        # Deadline check (Algorithm 2, line 23).  Failed placements are not
-        # recorded: a later pack sharing the failing step must re-fail it.
-        if finish_time is None or finish_time > job.deadline + 1e-9:
+        # Deadline check (Algorithm 2, line 23).
+        if finish_time is None or finish_time > limit:
+            memo.replayed_steps += executed
             return None
-        steps.append((job.name, config_index))
-        snapshots.append(tuple(map(list.copy, state)))
+        if fill:
+            # A committed step replayed up to the trial's rank: keep the
+            # state it leaves as that rank's snapshot.
+            fill -= 1
+            resume += 1
+            snapshots[resume] = tuple(map(list.copy, state))
+    memo.replayed_steps += len(placing)
 
-    # The working list is sorted and disjoint by construction; materialise
-    # through the trusted constructors (no re-sort, no re-validation).
-    return Schedule._trusted(tuple(starmap(MappingSegment._trusted, segments)))
+    if trial is None:
+        return materialise(segments)
+    memo.commit(position, trial_step, state)
+    return memo
+
+
+def _step(entry: tuple[int, Job, OpTable], config_index: int) -> Step:
+    """The placement :data:`~repro.kernel.packmemo.Step` of one assignment."""
+    rank, job, table = entry
+    if not 0 <= config_index < len(table.times):
+        raise SchedulingError(
+            f"job {job.name!r}: configuration {config_index} out of range"
+        )
+    return (
+        rank,
+        JobMapping(job, config_index),
+        table.resources[config_index],
+        table.times[config_index],
+        job.remaining_ratio,
+        job.deadline + 1e-9,
+    )

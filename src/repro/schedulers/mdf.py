@@ -84,17 +84,22 @@ class MMKPMDFScheduler(Scheduler):
           selection replays the policy's arithmetic and its
           ``max((priority, name))`` tie-break.
 
-        The EDF packer underneath resumes from shared placement prefixes
-        (see :mod:`repro.kernel.packmemo`).  ``tests/reference`` holds the
-        list-based seed of this walk; the equivalence suites assert
-        identical decisions and floats.
+        Each probe runs the EDF packer in ``trial`` mode on the walk's
+        committed trajectory (see :mod:`repro.kernel.packmemo`), restarted
+        empty here because a problem may be solved more than once: it
+        resumes at the trial job's EDF rank and replays only the committed
+        suffix, and the schedule is materialised once, from the last
+        successful probe.  ``tests/reference`` holds the list-based seed of
+        this walk; the equivalence suites assert identical decisions and
+        floats.
         """
         view = problem.view()
+        view.pack_memo().restart()
         containers = problem.processing_capacity()
         dimensions = len(containers)
         epsilon = _EPSILON
         assignment: dict[str, int] = {}
-        schedule = None
+        trajectory = None
         packer_calls = 0
         policy_calls = 0
 
@@ -206,8 +211,8 @@ class MMKPMDFScheduler(Scheduler):
                 )
 
             # Try configurations in non-decreasing remaining-energy order
-            # (Algorithm 1, lines 5-14) — identical to the seed loop; the
-            # packer underneath resumes from shared placement prefixes.
+            # (Algorithm 1, lines 5-14) — identical to the seed loop; each
+            # probe resumes the committed trajectory at the job's EDF rank.
             table = view.optable(job.application)
             ratio = job.remaining_ratio
             if not inline_mdf:
@@ -223,10 +228,10 @@ class MMKPMDFScheduler(Scheduler):
                 # identical mapping without the per-trial dict churn.
                 assignment[job.name] = config_index
                 packer_calls += 1
-                trial_schedule = pack_jobs_edf(problem, assignment)
-                if trial_schedule is None:
+                probe = pack_jobs_edf(problem, assignment, trial=job.name)
+                if probe is None:
                     continue
-                schedule = trial_schedule
+                trajectory = probe
                 # Charge the committed configuration to the containers
                 # (Algorithm 1, line 12).
                 remaining = table.times[config_index] * ratio
@@ -249,6 +254,7 @@ class MMKPMDFScheduler(Scheduler):
                 )
             unassigned.remove(job.name)
 
+        schedule = trajectory.schedule() if trajectory is not None else None
         energy = problem.energy_of(schedule) if schedule is not None else float("inf")
         return SchedulingResult(
             schedule=schedule,

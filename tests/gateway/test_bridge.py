@@ -122,3 +122,73 @@ def test_emit_after_the_loop_stopped_raises_and_stays_closed(loop):
 def test_capacity_below_one_raises(loop, capacity):
     with pytest.raises(ValueError):
         EventBridge(loop, lambda item: None, capacity=capacity)
+
+
+def test_emit_at_capacity_raises_once_the_loop_is_closed(loop):
+    received = []
+    bridge = EventBridge(loop, received.append, capacity=1)
+    # Stop the loop without closing it: call_soon_threadsafe still accepts
+    # the first item, whose pump then never runs.
+    loop.call_soon_threadsafe(loop.stop)
+    deadline = time.monotonic() + TIMEOUT
+    while loop.is_running():
+        assert time.monotonic() < deadline, "event loop did not stop"
+        time.sleep(0.01)
+    bridge.emit(0)
+    loop.close()
+    thread, outcome = producer(bridge, 1)
+    # The producer polls its slot every 0.1 s; a closed loop ends the wait.
+    assert outcome["returned"].wait(1.0), "emit kept waiting on a closed loop"
+    thread.join(TIMEOUT)
+    assert isinstance(outcome.get("error"), BridgeClosed)
+    with pytest.raises(BridgeClosed):
+        bridge.emit(2)
+    assert received == []
+
+
+def test_a_cancelled_run_releases_its_producer(monkeypatch):
+    from repro.api import ExperimentSpec, WorkloadSpec
+    from repro.gateway.protocol import RunSubmission
+    from repro.gateway.server import GatewayConfig, GatewayServer
+
+    released = threading.Event()
+    emit = EventBridge.emit
+
+    def watched(self, item):
+        try:
+            emit(self, item)
+        except BridgeClosed:
+            released.set()
+            raise
+
+    monkeypatch.setattr(EventBridge, "emit", watched)
+    server = GatewayServer(GatewayConfig(port=0))
+    spec = ExperimentSpec(
+        name="cancelled",
+        workload=WorkloadSpec.poisson(arrival_rate=0.5, num_requests=4000, seed=1),
+    )
+    submission = RunSubmission(spec=spec, tenant="t", session=None, timeout_s=None)
+    record = server.registry.new_run(submission.tenant, spec.name)
+
+    async def cancel_once_running():
+        task = asyncio.get_running_loop().create_task(
+            server._execute_run(record, submission)
+        )
+        deadline = time.monotonic() + TIMEOUT
+        while not record.events:
+            assert time.monotonic() < deadline, "the run emitted nothing"
+            await asyncio.sleep(0.01)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        # The loop stays alive and keeps pumping: only the bridge closing
+        # on cancellation stops the worker before its run ends.
+        deadline = time.monotonic() + TIMEOUT
+        while not released.is_set():
+            assert time.monotonic() < deadline, "the worker kept emitting"
+            await asyncio.sleep(0.01)
+
+    try:
+        asyncio.run(cancel_once_running())
+    finally:
+        server._executor.shutdown(wait=True)

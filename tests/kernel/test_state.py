@@ -9,7 +9,7 @@ from repro.core.request import Job
 from repro.core.segment import TIME_EPSILON, JobMapping, MappingSegment, Schedule
 from repro.energy.governor import required_scale
 from repro.exceptions import SchedulingError
-from repro.kernel import KernelCaches, LoadLedger, PackMemo, ScheduleState
+from repro.kernel import KernelCaches, LoadLedger, ScheduleState
 from repro.optable.adapters import optables_for, segment_busy_counts
 from repro.platforms.resources import ResourceVector
 from repro.schedulers.edf_packer import pack_jobs_edf
@@ -84,13 +84,8 @@ class TestScheduleState:
 
 
 @st.composite
-def pack_call_sequences(draw):
-    """One problem on 1-3 resource types plus 1-20 successive assignments.
-
-    Each step adds a job, changes one job's configuration, drops a job or
-    replaces the whole assignment; about one step in ten gives its job an
-    out-of-range configuration instead.
-    """
+def pack_problems(draw):
+    """``(capacity, tables, jobs, now)`` on 1-3 resource types, 2-6 jobs."""
     dimension = draw(st.integers(1, 3))
     capacity = [draw(st.integers(1, 4)) for _ in range(dimension)]
     tables = {}
@@ -121,15 +116,28 @@ def pack_call_sequences(draw):
         )
         for index in range(draw(st.integers(2, 6)))
     ]
-    problem_args = (ResourceVector(capacity), tables, jobs, now)
+    return ResourceVector(capacity), tables, jobs, now
+
+
+def draw_config(draw, tables, job):
+    """A configuration of ``job``; about one draw in ten is out of range."""
+    size = len(tables[job.application])
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([-1, size, size + 2]))
+    return draw(st.integers(0, size - 1))
+
+
+@st.composite
+def pack_call_sequences(draw):
+    """One problem plus 1-20 successive assignments.
+
+    Each step adds a job, changes one job's configuration, drops a job or
+    replaces the whole assignment; about one step in ten gives its job an
+    out-of-range configuration instead.
+    """
+    problem_args = draw(pack_problems())
+    tables, jobs = problem_args[1], problem_args[2]
     sizes = {job.name: len(tables[job.application]) for job in jobs}
-
-    def config(job):
-        size = sizes[job.name]
-        if draw(st.integers(0, 9)) == 0:
-            return draw(st.sampled_from([-1, size, size + 2]))
-        return draw(st.integers(0, size - 1))
-
     assignment = {}
     assignments = []
     for _ in range(draw(st.integers(1, 20))):
@@ -139,15 +147,15 @@ def pack_call_sequences(draw):
         step = dict(assignment)
         if kind == "add" and absent:
             job = draw(st.sampled_from(absent))
-            step[job.name] = config(job)
+            step[job.name] = draw_config(draw, tables, job)
         elif kind == "change" and present:
             job = draw(st.sampled_from(present))
-            step[job.name] = config(job)
+            step[job.name] = draw_config(draw, tables, job)
         elif kind == "drop" and present:
             del step[draw(st.sampled_from(present)).name]
         else:
             chosen = draw(st.lists(st.sampled_from(jobs), min_size=1, unique=True))
-            step = {job.name: config(job) for job in chosen}
+            step = {job.name: draw_config(draw, tables, job) for job in chosen}
         assignments.append(step)
         # An out-of-range step raises, so the next step starts again from
         # the last valid assignment.
@@ -169,6 +177,59 @@ def _segments_key(schedule):
     ]
 
 
+def _records_key(records):
+    """:func:`_segments_key` of a trajectory snapshot's segment records."""
+    return [
+        (repr(start), repr(end), [(m.job_name, m.config_index) for m in mappings])
+        for start, end, mappings in records
+    ]
+
+
+def _trajectory(memo):
+    """The committed ``(job name, configuration)`` steps, in EDF order."""
+    return [(step[1].job_name, step[1].config_index) for step in memo.steps]
+
+
+def _edf_steps(jobs, assignment):
+    ordered = sorted(
+        (job for job in jobs if job.name in assignment),
+        key=lambda job: (job.deadline, job.name),
+    )
+    return [(job.name, assignment[job.name]) for job in ordered]
+
+
+def _oracle_pack(problem_args, assignment):
+    """The oracle's pack of ``assignment`` on a fresh problem, or ``raise``."""
+    capacity, tables, jobs, now = problem_args
+    fresh = SchedulingProblem(capacity, tables, jobs, now=now)
+    try:
+        return oracle.pack_jobs_edf(fresh, assignment)
+    except SchedulingError:
+        return "raise"
+
+
+def _assert_snapshots_match_the_oracle(memo, problem_args):
+    """Every filled snapshot is the oracle's pack of that committed prefix."""
+    capacity, tables, jobs, now = problem_args
+    steps = _trajectory(memo)
+    assert len(memo.snapshots) == len(steps) + 1
+    assert memo.snapshots[0] is not None and memo.snapshots[-1] is not None
+    for count, snapshot in enumerate(memo.snapshots):
+        if snapshot is None:
+            continue
+        records, columns = snapshot[0], snapshot[1:]
+        expected = _oracle_pack(problem_args, dict(steps[:count]))
+        assert _records_key(records) == _segments_key(expected)
+        for k, column in enumerate(columns):
+            assert list(column) == [
+                sum(
+                    tables[m.application][m.config_index].resources[k]
+                    for m in mappings
+                )
+                for _, _, mappings in records
+            ]
+
+
 def _completion_scale(schedule, jobs, now):
     """``required_scale`` written with one ``completion_time`` per job."""
     worst = 0.0
@@ -184,28 +245,86 @@ def _completion_scale(schedule, jobs, now):
 
 
 class TestPackMemo:
-    def test_prefix_resume_counts(self):
-        from repro.schedulers.edf_packer import pack_jobs_edf
-
+    def test_trial_probes_resume_at_the_trial_rank(self):
         problem = motivational_problem("S1")
         memo = problem.view().pack_memo()
-        # EDF order of S1 is (sigma2: deadline 4, sigma1: deadline 9), so a
-        # pack extending a sigma2-only assignment shares the sigma2 prefix.
-        first = pack_jobs_edf(problem, {"sigma2": 6})
-        assert first is not None
+        # EDF order of S1 is (sigma2: deadline 4, sigma1: deadline 9).
+        assert pack_jobs_edf(problem, {"sigma2": 6}, trial="sigma2") is memo
         assert memo.packs == 1 and memo.resumed_steps == 0
         assert memo.replayed_steps == 1
+        assert _trajectory(memo) == [("sigma2", 6)]
 
-        second = pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 6})
-        assert second is not None
+        # sigma1 ranks after the committed sigma2: the probe resumes from
+        # the committed final state and places sigma1 alone.
+        assert pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 6}, trial="sigma1")
         assert memo.packs == 2
-        # sigma2's placement was resumed; only sigma1 was replayed.
-        assert memo.resumed_steps == 1
+        assert memo.resumed_steps == 1 and memo.resumed_packs == 1
         assert memo.replayed_steps == 2
+        assert _trajectory(memo) == [("sigma2", 6), ("sigma1", 6)]
+        expected = pack_jobs_edf(
+            motivational_problem("S1"), {"sigma1": 6, "sigma2": 6}
+        )
+        assert _segments_key(memo.schedule()) == _segments_key(expected)
+
+    def test_a_trial_ahead_of_the_committed_jobs_replays_them(self):
+        problem = motivational_problem("S1")
+        memo = problem.view().pack_memo()
+        assert pack_jobs_edf(problem, {"sigma1": 6}, trial="sigma1") is memo
+        # sigma2 ranks first: nothing to resume, sigma2 is placed and the
+        # committed sigma1 replayed behind it.
+        assert pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 6}, trial="sigma2")
+        assert memo.resumed_steps == 0 and memo.resumed_packs == 0
+        assert memo.replayed_steps == 1 + 2
+        assert _trajectory(memo) == [("sigma2", 6), ("sigma1", 6)]
+        # Only the final state is kept; the one after sigma2 fills lazily,
+        # when a probe resumes there.
+        assert memo.snapshots[1] is None
+
+    def test_failed_and_raising_probes_record_nothing(self):
+        problem = motivational_problem("S1")
+        memo = problem.view().pack_memo()
+        assert pack_jobs_edf(problem, {"sigma2": 6}, trial="sigma2")
+        steps, snapshots = list(memo.steps), list(memo.snapshots)
+        with pytest.raises(SchedulingError, match="out of range"):
+            pack_jobs_edf(problem, {"sigma2": 6, "sigma1": 99}, trial="sigma1")
+        with pytest.raises(SchedulingError, match="not a job"):
+            pack_jobs_edf(problem, {"sigma2": 6, "nobody": 0}, trial="nobody")
+        assert memo.steps == steps and memo.snapshots == snapshots
+
+    def test_a_probe_must_extend_the_committed_trajectory(self):
+        problem = motivational_problem("S1")
+        memo = problem.view().pack_memo()
+        assert pack_jobs_edf(problem, {"sigma2": 6}, trial="sigma2")
+        steps, snapshots = list(memo.steps), list(memo.snapshots)
+        # A committed job cannot be probed again, with or without the rest
+        # of the committed assignment.
+        with pytest.raises(SchedulingError, match="does not extend"):
+            pack_jobs_edf(problem, {"sigma2": 5}, trial="sigma2")
+        with pytest.raises(SchedulingError, match="does not extend"):
+            pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 5}, trial="sigma2")
+        # A new walk's first probe on the old walk's trajectory.
+        with pytest.raises(SchedulingError, match="does not extend"):
+            pack_jobs_edf(problem, {"sigma1": 6}, trial="sigma1")
+        assert memo.steps == steps and memo.snapshots == snapshots
+
+        memo.restart()
+        assert memo.steps == [] and memo.ranks == []
+        assert memo.snapshots == snapshots[:1]
+        assert pack_jobs_edf(problem, {"sigma1": 6}, trial="sigma1") is memo
+        assert _trajectory(memo) == [("sigma1", 6)]
+
+    def test_a_whole_pack_leaves_the_trajectory_alone(self):
+        problem = motivational_problem("S1")
+        memo = problem.view().pack_memo()
+        assert pack_jobs_edf(problem, {"sigma2": 6}, trial="sigma2")
+        steps, snapshots = list(memo.steps), list(memo.snapshots)
+        schedule = pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 5})
+        assert schedule is not None
+        assert memo.steps == steps and memo.snapshots == snapshots
+        assert pack_jobs_edf(problem, {"sigma1": 6, "sigma2": 6}, trial="sigma1")
+        assert _trajectory(memo) == [("sigma2", 6), ("sigma1", 6)]
 
     def test_resumed_pack_is_bit_identical_to_fresh(self):
-        from repro.schedulers.edf_packer import pack_jobs_edf
-
         problem = motivational_problem("S2")
         assignments = [
             {"sigma1": 0},
@@ -233,45 +352,109 @@ class TestPackMemo:
     )
     @given(pack_call_sequences())
     def test_random_pack_sequences_match_the_oracle(self, case):
-        (capacity, tables, jobs, now), assignments = case
+        problem_args, assignments = case
+        capacity, tables, jobs, now = problem_args
         problem = SchedulingProblem(capacity, tables, jobs, now=now)
         memo = problem.view().pack_memo()
         by_name = {job.name: job for job in jobs}
         for calls, assignment in enumerate(assignments, start=1):
-            # Every pack, a raising one included, resumes (and counts) the
-            # longest prefix its EDF steps share with the recorded ones.
-            ordered = sorted(
-                (job for job in jobs if job.name in assignment),
-                key=lambda job: (job.deadline, job.name),
-            )
-            recorded = list(memo.steps)
-            shared = 0
-            for job, step in zip(ordered, recorded):
-                if step != (job.name, assignment[job.name]):
-                    break
-                shared += 1
+            # A whole-assignment pack resumes nothing: it packs from the
+            # empty timeline and leaves the (empty) trajectory alone.
             resumed_steps = memo.resumed_steps
             resumed_packs = memo.resumed_packs
-            fresh = SchedulingProblem(capacity, tables, jobs, now=now)
-            try:
-                expected = oracle.pack_jobs_edf(fresh, assignment)
-            except SchedulingError:
-                expected = None
+            expected = _oracle_pack(problem_args, assignment)
+            if expected == "raise":
                 with pytest.raises(SchedulingError):
                     pack_jobs_edf(problem, assignment)
-                assert memo.steps == recorded[:shared]
+                expected = None
             else:
                 schedule = pack_jobs_edf(problem, assignment)
                 assert _segments_key(schedule) == _segments_key(expected)
-                assert memo.steps[:shared] == recorded[:shared]
+            assert _trajectory(memo) == []
             assert memo.packs == calls
-            assert memo.resumed_steps - resumed_steps == shared
-            assert memo.resumed_packs - resumed_packs == (shared > 0)
+            assert memo.resumed_steps == resumed_steps
+            assert memo.resumed_packs == resumed_packs
+            _assert_snapshots_match_the_oracle(memo, problem_args)
             if expected is None:
                 continue
             assert repr(required_scale(schedule, by_name, now)) == repr(
                 _completion_scale(schedule, by_name, now)
             )
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(pack_problems(), st.data())
+    def test_mdf_shaped_probe_sequences_match_the_oracle(self, problem_args, data):
+        """Add a job, then change the newest job's configuration, as MDF does.
+
+        MDF probes a job until one configuration packs and never probes it
+        again, so only a failed (or raising) probe is followed by a change
+        of the same job's configuration.
+        """
+        capacity, tables, jobs, now = problem_args
+        problem = SchedulingProblem(capacity, tables, jobs, now=now)
+        memo = problem.view().pack_memo()
+        key = {job.name: (job.deadline, job.name) for job in jobs}
+        committed: dict[str, int] = {}
+        newest = None
+        for calls in range(1, data.draw(st.integers(1, 20)) + 1):
+            absent = [job for job in jobs if job.name not in committed]
+            if not absent:
+                break
+            if newest is not None and data.draw(st.booleans()):
+                trial = newest
+            else:
+                trial = data.draw(st.sampled_from(absent)).name
+            newest = trial
+            config = draw_config(data.draw, tables, problem.job(trial))
+            assignment = dict(committed)
+            assignment[trial] = config
+            # The trial's rank among the committed steps, and the probe's
+            # resume point: the nearest filled snapshot at or before it.
+            position = sum(key[name] < key[trial] for name in committed)
+            suffix = len(committed) - position
+            resume = max(
+                count
+                for count in range(position + 1)
+                if memo.snapshots[count] is not None
+            )
+            resumed_steps = memo.resumed_steps
+            replayed_steps = memo.replayed_steps
+            resumed_packs = memo.resumed_packs
+            expected = _oracle_pack(problem_args, assignment)
+            if expected == "raise":
+                with pytest.raises(SchedulingError):
+                    pack_jobs_edf(problem, assignment, trial=trial)
+                assert memo.resumed_steps == resumed_steps
+                assert memo.replayed_steps == replayed_steps
+                assert memo.resumed_packs == resumed_packs
+            else:
+                result = pack_jobs_edf(problem, assignment, trial=trial)
+                assert memo.resumed_steps - resumed_steps == resume
+                assert memo.resumed_packs - resumed_packs == (resume > 0)
+                replayed = memo.replayed_steps - replayed_steps
+                # The committed steps between the resume point and the
+                # trial's rank fill their snapshots on the way.
+                assert all(
+                    memo.snapshots[count] is not None
+                    for count in range(resume, position + 1)
+                )
+                if expected is None:
+                    assert result is None
+                    assert position - resume + 1 <= replayed
+                    assert replayed <= position - resume + 1 + suffix
+                else:
+                    assert result is memo
+                    assert replayed == position - resume + 1 + suffix
+                    assert _segments_key(memo.schedule()) == _segments_key(expected)
+                    committed = assignment
+                    newest = None
+            assert memo.packs == calls
+            assert _trajectory(memo) == _edf_steps(jobs, committed)
+            _assert_snapshots_match_the_oracle(memo, problem_args)
 
 
 class TestKernelCaches:

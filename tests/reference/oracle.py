@@ -1,7 +1,7 @@
 """The reference oracle: the seed decision path, kept for tests and benchmarks.
 
 ``repro`` runs one implementation of each paper algorithm: the columnar,
-incremental MMKP-MDF walk (Algorithm 1), the prefix-resumable EDF packer
+incremental MMKP-MDF walk (Algorithm 1), the trajectory-resuming EDF packer
 (Algorithm 2), the columnar MMKP-LR baseline and the event-driven runtime
 manager with its admission pipeline.  This module is the seed
 implementation those fast paths were derived from, written directly over
