@@ -135,8 +135,19 @@ def _wire_value(key: str, value: Any):
     return _jsonify(value)
 
 
+#: Types ``_jsonify`` returns as they are.  Testing exact types before the
+#: ``Mapping`` ABC check, which costs several times more, keeps the check
+#: off nearly every value an event carries.
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
+
 def _jsonify(value: Any):
-    if isinstance(value, Mapping):
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if kind is dict or (
+        kind is not list and kind is not tuple and isinstance(value, Mapping)
+    ):
         return {str(key): _jsonify(entry) for key, entry in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(entry) for entry in value]

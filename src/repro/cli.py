@@ -1053,68 +1053,68 @@ def _cmd_submit(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
 
-    client = GatewayClient(args.url, tenant=args.tenant)
-    try:
-        if args.trials > 1:
-            record = client.submit_batch(
-                spec,
-                trials=args.trials,
-                session=args.session,
-                timeout_s=args.timeout,
-            )
-            status = client.wait_batch(record["id"])
-            if status["state"] != "done":
-                error = status.get("error", {})
-                print(f"error: batch {record['id']} failed: "
-                      f"{error.get('message', error)}", file=sys.stderr)
-                return 1
-            result = status["result"]
-            _print_aggregate(spec.name, result["aggregate"])
-            print(f"batch fingerprint {result['fingerprint']}")
-        else:
-            record = client.submit_run(
-                spec, session=args.session, timeout_s=args.timeout
-            )
-            if args.stream:
-                try:
-                    for payload in client.events(record["id"]):
-                        if payload.get("kind") in (
-                            RunEventKind.END.value, "error"
-                        ):
-                            continue  # the final status below reports both
-                        print(RunEvent.from_dict(payload), flush=True)
-                except BrokenPipeError:
-                    return _broken_pipe_exit()
-                except KeyboardInterrupt:
-                    print("interrupted (the run keeps going on the daemon; "
-                          f"check it with GET /runs/{record['id']})",
-                          file=sys.stderr)
-                    return 130
-            status = client.wait_run(record["id"])
-            if status["state"] != "done":
-                error = status.get("error", {})
-                print(f"error: run {record['id']} failed: "
-                      f"{error.get('message', error)}", file=sys.stderr)
-                return 1
-            result = status["result"]
-            print(
-                f"run {record['id']} ({spec.name}): "
-                f"{result['requests']} requests, "
-                f"acceptance {result['acceptance_rate'] * 100:.1f} %, "
-                f"energy {result['total_energy']:.2f} J, "
-                f"fingerprint {result['fingerprint']}"
-            )
-        if args.output:
-            save_json(status, args.output)
-            print(f"wrote gateway result to {args.output}")
-        return 0
-    except GatewayError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except (ConnectionError, OSError) as error:
-        print(f"error: cannot reach gateway at {args.url}: {error}",
-              file=sys.stderr)
-        return 2
+    with GatewayClient(args.url, tenant=args.tenant) as client:
+        try:
+            if args.trials > 1:
+                record = client.submit_batch(
+                    spec,
+                    trials=args.trials,
+                    session=args.session,
+                    timeout_s=args.timeout,
+                )
+                status = client.wait_batch(record["id"])
+                if status["state"] != "done":
+                    error = status.get("error", {})
+                    print(f"error: batch {record['id']} failed: "
+                          f"{error.get('message', error)}", file=sys.stderr)
+                    return 1
+                result = status["result"]
+                _print_aggregate(spec.name, result["aggregate"])
+                print(f"batch fingerprint {result['fingerprint']}")
+            else:
+                record = client.submit_run(
+                    spec, session=args.session, timeout_s=args.timeout
+                )
+                if args.stream:
+                    try:
+                        for payload in client.events(record["id"]):
+                            if payload.get("kind") in (
+                                RunEventKind.END.value, "error"
+                            ):
+                                continue  # the final status below reports both
+                            print(RunEvent.from_dict(payload), flush=True)
+                    except BrokenPipeError:
+                        return _broken_pipe_exit()
+                    except KeyboardInterrupt:
+                        print("interrupted (the run keeps going on the daemon; "
+                              f"check it with GET /runs/{record['id']})",
+                              file=sys.stderr)
+                        return 130
+                status = client.wait_run(record["id"])
+                if status["state"] != "done":
+                    error = status.get("error", {})
+                    print(f"error: run {record['id']} failed: "
+                          f"{error.get('message', error)}", file=sys.stderr)
+                    return 1
+                result = status["result"]
+                print(
+                    f"run {record['id']} ({spec.name}): "
+                    f"{result['requests']} requests, "
+                    f"acceptance {result['acceptance_rate'] * 100:.1f} %, "
+                    f"energy {result['total_energy']:.2f} J, "
+                    f"fingerprint {result['fingerprint']}"
+                )
+            if args.output:
+                save_json(status, args.output)
+                print(f"wrote gateway result to {args.output}")
+            return 0
+        except GatewayError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return 1
+        except (ConnectionError, OSError) as error:
+            print(f"error: cannot reach gateway at {args.url}: {error}",
+                  file=sys.stderr)
+            return 2
 
 
 def main(argv: Sequence[str] | None = None) -> int:

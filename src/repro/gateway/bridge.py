@@ -1,18 +1,21 @@
-"""Bridging the synchronous Session worker into asyncio, with backpressure.
+"""Bridging a run's executor thread into asyncio, with backpressure.
 
-A gateway run executes :meth:`repro.api.session.Session.stream` on an
-executor thread while its consumers — the run record's event buffer and
-any number of SSE subscribers — live on the asyncio event loop.  The
+A gateway run drives :meth:`repro.api.session.Session.run` on an executor
+thread while its consumers — the run record's event buffer and any number
+of SSE subscribers — live on the asyncio event loop.  The
 :class:`EventBridge` is the one-way pipe between the two worlds:
 
-* the executor thread calls :meth:`EventBridge.emit` per event;
-* the event is delivered on the loop thread via
-  ``loop.call_soon_threadsafe`` (FIFO, so event order is preserved);
-* a :class:`threading.BoundedSemaphore` caps the number of events in
-  flight — when the loop falls behind (slow SSE consumers, a busy
-  daemon), ``emit`` blocks the *simulation* thread, which in turn stalls
-  the bounded queue inside ``Session.stream``.  Backpressure propagates
-  all the way into the simulation instead of ballooning memory.
+* the executor thread calls :meth:`EventBridge.emit` per event, from the
+  run's ``on_event`` observer;
+* emitted items queue in a pending list, and the first item of a burst
+  schedules one ``loop.call_soon_threadsafe`` wake-up that delivers every
+  item pending by the time it runs, in emission order — so the loop wakes
+  once per burst of events, not once per event;
+* a :class:`threading.BoundedSemaphore` caps the number of items in flight
+  — when the loop falls behind (slow SSE consumers, a busy daemon),
+  ``emit`` blocks the executor thread inside the observer, which stalls
+  the simulation itself.  Backpressure reaches the simulation instead of
+  ballooning memory.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ class EventBridge:
         self._deliver = deliver
         self._slots = threading.BoundedSemaphore(capacity)
         self._closed = threading.Event()
+        # Items emitted but not yet taken by a pump.  Non-empty exactly
+        # while a pump is scheduled: the emit that makes it non-empty
+        # schedules one, and the pump empties it.
+        self._pending: list = []
+        self._lock = threading.Lock()
 
     def emit(self, item: Any) -> None:
         """Hand one item to the loop (called on the worker thread).
@@ -70,17 +78,25 @@ class EventBridge:
         if self._closed.is_set():
             self._slots.release()
             raise BridgeClosed("event bridge is closed")
+        with self._lock:
+            self._pending.append(item)
+            wake = len(self._pending) == 1
+        if not wake:
+            return  # the burst's pump is already scheduled
         try:
-            self._loop.call_soon_threadsafe(self._pump, item)
+            self._loop.call_soon_threadsafe(self._pump)
         except RuntimeError:  # loop already closed (daemon shutting down)
             self._slots.release()
             self._closed.set()
             raise BridgeClosed("event loop is gone") from None
 
-    def _pump(self, item: Any) -> None:
-        self._slots.release()
+    def _pump(self) -> None:
+        with self._lock:
+            items, self._pending = self._pending, []
+        self._slots.release(len(items))
         if not self._closed.is_set():
-            self._deliver(item)
+            for item in items:
+                self._deliver(item)
 
     def close(self) -> None:
         """Stop delivering and unblock any producer stuck in :meth:`emit`.

@@ -614,11 +614,13 @@ class GatewayServer:
         index = max(0, start)
         while True:
             events, done = await record.wait_events(index)
-            for payload in events:
-                writer.write(
-                    protocol.sse_frame(payload, index, trace_id=record.trace_id)
+            writer.write(
+                b"".join(
+                    protocol.sse_frame(payload, position, trace_id=record.trace_id)
+                    for position, payload in enumerate(events, index)
                 )
-                index += 1
+            )
+            index += len(events)
             await writer.drain()  # SSE backpressure: respect the socket
             if done and index >= len(record.events):
                 break
@@ -676,24 +678,22 @@ class GatewayServer:
                         else None
                     )
 
-                    def drive() -> None:
-                        with session.stream() as events:
-                            for event in events:
-                                if (
-                                    deadline is not None
-                                    and time.monotonic() > deadline
-                                ):
-                                    raise RunTimeout(
-                                        f"run {record.id} exceeded "
-                                        f"timeout_s={submission.timeout_s:g}"
-                                    )
-                                bridge.emit(event.to_dict())
+                    # Runs inside the simulation on this executor thread: a
+                    # full bridge blocks the run itself, and a RunTimeout or
+                    # BridgeClosed raised here ends it at this event.
+                    def observe(event) -> None:
+                        if deadline is not None and time.monotonic() > deadline:
+                            raise RunTimeout(
+                                f"run {record.id} exceeded "
+                                f"timeout_s={submission.timeout_s:g}"
+                            )
+                        bridge.emit(event.to_dict())
 
                     if tracer is None:
-                        drive()
+                        session.run(on_event=observe)
                         return None
                     with tracer:
-                        drive()
+                        session.run(on_event=observe)
                     return tracer.span_dicts()
 
                 spans = await loop.run_in_executor(self._executor, work)
@@ -702,8 +702,9 @@ class GatewayServer:
                     # Back on the loop thread: safe to publish on the record.
                     record.trace = spans
                     self.metrics.observe_phases(spans)
-            # The END frame is the last event the bridge delivered (its
-            # call_soon_threadsafe precedes the executor completion signal).
+            # The END frame is the last event the bridge delivered: the pump
+            # that carries it was scheduled before the executor completion
+            # signal, and the loop runs callbacks in order.
             if not record.events or record.events[-1].get("kind") != "end":
                 raise ReproError("run finished without an END event")
             record.finish(record.events[-1]["data"]["log"])
@@ -716,8 +717,9 @@ class GatewayServer:
             self.metrics.runs_failed.increment()
         finally:
             # However the run ends — a cancellation at daemon teardown
-            # included — release a worker still emitting into the bridge.
-            # A finished run's events were all delivered before its executor
+            # included — stop a simulation still emitting into the bridge:
+            # its next emit raises BridgeClosed on the executor thread.  A
+            # finished run's events were all delivered before its executor
             # future resolved, so closing drops nothing.
             bridge.close()
 

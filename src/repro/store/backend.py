@@ -181,7 +181,10 @@ class SQLiteBackend:
             isolation_level=None,  # autocommit: one statement, one txn
             check_same_thread=False,  # per-thread via threading.local anyway
         )
-        conn.execute("PRAGMA journal_mode=WAL")
+        # Switching a fresh file to WAL takes an exclusive lock; when several
+        # processes open it at once, SQLite reports "database is locked"
+        # without waiting on the busy handler.
+        self._retry(conn.execute, "PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.execute("PRAGMA busy_timeout=30000")
         self._retry(

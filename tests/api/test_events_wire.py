@@ -6,14 +6,18 @@ that breaks a snapshot here is a wire-schema change and must bump
 ``PROTOCOL_VERSION``.
 """
 
+import collections
 import dataclasses
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
+from typing import Any, Mapping
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, RunEvent, RunEventKind, Session, WorkloadSpec
 
@@ -261,3 +265,65 @@ class TestFromDictValidation:
     def test_missing_data_defaults_to_empty(self):
         event = RunEvent.from_dict({"kind": "finish", "time": 2.0, "request": "r0"})
         assert event.data == {}
+
+
+def _reference_jsonify(value: Any):
+    """The wire encoding before its exact-type fast path (the reference)."""
+    if isinstance(value, Mapping):
+        return {str(key): _reference_jsonify(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_reference_jsonify(entry) for entry in value]
+    return value
+
+
+_Pair = collections.namedtuple("_Pair", "first second")
+_Single = collections.namedtuple("_Single", "only")
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+_keys = st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats(
+    allow_nan=False
+)
+
+
+def _containers(children):
+    mappings = st.dictionaries(_keys, children, max_size=4)
+    return (
+        mappings
+        | mappings.map(collections.OrderedDict)
+        | mappings.map(types.MappingProxyType)
+        | st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.tuples(children, children).map(lambda pair: _Pair(*pair))
+        | children.map(_Single)
+    )
+
+
+_values = st.recursive(_scalars, _containers, max_leaves=20)
+
+
+class TestJsonifyReference:
+    """The encoder's exact-type tests change nothing it returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.dictionaries(st.text(max_size=6), _values, max_size=5),
+        request=st.none() | st.text(max_size=6),
+    )
+    def test_to_dict_equals_the_reference_encoding(self, data, request):
+        event = RunEvent(RunEventKind.COMMIT, 1.25, request, data)
+        expected = {"kind": "commit", "time": 1.25}
+        if request is not None:
+            expected["request"] = request
+        expected["data"] = {
+            key: _reference_jsonify(value) for key, value in data.items()
+        }
+        wire = event.to_dict()
+        assert wire == expected
+        # repr also tells dict from OrderedDict and list from tuple.
+        assert repr(wire) == repr(expected)

@@ -65,6 +65,39 @@ def producer(bridge: EventBridge, item) -> tuple[threading.Thread, dict]:
     return thread, outcome
 
 
+class CountingLoop:
+    """A loop proxy that counts the callbacks scheduled through it."""
+
+    def __init__(self, loop):
+        self._loop = loop
+        self.scheduled = 0
+
+    def call_soon_threadsafe(self, callback, *args):
+        self.scheduled += 1
+        return self._loop.call_soon_threadsafe(callback, *args)
+
+    def is_closed(self) -> bool:
+        return self._loop.is_closed()
+
+
+def test_a_burst_of_emits_wakes_the_loop_once(loop):
+    received = []
+    counting = CountingLoop(loop)
+    bridge = EventBridge(counting, received.append, capacity=64)
+    gate = hold(loop)
+    for item in range(50):
+        bridge.emit(item)
+    assert counting.scheduled == 1
+    gate.set()
+    drain(loop)
+    assert received == list(range(50))
+    # Once the burst is delivered, the next emit schedules a wake-up again.
+    bridge.emit(50)
+    drain(loop)
+    assert counting.scheduled == 2
+    assert received == list(range(51))
+
+
 def test_order_is_preserved_across_many_emits(loop):
     received = []
     bridge = EventBridge(loop, received.append, capacity=16)

@@ -24,15 +24,19 @@ def gateway(tmp_path):
         yield gw
 
 
+@pytest.fixture()
+def client(gateway):
+    with GatewayClient(gateway.base_url) as client:
+        yield client
+
+
 class TestGatewayStore:
-    def test_store_opens_from_config_and_runs_stay_equivalent(self, gateway):
-        client = GatewayClient(gateway.base_url)
+    def test_store_opens_from_config_and_runs_stay_equivalent(self, client):
         status = client.run(_spec())
         reference = Session.from_spec(_spec()).run()
         assert status["result"]["fingerprint"] == reference.fingerprint()
 
-    def test_batches_fill_the_store_and_metrics_expose_it(self, gateway):
-        client = GatewayClient(gateway.base_url)
+    def test_batches_fill_the_store_and_metrics_expose_it(self, gateway, client):
         # Trials reseed the workload, so the batch spec must be seedable
         # (the motivational scenarios are fixed traces).
         spec = ExperimentSpec(
@@ -54,8 +58,10 @@ class TestGatewayStore:
         assert "# TYPE repro_store_hits counter" in text
 
     def test_no_store_no_series(self):
-        with InProcessGateway(GatewayConfig(port=0)) as gw:
-            client = GatewayClient(gw.base_url)
+        with (
+            InProcessGateway(GatewayConfig(port=0)) as gw,
+            GatewayClient(gw.base_url) as client,
+        ):
             client.run(_spec("gw-no-store"))
             assert "repro_store_" not in client.metrics_text()
 

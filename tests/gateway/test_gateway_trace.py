@@ -30,7 +30,8 @@ def gateway():
 
 @pytest.fixture(scope="module")
 def client(gateway):
-    return GatewayClient(gateway.base_url)
+    with GatewayClient(gateway.base_url) as client:
+        yield client
 
 
 @pytest.fixture(scope="module")
@@ -95,8 +96,10 @@ class TestMetrics:
 
 class TestDisabled:
     def test_trace_runs_false_runs_untraced(self):
-        with InProcessGateway(GatewayConfig(port=0, trace_runs=False)) as gw:
-            client = GatewayClient(gw.base_url)
+        with (
+            InProcessGateway(GatewayConfig(port=0, trace_runs=False)) as gw,
+            GatewayClient(gw.base_url) as client,
+        ):
             status = client.run(_spec("gw-untraced"))
             assert "trace_id" not in status
             trace = client.trace(status["id"])

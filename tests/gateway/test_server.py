@@ -5,6 +5,7 @@ port) through the blocking :class:`GatewayClient` — the same path
 ``repro-rm submit`` takes.
 """
 
+import socket
 import threading
 
 import pytest
@@ -50,7 +51,8 @@ def gateway():
 
 @pytest.fixture(scope="module")
 def client(gateway):
-    return GatewayClient(gateway.base_url)
+    with GatewayClient(gateway.base_url) as client:
+        yield client
 
 
 class TestEquivalence:
@@ -211,6 +213,39 @@ class TestHttpSurface:
         assert ok["state"] == "done"
 
 
+class TestRunPath:
+    def test_a_run_drives_the_session_on_its_executor_thread(
+        self, client, monkeypatch
+    ):
+        """One thread per run: no session worker thread, and the stream
+        still equals the in-process event sequence."""
+        spec = _slow_spec("gw-one-thread", requests=30)
+        reference_events = []
+        Session.from_spec(spec).run(on_event=reference_events.append)
+
+        started, runners = [], []
+        start, run = threading.Thread.start, Session.run
+
+        def recording_start(thread):
+            started.append(thread.name)
+            return start(thread)
+
+        def recording_run(session, **kwargs):
+            runners.append(threading.current_thread().name)
+            return run(session, **kwargs)
+
+        monkeypatch.setattr(threading.Thread, "start", recording_start)
+        monkeypatch.setattr(Session, "run", recording_run)
+        status = client.run(spec)
+        remote_wire = canonical_events(client.events(status["id"]))
+
+        assert [name for name in started if name.startswith("repro-session-")] == []
+        assert len(runners) == 1 and runners[0].startswith("repro-gateway")
+        assert remote_wire == canonical_events(
+            event.to_dict() for event in reference_events
+        )
+
+
 class TestConcurrencyAndFairness:
     def test_many_concurrent_clients_respect_tenant_limits(self):
         """12 concurrent clients over 3 tenants: everything completes, no
@@ -224,10 +259,10 @@ class TestConcurrencyAndFairness:
             def one_client(index):
                 tenant = f"tenant-{index % 3}"
                 try:
-                    client = GatewayClient(gateway.base_url, tenant=tenant)
-                    status = client.run(
-                        _scenario_spec("mmkp-mdf", name=f"gw-par-{index}")
-                    )
+                    with GatewayClient(gateway.base_url, tenant=tenant) as client:
+                        status = client.run(
+                            _scenario_spec("mmkp-mdf", name=f"gw-par-{index}")
+                        )
                     results.append(status["result"]["fingerprint"])
                 except BaseException as error:  # surfaced below
                     errors.append(error)
@@ -255,8 +290,10 @@ class TestConcurrencyAndFairness:
         config = GatewayConfig(
             port=0, max_concurrent=1, max_per_tenant=1, queue_timeout_s=0.01
         )
-        with InProcessGateway(config) as gateway:
-            client = GatewayClient(gateway.base_url)
+        with (
+            InProcessGateway(config) as gateway,
+            GatewayClient(gateway.base_url) as client,
+        ):
             blocker = client.submit_run(_slow_spec("gw-blocker"))
             starved = client.submit_run(_scenario_spec(name="gw-starved"))
             status = client.wait_run(starved["id"])
@@ -268,8 +305,10 @@ class TestConcurrencyAndFairness:
 
 class TestGracefulDrain:
     def test_draining_refuses_new_work_and_finishes_in_flight(self):
-        with InProcessGateway(GatewayConfig(port=0)) as gateway:
-            client = GatewayClient(gateway.base_url)
+        with (
+            InProcessGateway(GatewayConfig(port=0)) as gateway,
+            GatewayClient(gateway.base_url) as client,
+        ):
             in_flight = client.submit_run(_slow_spec("gw-drain"))
 
             flipped = threading.Event()
@@ -322,3 +361,33 @@ class TestCliSubmit:
         out = capsys.readouterr().out
         assert rc == 0
         assert "arrival" in out and "finish" in out
+
+    @pytest.mark.parametrize("outcome", ["finished", "failed", "unreachable"])
+    def test_repro_rm_submit_closes_its_client(
+        self, gateway, tmp_path, monkeypatch, outcome
+    ):
+        from repro.cli import main
+
+        closed = []
+        close = GatewayClient.close
+
+        def counting_close(client):
+            closed.append(client)
+            close(client)
+
+        monkeypatch.setattr(GatewayClient, "close", counting_close)
+        url = gateway.base_url
+        if outcome == "unreachable":
+            with socket.socket() as probe:  # a port nothing listens on
+                probe.bind(("127.0.0.1", 0))
+                url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+        path = tmp_path / "spec.json"
+        argv = ["submit", str(path), "--url", url]
+        if outcome == "failed":
+            _slow_spec("gw-cli-fail").save(path)
+            argv += ["--timeout", "0.001"]
+        else:
+            _scenario_spec("fixed", name="gw-cli-close").save(path)
+        rc = main(argv)
+        assert rc == {"finished": 0, "failed": 1, "unreachable": 2}[outcome]
+        assert len(closed) == 1
