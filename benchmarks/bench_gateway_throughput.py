@@ -73,10 +73,10 @@ def measure_gateway_throughput(
         port=0, max_concurrent=clients, max_per_tenant=clients
     )
     with InProcessGateway(config) as gateway:
-        warm_client = GatewayClient(gateway.base_url)
-        for _ in range(WARMUP_RUNS):
-            status = warm_client.run(spec, session="bench-warm")
-            assert status["result"]["fingerprint"] == reference
+        with GatewayClient(gateway.base_url) as warm_client:
+            for _ in range(WARMUP_RUNS):
+                status = warm_client.run(spec, session="bench-warm")
+                assert status["result"]["fingerprint"] == reference
 
         remaining = [runs]
         fingerprints: list[str] = []
@@ -84,16 +84,16 @@ def measure_gateway_throughput(
         errors: list[BaseException] = []
 
         def one_client() -> None:
-            client = GatewayClient(gateway.base_url)
             try:
-                while True:
-                    with lock:
-                        if remaining[0] <= 0:
-                            return
-                        remaining[0] -= 1
-                    status = client.run(spec, session="bench-warm")
-                    with lock:
-                        fingerprints.append(status["result"]["fingerprint"])
+                with GatewayClient(gateway.base_url) as client:
+                    while True:
+                        with lock:
+                            if remaining[0] <= 0:
+                                return
+                            remaining[0] -= 1
+                        status = client.run(spec, session="bench-warm")
+                        with lock:
+                            fingerprints.append(status["result"]["fingerprint"])
             except BaseException as error:  # surfaced by the caller
                 errors.append(error)
 

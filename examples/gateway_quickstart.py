@@ -34,8 +34,9 @@ def main() -> None:
         scheduler=SchedulerSpec(name="mmkp-mdf"),
     )
 
-    with InProcessGateway(GatewayConfig(port=0)) as gateway:
-        client = GatewayClient(gateway.base_url, tenant="quickstart")
+    with InProcessGateway(GatewayConfig(port=0)) as gateway, GatewayClient(
+        gateway.base_url, tenant="quickstart"
+    ) as client:
         health = client.healthz()
         print(f"daemon up at {gateway.base_url} "
               f"(protocol {health['protocol']}, status {health['status']})")

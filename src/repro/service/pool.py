@@ -19,9 +19,12 @@ bounded shard retry — in the mode its executor name selects
 A service may additionally be bound to a persistent
 :class:`~repro.store.ContentStore` (``store=`` or the ``REPRO_STORE``
 environment variable): the activation and kernel memos warm from it and
-write through to it, process workers reopen the store by path, and warm reruns
-start from every entry previous runs persisted.  With no store configured
-(or ``REPRO_STORE=0``) behaviour is bit-identical to the store-less code.
+write to it, process workers reopen the store by path, and warm reruns
+start from every entry previous runs persisted.  Each work unit runs inside
+one :meth:`~repro.store.ContentStore.batch`, so the rows a unit writes
+reach the store in one transaction when the unit ends.  With no store
+configured (or ``REPRO_STORE=0``) behaviour is bit-identical to the
+store-less code.
 
 Determinism guarantee
 ---------------------
@@ -40,6 +43,7 @@ job's ``error`` string; the rest of the batch is unaffected.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import time
@@ -400,15 +404,22 @@ def _process_simulate(
     return _simulate(job, cache, _PROCESS_KERNEL_CACHES)
 
 
+def _unit_batch(store: ContentStore | None):
+    """The store write batch one work unit runs in (none without a store)."""
+    return store.batch() if store is not None else contextlib.nullcontext()
+
+
 def _process_run_unit(
     jobs: Sequence[SimulationJob], cache_size: int, store_token: str | None = None
 ) -> list[SimulationResult]:
     """Worker-process entry point for one shard (see :mod:`repro.cluster`).
 
     Each job crossed the process boundary as its JSON form
-    (``SimulationJob.__reduce__``), never as live tables or platforms.
+    (``SimulationJob.__reduce__``), never as live tables or platforms.  The
+    unit's store rows are written before it returns.
     """
-    return [_process_simulate(job, cache_size, store_token) for job in jobs]
+    with _unit_batch(_process_store(store_token)):
+        return [_process_simulate(job, cache_size, store_token) for job in jobs]
 
 
 class SimulationService:
@@ -521,7 +532,10 @@ class SimulationService:
         else:
 
             def unit(shard):
-                return [_simulate(job, self.cache, self.kernel_caches) for job in shard]
+                with _unit_batch(self.store):
+                    return [
+                        _simulate(job, self.cache, self.kernel_caches) for job in shard
+                    ]
 
         cache_before = self.cache.info() if self.cache is not None else None
         coordinator = ShardCoordinator(self.workers, mode=self._mode)

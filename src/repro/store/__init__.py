@@ -8,7 +8,8 @@ Public surface:
 * :class:`ContentStore` with :meth:`ContentStore.open` /
   :meth:`ContentStore.in_memory`, plus ``stats()``/``gc()``/``clear()``
   maintenance — it has no local front of its own, every kind is fronted by
-  a :class:`Memo`;
+  a :class:`Memo`; :meth:`ContentStore.batch` writes one thread's puts in
+  one transaction (batch work units run inside it);
 * the :class:`CacheBackend` protocol with the :class:`SQLiteBackend` and
   :class:`MemoryBackend` implementations;
 * :func:`resolve_store`, which applies the ``REPRO_STORE`` escape hatch

@@ -10,8 +10,9 @@ lives here, behind the :class:`CacheBackend` protocol:
   between the threads of one process without touching disk.
 * :class:`SQLiteBackend` — one SQLite file in WAL mode.  WAL gives the
   single-writer/many-reader discipline the process-pool workers need: every
-  write is one implicit transaction, readers never block on the writer, and
-  a contended write waits on ``busy_timeout`` instead of erroring.
+  :meth:`~CacheBackend.put_many` is one transaction, readers never block on
+  the writer, and a contended write waits on ``busy_timeout`` instead of
+  erroring.
   Connections are per thread *and per process* (guarded by PID, so a forked
   worker never reuses its parent's connection — SQLite connections must not
   cross ``fork``).
@@ -40,6 +41,14 @@ class CacheBackend(Protocol):
 
     def put(self, namespace: str, key: str, value: bytes) -> None:
         """Store ``value`` under ``(namespace, key)``, replacing any entry."""
+        ...
+
+    def put_many(self, rows: Iterable[tuple[str, str, bytes]]) -> None:
+        """Store every ``(namespace, key, value)`` row, all or none.
+
+        Rows replace existing entries like :meth:`put`; a later row for the
+        same ``(namespace, key)`` wins.
+        """
         ...
 
     def delete(self, namespace: str, key: str) -> None:
@@ -91,11 +100,16 @@ class MemoryBackend:
             return bucket.get(key) if bucket else None
 
     def put(self, namespace: str, key: str, value: bytes) -> None:
+        self.put_many(((namespace, key, value),))
+
+    def put_many(self, rows: Iterable[tuple[str, str, bytes]]) -> None:
+        rows = [(namespace, key, bytes(value)) for namespace, key, value in rows]
         with self._lock:
-            bucket = self._entries.setdefault(namespace, {})
-            # Re-insert so dict order keeps tracking write recency.
-            bucket.pop(key, None)
-            bucket[key] = bytes(value)
+            for namespace, key, value in rows:
+                bucket = self._entries.setdefault(namespace, {})
+                # Re-insert so dict order keeps tracking write recency.
+                bucket.pop(key, None)
+                bucket[key] = value
 
     def delete(self, namespace: str, key: str) -> None:
         with self._lock:
@@ -138,6 +152,14 @@ class MemoryBackend:
         return f"MemoryBackend(namespaces={len(self._entries)})"
 
 
+#: The one statement that writes rows (``put`` is ``put_many`` of one row).
+_UPSERT = (
+    "INSERT INTO entries (namespace, key, value, created_s)"
+    " VALUES (?, ?, ?, ?)"
+    " ON CONFLICT (namespace, key) DO UPDATE"
+    " SET value = excluded.value, created_s = excluded.created_s"
+)
+
 #: Transparent retries on ``database is locked`` before giving up.  The
 #: 30 s ``busy_timeout`` already absorbs writer contention; this outer loop
 #: only covers the rare lock error SQLite raises outside the busy handler
@@ -150,8 +172,8 @@ class SQLiteBackend:
     """A :class:`CacheBackend` over one SQLite database file.
 
     Safe for concurrent use from many threads *and* many processes sharing
-    the file: WAL journaling, a generous busy timeout, one implicit
-    transaction per statement and per-thread/per-PID connections.  ``fork``
+    the file: WAL journaling, a generous busy timeout, one transaction per
+    statement or :meth:`put_many` and per-thread/per-PID connections.  ``fork``
     safety matters because the service's process executor forks workers
     that inherit the parent's backend object — the PID check makes each
     worker open its own connection lazily.
@@ -219,14 +241,33 @@ class SQLiteBackend:
         return row[0] if row is not None else None
 
     def put(self, namespace: str, key: str, value: bytes) -> None:
-        self._retry(
-            self._connection().execute,
-            "INSERT INTO entries (namespace, key, value, created_s)"
-            " VALUES (?, ?, ?, ?)"
-            " ON CONFLICT (namespace, key) DO UPDATE"
-            " SET value = excluded.value, created_s = excluded.created_s",
-            (namespace, key, sqlite3.Binary(bytes(value)), time.time()),
-        )
+        self.put_many(((namespace, key, value),))
+
+    def put_many(self, rows: Iterable[tuple[str, str, bytes]]) -> None:
+        now = time.time()
+        rows = [
+            (namespace, key, sqlite3.Binary(bytes(value)), now)
+            for namespace, key, value in rows
+        ]
+        if rows:
+            self._retry(self._write, self._connection(), rows)
+
+    @staticmethod
+    def _write(conn: sqlite3.Connection, rows: list) -> None:
+        if len(rows) == 1:
+            # In autocommit mode one statement is already one transaction.
+            conn.execute(_UPSERT, rows[0])
+            return
+        # IMMEDIATE takes the write lock up front (waiting on busy_timeout),
+        # so the transaction never has to upgrade a read lock mid-way.
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            conn.executemany(_UPSERT, rows)
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:
+                conn.execute("ROLLBACK")
+            raise
 
     def delete(self, namespace: str, key: str) -> None:
         self._retry(

@@ -19,6 +19,11 @@ run — which is exactly the property a shared persistent store needs.
   :class:`~repro.store.memo.Memo`, so each ``get``/``put`` here goes to the
   backend; backend reads and writes happen outside any lock so SQLite
   latency never serialises worker threads.
+* **Write batches** — inside :meth:`ContentStore.batch` a thread's puts
+  queue their encoded rows and reach the backend in one
+  :meth:`~repro.store.backend.CacheBackend.put_many` when the scope ends
+  (or every :data:`BATCH_ROWS` rows); outside a scope every put writes
+  through.
 * **Misses, never errors** — a corrupted, truncated or unpicklable entry
   (or a failing backend) degrades to a miss: the caller recomputes, the
   bad row is deleted best-effort, and a ``corrupt``/``error`` counter
@@ -33,6 +38,7 @@ without touching call sites.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -54,6 +60,12 @@ STAT_NAMES = (
     "bytes_read",
     "bytes_written",
 )
+
+
+#: Queued rows at which an open :meth:`ContentStore.batch` writes early, so
+#: a long work unit neither holds an unbounded queue nor loses it all when
+#: its process dies.
+BATCH_ROWS = 256
 
 
 def encode_key(key: object) -> str:
@@ -88,6 +100,10 @@ class ContentStore:
         #: kind → its counters (see :data:`STAT_NAMES`).
         self._kinds: dict[str, dict[str, int]] = {}
         self._lock = threading.Lock()
+        #: ``queue`` — the calling thread's open batch (unset or ``None``
+        #: outside one): ``(namespace, digest) → (kind, payload)`` in write
+        #: order.
+        self._local = threading.local()
 
     # -- construction helpers -------------------------------------------
 
@@ -154,9 +170,11 @@ class ContentStore:
         warm store can never make a run fail, only make it faster.
         """
         counters = self._kind_counters(kind)
-        digest = encode_key(key)
+        address = (self.namespace(kind), encode_key(key))
+        queue = getattr(self._local, "queue", None)
+        queued = queue.get(address) if queue else None
         try:
-            payload = self._backend.get(self.namespace(kind), digest)
+            payload = queued[1] if queued else self._backend.get(*address)
         except Exception:
             self._bump(counters, kind, "errors")
             self._bump(counters, kind, "misses")
@@ -175,7 +193,7 @@ class ContentStore:
             self._bump(counters, kind, "misses")
             obs.count(f"store.{kind}.miss")
             try:
-                self._backend.delete(self.namespace(kind), digest)
+                self._backend.delete(*address)
             except Exception:
                 pass
             return None
@@ -185,17 +203,82 @@ class ContentStore:
         return value
 
     def put(self, kind: str, key: object, value: object) -> None:
-        """Write ``value`` to the backend (failures are counted, not raised)."""
+        """Write ``value`` to the backend (failures are counted, not raised).
+
+        Inside this thread's :meth:`batch` the encoded row is queued instead
+        and written, and counted, when the batch flushes.
+        """
         counters = self._kind_counters(kind)
-        digest = encode_key(key)
+        address = (self.namespace(kind), encode_key(key))
+        queue = getattr(self._local, "queue", None)
         try:
             payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            self._backend.put(self.namespace(kind), digest, payload)
+            if queue is None:
+                self._backend.put(*address, payload)
         except Exception:
             self._bump(counters, kind, "errors")
             return
-        self._bump(counters, kind, "puts")
-        self._bump(counters, kind, "bytes_written", len(payload))
+        if queue is None:
+            self._bump(counters, kind, "puts")
+            self._bump(counters, kind, "bytes_written", len(payload))
+            return
+        # Last write wins, and moves to the end like a fresh write.
+        queue.pop(address, None)
+        queue[address] = (kind, payload)
+        if len(queue) >= BATCH_ROWS:
+            self._flush(queue)
+
+    @contextlib.contextmanager
+    def batch(self):
+        """Queue this thread's puts and write them in one backend transaction.
+
+        While the scope is open, :meth:`put` on this thread queues its
+        encoded row (a later put of the same key replaces it) and
+        :meth:`get` on this thread reads the queue before the backend.
+        Leaving the scope — normally or by an exception — writes the queue
+        with one :meth:`~repro.store.backend.CacheBackend.put_many`, as does
+        reaching :data:`BATCH_ROWS` queued rows.  Other threads and
+        processes see the rows only once they are written, and a process
+        that dies inside the scope loses its queued rows; every row is
+        content-keyed, so a lost row is a later miss, never a wrong result.
+        A scope opened inside an open one joins it.
+        """
+        if getattr(self._local, "queue", None) is not None:
+            yield
+            return
+        queue = self._local.queue = {}
+        try:
+            yield
+        finally:
+            self._local.queue = None
+            self._flush(queue)
+
+    def _flush(self, queue: dict) -> None:
+        """Write and empty a batch queue in one ``put_many``; count, never
+        raise (a failed write counts one ``errors`` per dropped row)."""
+        if not queue:
+            return
+        written = True
+        try:
+            self._backend.put_many(
+                (namespace, digest, payload)
+                for (namespace, digest), (_, payload) in queue.items()
+            )
+        except Exception:
+            written = False
+        tallies: dict[str, list[int]] = {}
+        for kind, payload in queue.values():
+            tally = tallies.setdefault(kind, [0, 0])
+            tally[0] += 1
+            tally[1] += len(payload)
+        queue.clear()
+        for kind, (rows, size) in tallies.items():
+            counters = self._kind_counters(kind)
+            if written:
+                self._bump(counters, kind, "puts", rows)
+                self._bump(counters, kind, "bytes_written", size)
+            else:
+                self._bump(counters, kind, "errors", rows)
 
     # -- maintenance ----------------------------------------------------
 
@@ -284,6 +367,7 @@ def resolve_store(store: "ContentStore | str | os.PathLike | None" = None):
 
 
 __all__ = [
+    "BATCH_ROWS",
     "STAT_NAMES",
     "ContentStore",
     "encode_key",

@@ -22,6 +22,9 @@ from repro.cluster import (
 from repro.exceptions import WorkloadError
 from repro.service import BatchSpec, SimulationResult, SimulationService
 from repro.service.pool import _simulate
+from repro.store import ContentStore
+from repro.store.content import BATCH_ROWS
+from tests.store.test_content import CountingBackend
 
 
 def sweep(name="batch", arrival_rates=(0.2, 0.5), traces_per_point=2, scheduler="mmkp-mdf"):
@@ -318,6 +321,78 @@ class TestProcessMode:
         assert store.stats()["namespaces"]
         store.close()
 
+    def test_process_cold_batch_warms_every_activation_of_a_serial_rerun(
+        self, tmp_path
+    ):
+        spec = sweep(traces_per_point=2)
+        path = tmp_path / "store.db"
+        cold_service = SimulationService(workers=2, executor="process", store=path)
+        cold = cold_service.run_batch(spec)
+        cold_service.store.close()
+        warm_service = SimulationService(store=path)
+        warm = warm_service.run_batch(spec)
+        activation = warm_service.store.counters()["activation"]
+        warm_service.store.close()
+        assert warm.fingerprint() == cold.fingerprint()
+        assert activation["hits"] > 0
+        assert activation["misses"] == 0
+
+
+class TestUnitWriteBatches:
+    @pytest.mark.parametrize("executor,workers", [("serial", 1), ("thread", 2)])
+    def test_one_put_many_per_unit_plus_one_per_full_queue(self, executor, workers):
+        backend = CountingBackend()
+        service = SimulationService(
+            workers=workers, executor=executor, store=ContentStore(backend)
+        )
+        spec = BatchSpec.sweep(
+            arrival_rates=[0.2, 0.5],
+            schedulers=["mmkp-lr"],
+            traces_per_point=4,
+            num_requests=30,
+            base_seed=3,
+            name="batch",
+        )
+        results = service.run_batch(spec)
+        assert not results.failures
+        assert backend.puts == 0
+        assert all(0 < size <= BATCH_ROWS for size in backend.batches)
+        full = sum(size == BATCH_ROWS for size in backend.batches)
+        assert len(backend.batches) == service.cluster_stats.units + full
+        if executor == "serial":
+            assert full > 0  # this batch's serial units outgrow one queue
+        counters = service.store.counters().values()
+        assert sum(kind["puts"] for kind in counters) == sum(backend.batches)
+        assert sum(kind["errors"] for kind in counters) == 0
+
+    def test_a_process_unit_writes_its_rows_before_it_returns(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import pool
+        from repro.store.backend import SQLiteBackend
+
+        batches = []
+        put_many = SQLiteBackend.put_many
+
+        def counting_put_many(backend, rows):
+            rows = list(rows)
+            batches.append(len(rows))
+            put_many(backend, rows)
+
+        monkeypatch.setattr(SQLiteBackend, "put_many", counting_put_many)
+        # The worker entry point, run in this process on a store file.
+        try:
+            results = pool._process_run_unit(
+                sweep(traces_per_point=1).jobs, 64, str(tmp_path / "store.db")
+            )
+        finally:
+            store = pool._PROCESS_STORE
+            pool._process_store(None)
+        puts = sum(kind["puts"] for kind in store.counters().values())
+        store.close()
+        assert all(result.ok for result in results)
+        assert batches == [puts]
+
 
 class TestServiceClusterExecutor:
     def test_cluster_executor_reports_stats(self):
@@ -397,6 +472,38 @@ def die_once(tmp_path):
         schedulers.unregister("die-once")
 
 
+@pytest.fixture
+def die_mid_unit(tmp_path):
+    """A scheduler that kills the first worker process to reach its third
+    fresh activation, when that unit's store batch already holds rows."""
+    from repro.api import register_scheduler
+    from repro.api.registry import schedulers
+    from repro.schedulers import MMKPMDFScheduler
+
+    marker = tmp_path / "died"
+    calls: dict[int, int] = {}  # pid → fresh activations in that process
+
+    class DiesMidUnit(MMKPMDFScheduler):
+        def schedule(self, problem):
+            pid = os.getpid()
+            calls[pid] = calls.get(pid, 0) + 1
+            if calls[pid] == 3 and multiprocessing.parent_process() is not None:
+                try:
+                    fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                except FileExistsError:
+                    pass
+                else:
+                    os.close(fd)
+                    os._exit(1)
+            return super().schedule(problem)
+
+    register_scheduler("die-mid-unit", DiesMidUnit)
+    try:
+        yield marker
+    finally:
+        schedulers.unregister("die-mid-unit")
+
+
 def _tagging_unit(tag_dir, jobs, cache_size, store_token=None):
     """A substitute process-mode unit that leaves one file per unit."""
     from repro.service import pool
@@ -417,6 +524,28 @@ class TestWorkerDeath:
         assert results.fingerprint() == serial.fingerprint()
         assert service.cluster_stats.retries >= 1
         assert service.cluster_stats.failed_units == 0
+
+    def test_killed_worker_with_a_store_file_keeps_the_serial_fingerprint(
+        self, die_mid_unit, tmp_path
+    ):
+        spec = sweep(traces_per_point=4, scheduler="die-mid-unit")
+        serial = SimulationService().run_batch(spec)
+        path = tmp_path / "store.db"
+        service = SimulationService(workers=2, executor="process", store=path)
+        results = service.run_batch(spec)
+        service.store.close()
+        assert die_mid_unit.exists()  # a worker died with rows queued
+        assert results.fingerprint() == serial.fingerprint()
+        assert service.cluster_stats.retries >= 1
+        assert service.cluster_stats.failed_units == 0
+        # The retry rewrote what the dead unit lost: a warm rerun hits
+        # every activation.
+        warm_service = SimulationService(store=path)
+        warm = warm_service.run_batch(spec)
+        activation = warm_service.store.counters()["activation"]
+        warm_service.store.close()
+        assert warm.fingerprint() == serial.fingerprint()
+        assert activation["misses"] == 0
 
 
 @needs_fork

@@ -66,6 +66,25 @@ class TestBackendContract:
         assert backend.count("ns")[0] == 2
         assert backend.trim("ns", 2) == 0
 
+    def test_put_many_roundtrip(self, backend):
+        backend.put("ns", "old", b"stale")
+        backend.put_many(
+            [("ns", "old", b"fresh"), ("ns", "k", b"1"), ("other", "k", b"2")]
+        )
+        assert backend.get("ns", "old") == b"fresh"
+        assert backend.get("ns", "k") == b"1"
+        assert backend.get("other", "k") == b"2"
+        assert backend.count("ns") == (2, 6)
+
+    def test_put_many_last_row_wins(self, backend):
+        backend.put_many([("ns", "k", b"first"), ("ns", "k", b"second")])
+        assert backend.get("ns", "k") == b"second"
+        assert backend.count("ns") == (1, 6)
+
+    def test_put_many_of_nothing(self, backend):
+        backend.put_many([])
+        assert backend.namespaces() == []
+
     def test_clear(self, backend):
         backend.put("a", "k", b"1")
         backend.put("b", "k", b"2")

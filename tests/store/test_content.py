@@ -1,11 +1,31 @@
 """ContentStore semantics: versioned namespaces, backend reads, degraded misses."""
 
 import pickle
+import threading
 
 import pytest
 
 from repro.store.backend import MemoryBackend, SQLiteBackend
-from repro.store.content import ContentStore, encode_key, resolve_store
+from repro.store.content import BATCH_ROWS, ContentStore, encode_key, resolve_store
+
+
+class CountingBackend(MemoryBackend):
+    """A memory backend that counts single puts and records the size of
+    every ``put_many``."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts = 0
+        self.batches: list[int] = []
+
+    def put(self, namespace, key, value):
+        self.puts += 1
+        super().put_many([(namespace, key, value)])
+
+    def put_many(self, rows):
+        rows = list(rows)
+        self.batches.append(len(rows))
+        super().put_many(rows)
 
 
 class TestEncodeKey:
@@ -120,12 +140,110 @@ class TestDegradedMisses:
             def put(self, namespace, key, value):
                 raise OSError("read-only filesystem")
 
+            def put_many(self, rows):
+                raise OSError("read-only filesystem")
+
         store = ContentStore(FlakyBackend())
         store.put("solve", "k", "v")
         assert store.counters()["solve"]["errors"] == 1
         # Nothing was persisted, so a read misses (a Memo in front of the
         # store still serves the value in-process, see test_memo.py).
         assert store.get("solve", "k") is None
+        # A failing batch write drops its rows: one error per row, no raise.
+        with store.batch():
+            store.put("solve", "a", 1)
+            store.put("solve", "b", 2)
+            store.put("exmem", "c", 3)
+        counters = store.counters()
+        assert counters["solve"]["errors"] == 3
+        assert counters["exmem"]["errors"] == 1
+        assert counters["solve"]["puts"] == counters["exmem"]["puts"] == 0
+        assert counters["solve"]["bytes_written"] == 0
+        assert store.get("solve", "a") is None
+
+
+class TestBatch:
+    """Puts inside ``batch()`` reach the backend in one ``put_many``."""
+
+    def test_rows_stay_private_to_the_scope_until_it_exits(self, tmp_path):
+        store = ContentStore.open(tmp_path / "s.db")
+        other = SQLiteBackend(tmp_path / "s.db")  # a second connection
+        keys = [("k", index) for index in range(5)]
+        addresses = [(store.namespace("solve"), encode_key(key)) for key in keys]
+        try:
+            with store.batch():
+                for index, key in enumerate(keys):
+                    store.put("solve", key, {"index": index})
+                assert [store.get("solve", key) for key in keys] == [
+                    {"index": index} for index in range(5)
+                ]
+                assert [other.get(*address) for address in addresses] == [None] * 5
+                assert store.counters()["solve"]["puts"] == 0
+            assert all(other.get(*address) is not None for address in addresses)
+            counters = store.counters()["solve"]
+            assert counters["puts"] == 5
+            assert counters["bytes_written"] == other.count(store.namespace("solve"))[1]
+        finally:
+            other.close()
+            store.close()
+
+    def test_an_exception_inside_the_scope_still_writes_its_rows(self):
+        backend = CountingBackend()
+        store = ContentStore(backend)
+        with pytest.raises(RuntimeError, match="unit failed"):
+            with store.batch():
+                store.put("solve", "k", "v")
+                raise RuntimeError("unit failed")
+        assert backend.batches == [1]
+        assert ContentStore(backend).get("solve", "k") == "v"
+
+    def test_a_full_queue_is_written_early(self):
+        backend = CountingBackend()
+        store = ContentStore(backend)
+        rows = 2 * BATCH_ROWS + 88
+        with store.batch():
+            for index in range(rows):
+                store.put("solve", index, index)
+            assert backend.batches == [BATCH_ROWS, BATCH_ROWS]
+        assert backend.batches == [BATCH_ROWS, BATCH_ROWS, 88]
+        assert backend.puts == 0
+        assert store.counters()["solve"]["puts"] == rows
+        assert backend.count(store.namespace("solve"))[0] == rows
+
+    def test_last_write_wins_and_a_nested_scope_joins_the_outer(self):
+        backend = CountingBackend()
+        store = ContentStore(backend)
+        with store.batch():
+            store.put("solve", "k", "first")
+            with store.batch():
+                store.put("solve", "k", "second")
+            assert backend.batches == []
+            assert store.get("solve", "k") == "second"
+        assert backend.batches == [1]
+        assert store.counters()["solve"]["puts"] == 1
+        assert ContentStore(backend).get("solve", "k") == "second"
+
+    def test_other_threads_write_through(self):
+        backend = CountingBackend()
+        store = ContentStore(backend)
+        with store.batch():
+            store.put("solve", "queued", 1)
+            writer = threading.Thread(target=store.put, args=("solve", "direct", 2))
+            writer.start()
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert backend.puts == 1
+            assert backend.get(store.namespace("solve"), encode_key("queued")) is None
+        assert backend.batches == [1]
+
+    def test_puts_outside_a_scope_write_through(self):
+        backend = CountingBackend()
+        store = ContentStore(backend)
+        with store.batch():
+            pass
+        store.put("solve", "k", "v")
+        assert backend.puts == 1
+        assert backend.batches == []
 
 
 class TestResolveStore:
