@@ -69,8 +69,18 @@ def test_service_throughput(bench_workers):
     )
 
     with registered_twins("service-bench") as names:
-        jobs = tuple(replace(job, scheduler=names[job.scheduler]) for job in spec.jobs)
-        oracle_spec = replace(spec, jobs=jobs)
+        oracle_spec = replace(
+            spec,
+            experiments=tuple(
+                replace(
+                    experiment,
+                    scheduler=replace(
+                        experiment.scheduler, name=names[experiment.scheduler.name]
+                    ),
+                )
+                for experiment in spec
+            ),
+        )
         seed_results, seed_time = _timed(
             SimulationService(workers=1, use_cache=False), oracle_spec
         )

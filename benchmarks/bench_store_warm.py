@@ -88,7 +88,7 @@ def measure_store_warm() -> dict:
     assert warm_fingerprint == cold_fingerprint, "warm rerun changed the answers"
     assert store_hits > 0, "warm rerun never touched the store"
     return {
-        "jobs": len(spec.jobs),
+        "jobs": len(spec),
         "scale": _scale(),
         "cold_s": round(cold_s, 4),
         "warm_s": round(warm_s, 4),
@@ -120,7 +120,7 @@ def measure_cluster_scaling() -> dict:
     speedup = timings[1] / timings[workers]
     available = min(workers, cpus)
     return {
-        "jobs": len(spec.jobs),
+        "jobs": len(spec),
         "scale": _scale(),
         "cpus": cpus,
         "workers": workers,

@@ -240,7 +240,8 @@ def measure_kernel_metrics(repeats: int = 3) -> dict:
     }
 
     # Fig. 4 companion: the Pareto engine against the seed's pairwise scan.
-    from repro.dse.pareto import pareto_front, pareto_front_reference
+    from repro.dse.pareto import pareto_front
+    from tests.reference.pareto import pareto_front_reference
 
     import random
 

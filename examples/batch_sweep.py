@@ -2,10 +2,11 @@
 
 The seed's examples drive one trace at a time through the runtime manager.
 This example shows the ``repro.service`` way: describe the whole parameter
-study declaratively as a :class:`~repro.service.jobs.BatchSpec`, fan it out
-over workers with a shared activation cache, and post-process the ordered
-results — here into an acceptance/energy table per (scheduler, arrival rate)
-operating point.
+study declaratively as a :class:`~repro.service.jobs.BatchSpec` — one
+:class:`~repro.api.ExperimentSpec` per trace, the same description
+``Session.run`` takes — fan it out over workers with a shared activation
+cache, and post-process the ordered results — here into an acceptance/energy
+table per (scheduler, arrival rate) operating point.
 
 Run with::
 
@@ -33,6 +34,8 @@ def main() -> None:
         f"({len(SCHEDULERS)} schedulers × {len(ARRIVAL_RATES)} rates × "
         f"{TRACES_PER_POINT} seeds, {NUM_REQUESTS} requests each)"
     )
+    first = spec.experiments[0]
+    print(f"first experiment: {first.name}, workload {first.workload.to_dict()}")
 
     service = SimulationService(workers=4)
     results = service.run_batch(spec)

@@ -2,7 +2,9 @@
 
 The seed pinned the platform at nominal frequency and reported energy as a
 single scalar.  ``repro.energy`` makes frequency a runtime dimension: this
-example replays the same batch under every frequency governor, prints the
+example replays the same batch under every frequency governor
+(:meth:`~repro.service.jobs.BatchSpec.with_energy_policy` rewrites the
+energy section of every :class:`~repro.api.ExperimentSpec`), prints the
 energy/acceptance trade-off each one lands on, shows the per-cluster
 busy/idle breakdown the incremental :class:`~repro.energy.EnergyMeter`
 integrated online, and finally demonstrates power-cap admission control.

@@ -17,9 +17,8 @@ library by *registering*, never by editing core modules::
                                     energy=float("inf"), search_time=0.0)
 
 Once registered, the name participates everywhere names are accepted: CLI
-``--scheduler`` choices, :class:`~repro.service.jobs.SimulationJob` specs,
-:class:`~repro.api.spec.SchedulerSpec` and :class:`~repro.api.session.Session`
-runs.
+``--scheduler`` choices, :class:`~repro.api.spec.SchedulerSpec`\\ s (hence
+batch files) and :class:`~repro.api.session.Session` runs.
 
 A :class:`Registry` is a read-only :class:`~collections.abc.Mapping` from
 name to factory, so legacy code that iterated the old hard-coded dicts

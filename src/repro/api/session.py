@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextvars
 import queue
 import threading
+from dataclasses import replace
 from typing import Callable, Mapping, Sequence
 
 from repro.api.events import RunEvent, RunEventKind
@@ -298,8 +299,9 @@ class Session:
     ):
         """Expand the spec into a :class:`~repro.service.jobs.BatchSpec`.
 
-        With ``seeds`` (or ``trials > 1`` on a seeded workload) one job is
-        created per seed; per-job seeding is what keeps batch results
+        With ``seeds`` (or ``trials > 1`` on a seeded workload) the batch
+        holds one copy of the spec per seed, named ``<spec>-t000``,
+        ``<spec>-t001``, ...; per-trial seeding is what keeps batch results
         bit-identical for any worker count.
         """
         from repro.service.jobs import BatchSpec
@@ -314,19 +316,27 @@ class Session:
                 resolved = [base + index for index in range(trials)]
         else:
             resolved = list(seeds)
-        # Named table sets travel by name (small, process-executor friendly);
-        # inline/DSE tables are materialised once via the session cache so a
-        # batch never re-runs the exploration per job.
-        tables = None if self._spec.tables is not None else self.tables
-        jobs = []
+        # Resolve the tables here once: named and DSE sets then sit in this
+        # process's design_tables memo, which forked batch workers inherit.
+        self.tables
+        experiments = []
         for index, seed in enumerate(resolved):
-            job_name = (
-                self._spec.name
-                if len(resolved) == 1
-                else f"{self._spec.name}-t{index:03d}"
+            experiments.append(
+                replace(
+                    self._spec,
+                    name=(
+                        self._spec.name
+                        if len(resolved) == 1
+                        else f"{self._spec.name}-t{index:03d}"
+                    ),
+                    workload=(
+                        self._spec.workload
+                        if seed is None
+                        else self._spec.workload.with_seed(seed)
+                    ),
+                )
             )
-            jobs.append(self._spec.to_job(name=job_name, seed=seed, tables=tables))
-        return BatchSpec(name=name or self._spec.name, jobs=tuple(jobs))
+        return BatchSpec(name=name or self._spec.name, experiments=tuple(experiments))
 
     def run_batch(
         self,
@@ -409,7 +419,7 @@ class Session:
             self._tables = self._spec.dse.build_tables(self.platform)
             return self._tables
         from repro.dse.sweep import SweepSpec, run_sweep
-        from repro.dse.tables import reduced_tables
+        from repro.dse.tables import reduced_tables, remember_design_tables
 
         dse = self._spec.dse
         sweep_spec = SweepSpec(
@@ -429,6 +439,12 @@ class Session:
         tables = result.tables_for(self.platform.name)
         if dse.max_points is not None:
             tables = reduced_tables(tables, max_points=dse.max_points)
+        # The sweep's tables equal design_tables' point for point; memoising
+        # them saves every later resolution of this spec, batch jobs and
+        # forked batch workers included, its own exploration.
+        remember_design_tables(
+            tables, self.platform, dse.input_sizes, dse.sweep_opps, dse.max_points
+        )
         self._tables = tables
         return self._tables
 

@@ -4,9 +4,9 @@ An :class:`ExperimentSpec` is the single declarative description of one
 runtime-manager experiment: which platform, which design-time tables (named,
 inline, or DSE-generated), which workload, which scheduler, and which energy
 policy.  It replaces the scattered kwargs of
-:class:`~repro.runtime.manager.RuntimeManager`, the loose fields of
-:class:`~repro.service.jobs.SimulationJob` and the ad-hoc CLI flag plumbing
-with one validated config tree that round-trips through plain JSON::
+:class:`~repro.runtime.manager.RuntimeManager` and the ad-hoc CLI flag
+plumbing with one validated config tree that round-trips through plain
+JSON; a :class:`~repro.service.jobs.BatchSpec` is a tuple of them::
 
     spec = ExperimentSpec(
         name="demo",
@@ -23,17 +23,21 @@ numbers, lists, dicts) — never live objects — so specs hash out of the
 conversation cheaply: they serialise, shard and compare structurally.  Every
 ``build``/``resolve`` method materialises live objects through the plugin
 registries of :mod:`repro.api.registry`, so a name registered by third-party
-code is immediately valid in a spec.
+code is immediately valid in a spec.  A spec keeps the dicts it is given when
+they already have their JSON shape (its copies share them), so treat them as
+read-only.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Mapping
 
 from repro.exceptions import ReproError, SerializationError, WorkloadError
+from repro.store.memo import Memo
 
 #: The time-advance engines of the runtime manager (kept as a literal so
 #: importing the spec tree stays light; equality with
@@ -46,13 +50,59 @@ def _canonical(value):
 
     Specs promise ``from_dict(to_dict(spec)) == spec``; canonicalising at
     construction time makes that hold even when callers pass tuples where
-    JSON will hand back lists.
+    JSON will hand back lists.  Data already in that shape is returned as
+    is, so the copies of one spec (``dataclasses.replace``) share its dicts
+    instead of deep-copying them.
     """
+    return value if _is_canonical(value) else _to_canonical(value)
+
+
+def _is_canonical(value) -> bool:
+    if type(value) is dict:
+        return all(
+            type(key) is str and _is_canonical(entry) for key, entry in value.items()
+        )
+    if type(value) is list:
+        return all(map(_is_canonical, value))
+    return not isinstance(value, (Mapping, list, tuple))
+
+
+def _to_canonical(value):
     if isinstance(value, Mapping):
-        return {str(key): _canonical(entry) for key, entry in value.items()}
+        return {str(key): _to_canonical(entry) for key, entry in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_canonical(entry) for entry in value]
+        return [_to_canonical(entry) for entry in value]
     return value
+
+
+#: Live objects parsed from inline spec sections (platforms, table sets), by
+#: parser and content digest: each distinct section is parsed once per
+#: process, however many batch experiments carry it.
+_INLINE = Memo("inline", 32)
+#: The same objects by section dict identity, so the copies of one spec
+#: (which share their dicts) find theirs without hashing the section.  Each
+#: entry holds its dict, so the id cannot be reused while it is cached.
+_INLINE_BY_ID: dict = {}
+_INLINE_BY_ID_BOUND = 64
+
+
+def _parsed_inline(section: dict, parser: str):
+    """``repro.io.serialization.<parser>(section)``, memoised per process."""
+    seen = _INLINE_BY_ID.get((parser, id(section)))
+    if seen is not None and seen[0] is section:
+        return seen[1]
+    payload = json.dumps(section, sort_keys=True).encode()
+    key = (parser, hashlib.sha256(payload).hexdigest())
+    parsed = _INLINE.get(key)
+    if parsed is None:
+        from repro.io import serialization
+
+        parsed = getattr(serialization, parser)(section)
+        _INLINE.put(key, parsed)
+    if len(_INLINE_BY_ID) >= _INLINE_BY_ID_BOUND:
+        _INLINE_BY_ID.clear()
+    _INLINE_BY_ID[parser, id(section)] = (section, parsed)
+    return parsed
 
 
 def _optional_positive(value, label: str) -> float | None:
@@ -96,11 +146,13 @@ class PlatformSpec:
         return cls(name=None, inline=platform_to_dict(platform))
 
     def build(self):
-        """The live :class:`~repro.platforms.Platform`."""
-        if self.inline is not None:
-            from repro.io.serialization import platform_from_dict
+        """The live :class:`~repro.platforms.Platform`.
 
-            return platform_from_dict(self.inline)
+        An inline platform is parsed once per process and shared (platforms
+        are frozen).
+        """
+        if self.inline is not None:
+            return _parsed_inline(self.inline, "platform_from_dict")
         from repro.api.registry import platforms
 
         return platforms.build(self.name)
@@ -304,6 +356,14 @@ class EnergySpec:
     account_energy: bool = True
 
     def __post_init__(self) -> None:
+        if self.governor is not None:
+            from repro.api.registry import governors
+
+            if self.governor not in governors:
+                raise WorkloadError(
+                    f"unknown governor {self.governor!r}; "
+                    f"choose from {sorted(governors)}"
+                )
         object.__setattr__(
             self,
             "power_cap_watts",
@@ -484,148 +544,17 @@ class ExperimentSpec:
         """The live application → configuration-table mapping.
 
         ``platform`` is only consulted by the DSE path (tables generated on
-        the experiment's platform).
+        the experiment's platform).  Inline tables are parsed once per
+        process; like the named and DSE sets, every call returns a fresh
+        ``dict`` over shared, immutable tables.
         """
         if self.tables_inline is not None:
-            from repro.io.serialization import tables_from_dict
-
-            return tables_from_dict(self.tables_inline)
+            return dict(_parsed_inline(self.tables_inline, "tables_from_dict"))
         if self.tables is not None:
             from repro.workload import named_tables
 
             return named_tables(self.tables)
         return self.dse.build_tables(platform)
-
-    def to_job(
-        self,
-        name: str | None = None,
-        seed: int | None = None,
-        tables: Mapping | None = None,
-    ):
-        """Convert to a declarative :class:`~repro.service.jobs.SimulationJob`.
-
-        This is the bridge into :class:`~repro.service.pool.SimulationService`
-        batches: one spec fans out into many jobs (one per trial seed).
-        ``tables`` injects already-materialised tables (the
-        :class:`~repro.api.session.Session` cache), so the jobs of a batch
-        carry one mapping.  Named sets travel by name; inline and DSE
-        tables are resolved here (DSE ones through the per-process memo).
-        """
-        from repro.service.jobs import SimulationJob, TraceSpec
-
-        if self.scheduler.options:
-            raise WorkloadError(
-                "simulation jobs carry schedulers by registry name only; "
-                "register a preconfigured scheduler instead of passing options"
-            )
-        if tables is not None:
-            job_tables: Any = dict(tables)
-        elif self.tables is not None:
-            job_tables = self.tables
-        else:
-            # Inline or DSE tables: materialise once, on the spec's own
-            # platform — a DSE run on the default platform would diverge
-            # from what Session.run() schedules against.
-            job_tables = self.resolve_tables(self.platform.build())
-
-        def live_tables():
-            if isinstance(job_tables, str):
-                from repro.workload import named_tables
-
-                return named_tables(job_tables)
-            return job_tables
-
-        trace = None
-        trace_spec = None
-        # Reseeding is source-generic: any seeded source (built-in or
-        # registered) fans out into per-trial jobs; unseeded sources raise
-        # the with_seed error.
-        workload = self.workload if seed is None else self.workload.with_seed(seed)
-        if workload.source == "poisson":
-            # Bridge to the declarative TraceSpec so batch JSON stays small.
-            # Option keys are validated exactly like the Session.run() path
-            # (WorkloadSpec.build) — a typo must not silently run defaults.
-            options = dict(workload.options)
-            unknown = set(options) - {
-                "arrival_rate",
-                "num_requests",
-                "deadline_factor_range",
-                "seed",
-            }
-            if unknown:
-                raise WorkloadError(
-                    f"workload source 'poisson' rejected its options: "
-                    f"unknown keys {sorted(unknown)}"
-                )
-            try:
-                low, high = options.get("deadline_factor_range", (1.5, 4.0))
-                trace_spec = TraceSpec(
-                    arrival_rate=float(options["arrival_rate"]),
-                    num_requests=int(options["num_requests"]),
-                    deadline_factor_range=(float(low), float(high)),
-                    seed=int(options.get("seed", 0)),
-                )
-            except (KeyError, TypeError, ValueError) as error:
-                raise WorkloadError(
-                    f"workload source 'poisson' rejected its options "
-                    f"{sorted(options)}: {error!r}"
-                ) from None
-        else:
-            # Any registered source materialises to an explicit trace.
-            trace = workload.build(live_tables())
-        platform = self.platform.name
-        if platform is None:
-            platform = self.platform.build()
-        return SimulationJob(
-            name=name or self.name,
-            scheduler=self.scheduler.name,
-            platform=platform,
-            tables=job_tables,
-            remap_on_finish=self.scheduler.remap_on_finish,
-            engine=self.engine,
-            trace=trace,
-            trace_spec=trace_spec,
-            governor=self.energy.governor,
-            power_cap_watts=self.energy.power_cap_watts,
-            energy_budget_joules=self.energy.energy_budget_joules,
-        )
-
-    @classmethod
-    def from_job(cls, job) -> "ExperimentSpec":
-        """Lift a legacy :class:`~repro.service.jobs.SimulationJob` into a spec."""
-        from repro.io.serialization import tables_to_dict
-
-        if job.trace_spec is not None:
-            workload = WorkloadSpec.poisson(
-                arrival_rate=job.trace_spec.arrival_rate,
-                num_requests=job.trace_spec.num_requests,
-                deadline_factor_range=job.trace_spec.deadline_factor_range,
-                seed=job.trace_spec.seed,
-            )
-        else:
-            workload = WorkloadSpec.from_trace(job.trace)
-        if isinstance(job.platform, str):
-            platform = PlatformSpec(name=job.platform)
-        else:
-            platform = PlatformSpec.from_platform(job.platform)
-        tables = job.tables if isinstance(job.tables, str) else None
-        tables_inline = None if tables is not None else tables_to_dict(job.tables)
-        return cls(
-            name=job.name,
-            platform=platform,
-            workload=workload,
-            scheduler=SchedulerSpec(
-                name=job.scheduler, remap_on_finish=job.remap_on_finish
-            ),
-            energy=EnergySpec(
-                governor=job.governor,
-                power_cap_watts=job.power_cap_watts,
-                energy_budget_joules=job.energy_budget_joules,
-            ),
-            tables=tables,
-            tables_inline=tables_inline,
-            engine=job.engine,
-        )
 
     # ------------------------------------------------------------------ #
     # Serialisation

@@ -8,9 +8,8 @@ benchmarks).
 Since the ``repro.optable`` refactor the filtering runs on the incremental
 :class:`~repro.optable.frontier.ParetoFrontier` engine (numpy-vectorised for
 large inputs) instead of the seed's O(n²) pairwise scan; the *semantics* are
-unchanged — an item survives iff no other input item dominates it — and
-:func:`pareto_front_reference` keeps the seed implementation around as the
-oracle for the equivalence tests and the ablation benchmark.
+unchanged — an item survives iff no other input item dominates it.  The seed
+scan lives on as the test oracle in ``tests/reference/pareto.py``.
 """
 
 from __future__ import annotations
@@ -25,13 +24,6 @@ T = TypeVar("T")
 #: the old buried literal) so callers that need a different tolerance — or
 #: want to report the one in force — reference one named constant.
 DEFAULT_TOLERANCE = 1e-12
-
-
-def _dominates(a: Sequence[float], b: Sequence[float], tolerance: float) -> bool:
-    """True iff objective vector ``a`` Pareto-dominates ``b`` (minimisation)."""
-    no_worse = all(x <= y + tolerance for x, y in zip(a, b))
-    strictly_better = any(x < y - tolerance for x, y in zip(a, b))
-    return no_worse and strictly_better
 
 
 def pareto_front(
@@ -86,27 +78,3 @@ def pareto_front(
         group = [item for item, v in zip(candidates, vectors) if v == vector]
         result.append(min(group, key=tie_key))
     return result
-
-
-def pareto_front_reference(
-    items: Iterable[T],
-    objectives: Callable[[T], Sequence[float]],
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> list[T]:
-    """The seed's O(n²) pairwise implementation, kept as the test oracle."""
-    candidates = list(items)
-    vectors = [tuple(objectives(item)) for item in candidates]
-    lengths = {len(v) for v in vectors}
-    if len(lengths) > 1:
-        raise ValueError(f"objective vectors have mixed lengths: {lengths}")
-
-    survivors: list[T] = []
-    survivor_vectors: list[tuple[float, ...]] = []
-    for item, vector in zip(candidates, vectors):
-        if any(_dominates(other, vector, tolerance) for other in vectors if other is not vector):
-            continue
-        if vector in survivor_vectors:
-            continue
-        survivors.append(item)
-        survivor_vectors.append(vector)
-    return survivors

@@ -65,9 +65,7 @@ def design_tables(
         When ``input_sizes`` matches no application variant.
     """
     platform = platform or odroid_xu4()
-    if input_sizes is not None:
-        input_sizes = tuple(input_sizes)
-    key = (platform_fingerprint(platform), input_sizes, sweep_opps, max_points)
+    key = _key(platform, input_sizes, sweep_opps, max_points)
     tables = _TABLES.get(key)
     if tables is None:
         if max_points is None:
@@ -81,6 +79,30 @@ def design_tables(
             tables = reduced_tables(full, max_points=max_points)
         _TABLES.put(key, tables)
     return dict(tables)
+
+
+def remember_design_tables(
+    tables: Mapping[str, ConfigTable],
+    platform: Platform | None = None,
+    input_sizes: tuple[str, ...] | None = None,
+    sweep_opps: bool = False,
+    max_points: int | None = None,
+) -> None:
+    """Memoise tables explored elsewhere as :func:`design_tables`' result.
+
+    The distributed sweep (:meth:`Session.explore
+    <repro.api.session.Session.explore>` with an executor) explores the same
+    points; recording its tables here lets later resolutions of the same
+    key, in this process and in workers forked from it, skip the DSE.
+    """
+    key = _key(platform or odroid_xu4(), input_sizes, sweep_opps, max_points)
+    _TABLES.put(key, dict(tables))
+
+
+def _key(platform: Platform, input_sizes, sweep_opps: bool, max_points: int | None):
+    """The memo key of one table set: platform content plus the options."""
+    sizes = tuple(input_sizes) if input_sizes is not None else None
+    return (platform_fingerprint(platform), sizes, sweep_opps, max_points)
 
 
 def paper_operating_points(

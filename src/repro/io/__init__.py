@@ -9,8 +9,6 @@ small helpers for saving/loading whole experiment setups.
 
 from repro.io.serialization import (
     batch_results_to_dict,
-    batch_spec_from_dict,
-    batch_spec_to_dict,
     config_table_from_dict,
     config_table_to_dict,
     exploration_result_from_dict,
@@ -24,8 +22,6 @@ from repro.io.serialization import (
     request_trace_to_dict,
     save_json,
     schedule_to_dict,
-    simulation_job_from_dict,
-    simulation_job_to_dict,
     sweep_result_from_dict,
     sweep_result_to_dict,
     tables_from_dict,
@@ -35,11 +31,7 @@ from repro.io.serialization import (
 )
 
 __all__ = [
-    "batch_spec_to_dict",
-    "batch_spec_from_dict",
     "batch_results_to_dict",
-    "simulation_job_to_dict",
-    "simulation_job_from_dict",
     "platform_to_dict",
     "platform_from_dict",
     "config_table_to_dict",

@@ -279,32 +279,6 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 # ---------------------------------------------------------------------- #
 # Batch-simulation specs and results (repro.service)
 # ---------------------------------------------------------------------- #
-# The service package imports repro.io for its primitives, so these wrappers
-# resolve the service types lazily to keep the import graph acyclic.
-def simulation_job_to_dict(job) -> dict:
-    """Serialise one :class:`~repro.service.jobs.SimulationJob`."""
-    return job.to_dict()
-
-
-def simulation_job_from_dict(data: Mapping[str, Any]):
-    """Reconstruct one :class:`~repro.service.jobs.SimulationJob`."""
-    from repro.service.jobs import SimulationJob
-
-    return SimulationJob.from_dict(data)
-
-
-def batch_spec_to_dict(spec) -> dict:
-    """Serialise a :class:`~repro.service.jobs.BatchSpec`."""
-    return spec.to_dict()
-
-
-def batch_spec_from_dict(data: Mapping[str, Any]):
-    """Reconstruct a :class:`~repro.service.jobs.BatchSpec`."""
-    from repro.service.jobs import BatchSpec
-
-    return BatchSpec.from_dict(data)
-
-
 def batch_results_to_dict(results) -> dict:
     """Serialise :class:`~repro.service.pool.BatchResults` (export only).
 

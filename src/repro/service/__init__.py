@@ -11,18 +11,20 @@ Modules
 * :mod:`repro.service.events` — heap-based :class:`EventQueue`
   (arrival/finish/segment-boundary/timer events); the runtime manager's
   default ``"events"`` time-advance engine is driven by it.
-* :mod:`repro.service.jobs` — :class:`SimulationJob` / :class:`BatchSpec`:
-  declarative, JSON-serialisable descriptions of simulations (trace or
-  generator spec + platform + tables + scheduler + seed) with sweep and
-  shard helpers.
+* :mod:`repro.service.jobs` — :class:`BatchSpec`: a named tuple of
+  :class:`~repro.api.spec.ExperimentSpec`\\ s (the description
+  ``Session.run`` takes), JSON-serialisable, with sweep, shard and
+  energy-policy helpers.
 * :mod:`repro.service.cache` — :func:`ActivationCache` /
   :class:`CachingScheduler`: an ``activation`` :class:`~repro.store.memo.Memo`
   over canonical scheduling-problem signatures, so structurally identical
   activations across traces are solved once.
 * :mod:`repro.service.pool` — :class:`SimulationService`: batches fanned
   out through one :class:`~repro.cluster.ShardCoordinator` (serial, thread
-  or process mode) with per-job seeding, failure isolation and ordered,
-  bit-reproducible results.
+  or process mode), each experiment wired by
+  ``RuntimeManager.from_spec`` exactly as ``Session.run`` wires it, with
+  per-experiment seeding, failure isolation and ordered, bit-reproducible
+  results.
 * :mod:`repro.service.metrics` — :class:`ServiceMetrics`: counters and
   histograms (acceptance rate, search time, energy, cache hit rate) with a
   ``snapshot()`` the CLI prints.
@@ -49,16 +51,17 @@ Describe a batch declaratively, then run it::
 
 Determinism guarantees
 ----------------------
-Every job carries its own trace seed and activation caching is *canonical*
-(cached and uncached paths return bit-identical schedules), so a batch yields
-the same :meth:`~repro.service.pool.BatchResults.fingerprint` for any worker
-count and executor.  Wall-clock fields are excluded from the fingerprint.
+Every experiment carries its own workload seed and activation caching is
+*canonical* (a cached result is a pure function of its problem, whatever
+the cache holds), so a batch yields the same
+:meth:`~repro.service.pool.BatchResults.fingerprint` for any worker count
+and executor.  Wall-clock fields are excluded from the fingerprint.
 
 Cache semantics
 ---------------
 Cache keys are canonical problem signatures — capacity, table content
-fingerprints, sorted job residuals and *relative* deadlines, scheduler name —
-so hits are exact modulo a time shift and request renaming.  One cache is
+fingerprints, sorted job residuals and *relative* deadlines, scheduler name
+and options — so hits are exact modulo a time shift and request renaming.  One cache is
 shared across all traces of a batch (per worker process under the
 ``"process"`` and ``"cluster"`` executors).
 
@@ -80,8 +83,6 @@ __all__ = [
     "Histogram",
     "ServiceMetrics",
     # Lazily loaded (they depend on repro.runtime, which imports this package):
-    "SimulationJob",
-    "TraceSpec",
     "BatchSpec",
     "SimulationService",
     "SimulationResult",
@@ -89,11 +90,10 @@ __all__ = [
 ]
 
 #: Lazy attribute → defining submodule.  ``repro.runtime.manager`` imports
-#: ``repro.service.events`` while ``jobs``/``pool`` import the runtime
-#: manager, so importing those eagerly here would create an import cycle.
+#: ``repro.service.events`` while ``jobs``/``pool`` import the spec tree and
+#: the runtime manager, so importing those eagerly here would create an
+#: import cycle.
 _LAZY = {
-    "SimulationJob": "repro.service.jobs",
-    "TraceSpec": "repro.service.jobs",
     "BatchSpec": "repro.service.jobs",
     "SimulationService": "repro.service.pool",
     "SimulationResult": "repro.service.pool",

@@ -1,10 +1,13 @@
 """Concurrent batch execution of runtime-manager simulations.
 
-:class:`SimulationService` turns a :class:`~repro.service.jobs.BatchSpec`
-into a :class:`BatchResults`: every job is materialised, simulated by its own
-:class:`~repro.runtime.manager.RuntimeManager` (with an optional shared
-activation :class:`~repro.store.memo.Memo`) and summarised into a
-picklable :class:`SimulationResult`.  Every batch runs through one
+:class:`SimulationService` turns a :class:`~repro.service.jobs.BatchSpec` —
+a tuple of :class:`~repro.api.spec.ExperimentSpec`\\ s — into a
+:class:`BatchResults`: every experiment is wired by
+:meth:`RuntimeManager.from_spec <repro.runtime.manager.RuntimeManager.from_spec>`,
+exactly as :meth:`Session.run <repro.api.session.Session.run>` wires it
+(with an optional shared activation :class:`~repro.store.memo.Memo` around
+its scheduler), simulated, and summarised into a picklable
+:class:`SimulationResult`.  Every batch runs through one
 :class:`~repro.cluster.ShardCoordinator` — work units, work stealing and
 bounded shard retry — in the mode its executor name selects
 (:func:`~repro.cluster.executor_mode`):
@@ -29,13 +32,14 @@ store-less code.
 Determinism guarantee
 ---------------------
 Results are returned in job order and every simulation is a pure function of
-its declarative spec: per-job trace seeds, canonical activation caching (the
-cached and uncached paths produce bit-identical schedules) and fresh
-scheduler instances per job mean that a batch produces **bit-identical
-deterministic results for any worker count and any executor** — aggregate
-fingerprints for ``workers=1`` and ``workers=4`` match exactly.  Wall-clock
-fields (``search_time_total``, ``wall_time``) are the only exception and are
-excluded from :meth:`BatchResults.fingerprint`.
+its declarative spec: per-experiment workload seeds, canonical activation
+caching (a cached result is a pure function of its problem, whatever the
+memo holds) and fresh scheduler instances per job mean that a batch
+produces **bit-identical deterministic results for any worker count and
+any executor** — aggregate fingerprints for ``workers=1`` and
+``workers=4`` match exactly.  Wall-clock fields (``search_time_total``,
+``wall_time``) are the only exception and are excluded from
+:meth:`BatchResults.fingerprint`.
 
 Failure isolation: an exception inside one simulation is captured as that
 job's ``error`` string; the rest of the batch is unaffected.
@@ -46,23 +50,22 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import json
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from repro.analysis.experiments import SchedulerRun, SuiteResults
 from repro.analysis.stats import BoxplotStats
-from repro.api.registry import governors as _governors
-from repro.api.registry import schedulers as _schedulers
+from repro.api.spec import ExperimentSpec, SchedulerSpec
 from repro.cluster import coordinator as _coordinator
 from repro.cluster.coordinator import ShardCoordinator, executor_mode
-from repro.energy.budget import EnergyBudget
 from repro.exceptions import WorkloadError
 from repro.kernel.caches import KernelCaches
 from repro.runtime.log import ExecutionLog, RequestOutcome
 from repro.runtime.manager import RuntimeManager
 from repro.service.cache import ActivationCache, CachingScheduler
-from repro.service.jobs import BatchSpec, SimulationJob
+from repro.service.jobs import BatchSpec
 from repro.service.metrics import ServiceMetrics
 from repro.store.content import ContentStore, resolve_store
 from repro.store.memo import Memo
@@ -75,10 +78,12 @@ class SimulationResult:
     All fields are plain data, so results cross process boundaries and
     serialise cheaply.  ``search_time_total`` and ``wall_time`` are
     wall-clock measurements and therefore vary between runs; every other
-    field is deterministic given the job spec.
+    field is deterministic given the experiment spec.
     """
 
     job_name: str
+    #: The scheduler's registry name, followed by its options' canonical
+    #: JSON when it has any (see :func:`_scheduler_label`).
     scheduler: str
     engine: str
     requests: int = 0
@@ -109,13 +114,13 @@ class SimulationResult:
 
     @classmethod
     def from_log(
-        cls, job: SimulationJob, log: ExecutionLog, wall_time: float
+        cls, spec: ExperimentSpec, log: ExecutionLog, wall_time: float
     ) -> "SimulationResult":
         """Summarise one finished :class:`ExecutionLog`."""
         return cls(
-            job_name=job.name,
-            scheduler=job.scheduler,
-            engine=job.engine,
+            job_name=spec.name,
+            scheduler=_scheduler_label(spec.scheduler),
+            engine=spec.engine,
             requests=len(log.outcomes),
             accepted=len(log.accepted),
             rejected=len(log.rejected),
@@ -133,12 +138,12 @@ class SimulationResult:
         )
 
     @classmethod
-    def from_error(cls, job: SimulationJob, message: str) -> "SimulationResult":
+    def from_error(cls, spec: ExperimentSpec, message: str) -> "SimulationResult":
         """Record a failed simulation (failure isolation)."""
         return cls(
-            job_name=job.name,
-            scheduler=job.scheduler,
-            engine=job.engine,
+            job_name=spec.name,
+            scheduler=_scheduler_label(spec.scheduler),
+            engine=spec.engine,
             error=message,
         )
 
@@ -313,42 +318,48 @@ class BatchResults:
         }
 
 
+def _scheduler_label(scheduler: SchedulerSpec) -> str:
+    """The name a scheduler spec goes by in results and the activation memo.
+
+    The bare registry name without options (so stored rows keep their keys
+    and results their groups); with options, the name plus their canonical
+    JSON, so differently configured schedulers never share memo entries and
+    report as separate groups.
+    """
+    if not scheduler.options:
+        return scheduler.name
+    return scheduler.name + json.dumps(
+        scheduler.options, sort_keys=True, separators=(",", ":")
+    )
+
+
 def _simulate(
-    job: SimulationJob,
+    spec: ExperimentSpec,
     cache: Memo | None,
     kernel_caches: KernelCaches | None = None,
 ) -> SimulationResult:
-    """Materialise and run one job, capturing any failure in the result."""
+    """Wire and run one experiment, capturing any failure in the result."""
     start = time.perf_counter()
     try:
-        tables = job.resolve_tables()
-        platform = job.resolve_platform()
-        scheduler = _schedulers.build(job.scheduler)
+        platform = spec.platform.build()
+        tables = spec.resolve_tables(platform)
+        scheduler = spec.scheduler.build()
         if cache is not None:
-            scheduler = CachingScheduler(scheduler, cache, namespace=job.scheduler)
-        trace = job.resolve_trace(tables)
-        governor = (
-            _governors.build(job.governor) if job.governor is not None else None
-        )
-        budget = None
-        if job.power_cap_watts is not None or job.energy_budget_joules is not None:
-            budget = EnergyBudget(
-                power_cap_watts=job.power_cap_watts,
-                energy_budget_joules=job.energy_budget_joules,
+            scheduler = CachingScheduler(
+                scheduler, cache, namespace=_scheduler_label(spec.scheduler)
             )
-        manager = RuntimeManager.from_components(
-            platform,
-            tables,
-            scheduler,
-            remap_on_finish=job.remap_on_finish,
-            governor=governor,
-            budget=budget,
+        trace = spec.workload.build(tables)
+        manager = RuntimeManager.from_spec(
+            spec,
+            platform=platform,
+            tables=tables,
+            scheduler=scheduler,
             kernel_caches=kernel_caches,
         )
         log = manager.run(trace)
     except Exception as error:  # noqa: BLE001 — failure isolation by design
-        return SimulationResult.from_error(job, f"{type(error).__name__}: {error}")
-    return SimulationResult.from_log(job, log, time.perf_counter() - start)
+        return SimulationResult.from_error(spec, f"{type(error).__name__}: {error}")
+    return SimulationResult.from_log(spec, log, time.perf_counter() - start)
 
 
 #: Per-process activation memo for the ``"process"`` executor, rebuilt when
@@ -382,9 +393,9 @@ def _process_store(store_token: str | None) -> ContentStore | None:
 
 
 def _process_simulate(
-    job: SimulationJob, cache_size: int, store_token: str | None = None
+    spec: ExperimentSpec, cache_size: int, store_token: str | None = None
 ) -> SimulationResult:
-    """Simulate one job inside a worker process, on its process caches."""
+    """Simulate one experiment inside a worker process, on its process caches."""
     global _PROCESS_CACHE, _PROCESS_KERNEL_CACHES
     store = _process_store(store_token)
     cache = None
@@ -401,7 +412,7 @@ def _process_simulate(
         or _PROCESS_KERNEL_CACHES.solve_cache.store is not store
     ):
         _PROCESS_KERNEL_CACHES = KernelCaches(store)
-    return _simulate(job, cache, _PROCESS_KERNEL_CACHES)
+    return _simulate(spec, cache, _PROCESS_KERNEL_CACHES)
 
 
 def _unit_batch(store: ContentStore | None):
@@ -410,16 +421,18 @@ def _unit_batch(store: ContentStore | None):
 
 
 def _process_run_unit(
-    jobs: Sequence[SimulationJob], cache_size: int, store_token: str | None = None
+    jobs: Sequence[ExperimentSpec], cache_size: int, store_token: str | None = None
 ) -> list[SimulationResult]:
     """Worker-process entry point for one shard (see :mod:`repro.cluster`).
 
-    Each job crossed the process boundary as its JSON form
-    (``SimulationJob.__reduce__``), never as live tables or platforms.  The
-    unit's store rows are written before it returns.
+    Each experiment crossed the process boundary as its plain-data spec,
+    never as live tables or platforms: named and DSE table sets resolve
+    through the worker's :func:`~repro.dse.tables.design_tables` memo, which
+    a forked worker inherits from the parent.  The unit's store rows are
+    written before it returns.
     """
     with _unit_batch(_process_store(store_token)):
-        return [_process_simulate(job, cache_size, store_token) for job in jobs]
+        return [_process_simulate(spec, cache_size, store_token) for spec in jobs]
 
 
 class SimulationService:
@@ -505,10 +518,10 @@ class SimulationService:
     # ------------------------------------------------------------------ #
     def run_batch(
         self,
-        batch: BatchSpec | Sequence[SimulationJob],
+        batch: BatchSpec | Sequence[ExperimentSpec],
         progress: Callable[[int, SimulationResult], None] | None = None,
     ) -> BatchResults:
-        """Simulate every job of the batch and return ordered results.
+        """Simulate every experiment of the batch and return ordered results.
 
         The batch runs through one :class:`~repro.cluster.ShardCoordinator`
         in the mode the executor selects.  ``progress`` (if given) is called
@@ -518,7 +531,7 @@ class SimulationService:
         under the coordinator's results lock.  The returned results are
         always in job order.
         """
-        jobs = list(batch.jobs if isinstance(batch, BatchSpec) else batch)
+        jobs = list(batch)
         if self._mode == "process":
             # Looked up per batch: the coordinator's binding is a seam a
             # harness may replace.
@@ -534,7 +547,8 @@ class SimulationService:
             def unit(shard):
                 with _unit_batch(self.store):
                     return [
-                        _simulate(job, self.cache, self.kernel_caches) for job in shard
+                        _simulate(spec, self.cache, self.kernel_caches)
+                        for spec in shard
                     ]
 
         cache_before = self.cache.info() if self.cache is not None else None

@@ -1,5 +1,7 @@
 """Tests for the :class:`Session` facade and its streaming run events."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -68,25 +70,26 @@ class TestBitIdentity:
         oracle_log = ReferenceRuntime.from_spec(spec).run(Session.from_spec(spec).trace())
         assert _log_key(events_log) == _log_key(oracle_log)
 
-    def test_batch_fingerprint_matches_the_legacy_service_path(self):
-        """Session.run_batch() fingerprints == legacy BatchSpec plumbing."""
-        from repro.service import BatchSpec, SimulationJob, SimulationService
-        from repro.service.jobs import TraceSpec
+    def test_batch_fingerprint_matches_a_hand_built_batch(self):
+        """Session.run_batch() fingerprints == the same specs run by hand."""
+        from repro.service import BatchSpec, SimulationService
 
         spec = _poisson_spec(seed=3)
         session_results = Session.from_spec(spec).run_batch(trials=3)
 
-        legacy_jobs = tuple(
-            SimulationJob(
+        hand_built = tuple(
+            ExperimentSpec(
                 name=f"session-poisson-t{i:03d}",
-                trace_spec=TraceSpec(arrival_rate=0.25, num_requests=8, seed=3 + i),
+                workload=WorkloadSpec.poisson(
+                    arrival_rate=0.25, num_requests=8, seed=3 + i
+                ),
             )
             for i in range(3)
         )
-        legacy_results = SimulationService(workers=1).run_batch(
-            BatchSpec("session-poisson", legacy_jobs)
+        hand_results = SimulationService(workers=1).run_batch(
+            BatchSpec("session-poisson", hand_built)
         )
-        assert session_results.fingerprint() == legacy_results.fingerprint()
+        assert session_results.fingerprint() == hand_results.fingerprint()
 
     def test_run_batch_is_deterministic_across_worker_counts(self):
         spec = _poisson_spec(seed=11)
@@ -286,11 +289,17 @@ class TestSessionSurface:
         assert session.spec == spec
 
     def test_to_batch_validates_trials(self):
-        session = Session.from_spec(_poisson_spec())
+        spec = _poisson_spec()
+        session = Session.from_spec(spec)
         with pytest.raises(WorkloadError):
             session.to_batch(trials=0)
         batch = session.to_batch(trials=2)
-        assert [job.trace_spec.seed for job in batch.jobs] == [5, 6]
+        assert [e.workload.options["seed"] for e in batch] == [5, 6]
+        assert [e.name for e in batch] == ["session-poisson-t000", "session-poisson-t001"]
+        assert [replace(e, name=spec.name, workload=spec.workload) for e in batch] == [
+            spec,
+            spec,
+        ]
 
     def test_explore_requires_a_dse_section(self):
         with pytest.raises(WorkloadError):
@@ -309,12 +318,14 @@ class TestSessionSurface:
             workload=WorkloadSpec.poisson(arrival_rate=0.25, num_requests=4, seed=2),
         )
         session = Session.from_spec(spec)
-        batch = session.to_batch(trials=2)
-        # Every job carries the one materialised table set (shallow-copied
-        # mapping, shared ConfigTable objects), not the serialised dict.
-        for job in batch.jobs:
-            assert not isinstance(job.tables, str)
-            assert job.tables["lambda1"] is session.tables["lambda1"]
+        # Every trial shares the spec's one inline dict and resolves it to
+        # the session's table objects (a fresh mapping over shared,
+        # immutable ConfigTables), never parsing it again.
+        for experiment in session.to_batch(trials=2):
+            assert experiment.tables_inline is spec.tables_inline
+            tables = experiment.resolve_tables()
+            assert tables is not session.tables
+            assert tables["lambda1"] is session.tables["lambda1"]
         results = session.run_batch(trials=2)
         assert results.failures == []
 

@@ -142,6 +142,12 @@ class TestValidation:
         with pytest.raises(WorkloadError):
             EnergySpec(energy_budget_joules=0.0)
 
+    def test_unknown_governor_fails_at_construction(self):
+        message = r"unknown governor 'turbo'; choose from \["
+        with pytest.raises(WorkloadError, match=message):
+            EnergySpec(governor="turbo")
+        assert EnergySpec(governor="powersave").governor == "powersave"
+
     def test_dse_max_points_must_be_positive(self):
         with pytest.raises(WorkloadError):
             DSESpec(max_points=0)
@@ -159,8 +165,12 @@ class TestValidation:
             source="poisson", options={"arrival_rate": 0.3, "num_requests": 4}
         )
         assert spec.with_seed(9).options["seed"] == 9
-        job = ExperimentSpec(name="ns", workload=spec).to_job(seed=9)
-        assert job.trace_spec.seed == 9
+        from repro.api.session import Session
+
+        (trial,) = Session.from_spec(ExperimentSpec(name="ns", workload=spec)).to_batch(
+            seeds=[9]
+        )
+        assert trial.workload.options["seed"] == 9
 
     def test_bad_scheduler_options_raise_workload_error(self):
         with pytest.raises(WorkloadError, match="bogus"):
@@ -248,39 +258,51 @@ class TestBuilders:
             schedulers.unregister("test-configurable")
 
 
-class TestJobBridge:
-    def test_to_job_and_back(self):
+class TestBatchTrials:
+    """A batch trial is the spec itself, renamed and reseeded."""
+
+    @staticmethod
+    def _batch(spec, **kwargs):
+        from repro.api.session import Session
+
+        return Session.from_spec(spec).to_batch(**kwargs)
+
+    def test_a_single_trial_is_the_spec(self):
         spec = _rich_spec()
-        job = spec.to_job()
-        assert job.name == "rich"
-        assert job.scheduler == "mmkp-lr"
-        assert job.platform == "odroid-xu4"
-        assert job.governor == "schedule-aware"
-        assert job.power_cap_watts == 9.5
-        assert job.trace_spec.arrival_rate == 0.4
-        assert ExperimentSpec.from_job(job) == spec
+        assert tuple(self._batch(spec)) == (spec,)
 
-    def test_to_job_reseeds_poisson_workloads(self):
-        job = _rich_spec().to_job(name="trial-3", seed=42)
-        assert job.name == "trial-3"
-        assert job.trace_spec.seed == 42
+    def test_trials_reseed_and_rename_only(self):
+        spec = _rich_spec()
+        trials = self._batch(spec, seeds=[42, 43])
+        assert [trial.name for trial in trials] == ["rich-t000", "rich-t001"]
+        assert [trial.workload for trial in trials] == [
+            spec.workload.with_seed(42),
+            spec.workload.with_seed(43),
+        ]
+        for trial in trials:
+            assert (trial.platform, trial.scheduler, trial.energy, trial.tables) == (
+                spec.platform,
+                spec.scheduler,
+                spec.energy,
+                spec.tables,
+            )
 
-    def test_to_job_materialises_non_poisson_sources(self):
+    def test_unseeded_sources_cannot_fan_out(self):
         spec = ExperimentSpec(name="s1", workload=WorkloadSpec.scenario("S1"))
-        job = spec.to_job()
-        assert job.trace is not None and job.trace_spec is None
+        (trial,) = self._batch(spec)
+        assert trial == spec
         with pytest.raises(WorkloadError):
-            spec.to_job(seed=1)
+            self._batch(spec, seeds=[1])
 
-    def test_to_job_validates_options_like_the_run_path(self):
+    def test_batches_reject_bad_options_like_the_run_path(self):
         # Batch and single-run must agree: a typo'd or missing option key is
-        # an error in both, never silently-run defaults.
+        # the same error in both, never silently-run defaults.
+        from repro.api.session import Session
+
         missing = ExperimentSpec(
             name="m",
             workload=WorkloadSpec(source="poisson", options={"num_requests": 4}),
         )
-        with pytest.raises(WorkloadError, match="poisson"):
-            missing.to_job()
         typo = ExperimentSpec(
             name="t",
             workload=WorkloadSpec(
@@ -288,11 +310,17 @@ class TestJobBridge:
                 options={"arrival_rate": 0.2, "num_requests": 4, "burst": 3},
             ),
         )
-        with pytest.raises(WorkloadError, match="burst"):
-            typo.to_job()
+        for spec, key in ((missing, "poisson"), (typo, "burst")):
+            with pytest.raises(WorkloadError, match=key) as raised:
+                Session.from_spec(spec).run()
+            (result,) = Session.from_spec(spec).run_batch()
+            assert result.error == f"WorkloadError: {raised.value}"
+            trials = Session.from_spec(spec).run_batch(seeds=[1, 2])
+            assert all(key in r.error for r in trials)
 
     def test_third_party_seeded_sources_are_batchable(self):
         from repro.api.registry import register_trace_source, trace_sources
+        from repro.api.session import Session
         from repro.runtime.trace import RequestEvent, RequestTrace
 
         @register_trace_source("test-seeded")
@@ -306,22 +334,23 @@ class TestJobBridge:
                 name="seeded",
                 workload=WorkloadSpec(source="test-seeded", options={"seed": 0}),
             )
-            job = spec.to_job(name="trial", seed=4)
-            assert [e.name for e in job.trace] == ["r4"]
+            (trial,) = self._batch(spec, seeds=[4])
+            assert [e.name for e in trial.workload.build({})] == ["r4"]
+            (result,) = Session.from_spec(spec).run_batch(seeds=[4])
+            assert result.ok and [o.name for o in result.outcomes] == ["r4"]
         finally:
             trace_sources.unregister("test-seeded")
 
-    def test_to_job_rejects_scheduler_options(self):
+    def test_batches_carry_scheduler_options(self):
+        from repro.api.session import Session
+
         spec = ExperimentSpec(
-            name="opt", scheduler=SchedulerSpec(name="mmkp-mdf", options={"x": 1})
+            name="opt",
+            scheduler=SchedulerSpec(
+                name="mmkp-lr", options={"max_subgradient_iterations": 50}
+            ),
         )
-        with pytest.raises(WorkloadError):
-            spec.to_job()
-
-    def test_to_job_accepts_materialised_tables(self):
-        from repro.workload.motivational import motivational_tables
-
-        tables = motivational_tables()
-        job = ExperimentSpec(name="inline-tables").to_job(tables=tables)
-        assert not isinstance(job.tables, str)
-        assert set(job.tables) == {"lambda1", "lambda2"}
+        (trial,) = self._batch(spec, seeds=[3])
+        assert trial.scheduler.options == {"max_subgradient_iterations": 50}
+        results = Session.from_spec(spec).run_batch(seeds=[3, 4])
+        assert results.failures == []

@@ -61,30 +61,30 @@ def fingerprint(results):
 
 class TestSplitUnits:
     def test_covers_all_jobs_contiguously(self):
-        jobs = sweep(traces_per_point=5).jobs  # 10 jobs
+        jobs = sweep(traces_per_point=5).experiments  # 10 jobs
         units = split_units(jobs, workers=2)
         assert [unit.start for unit in units] == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
         assert sum(len(unit) for unit in units) == len(jobs)
 
     def test_unit_size_override(self):
-        jobs = sweep(traces_per_point=5).jobs
+        jobs = sweep(traces_per_point=5).experiments
         units = split_units(jobs, workers=2, unit_size=4)
         assert [len(unit) for unit in units] == [4, 4, 2]
         assert units[1].start == 4
         assert units[2].jobs == tuple(jobs[8:])
 
     def test_default_targets_four_units_per_worker(self):
-        jobs = sweep(traces_per_point=8).jobs  # 16 jobs
+        jobs = sweep(traces_per_point=8).experiments  # 16 jobs
         assert len(split_units(jobs, workers=2)) == 8
 
     def test_more_workers_than_jobs(self):
-        jobs = sweep(traces_per_point=1).jobs  # 2 jobs
+        jobs = sweep(traces_per_point=1).experiments  # 2 jobs
         units = split_units(jobs, workers=8)
         assert [len(unit) for unit in units] == [1, 1]
 
     def test_invalid_unit_size(self):
         with pytest.raises(WorkloadError):
-            split_units(sweep().jobs, workers=2, unit_size=0)
+            split_units(sweep().experiments, workers=2, unit_size=0)
 
 
 class TestCoordinatorValidation:
@@ -159,7 +159,7 @@ class TestThreadMode:
         assert coordinator.stats.units == 0
 
     def test_results_in_job_order(self):
-        jobs = list(sweep(traces_per_point=4).jobs)
+        jobs = list(sweep(traces_per_point=4).experiments)
         coordinator = ShardCoordinator(3, mode="thread", unit_size=2)
         results = run_jobs(coordinator, jobs)
         assert [r.job_name for r in results] == [j.name for j in jobs]
@@ -170,14 +170,14 @@ class TestThreadMode:
         assert stats.failed_units == 0
 
     def test_fingerprint_independent_of_workers_and_unit_size(self):
-        jobs = list(sweep(traces_per_point=3).jobs)
+        jobs = list(sweep(traces_per_point=3).experiments)
         baseline = fingerprint(run_jobs(ShardCoordinator(1, mode="thread"), jobs))
         for workers, unit_size in [(2, 1), (3, 2), (4, None)]:
             coordinator = ShardCoordinator(workers, mode="thread", unit_size=unit_size)
             assert fingerprint(run_jobs(coordinator, jobs)) == baseline
 
     def test_stealing_rebalances_skewed_queues(self):
-        jobs = list(sweep(traces_per_point=6).jobs)  # 12 units of one job
+        jobs = list(sweep(traces_per_point=6).experiments)  # 12 units of one job
         release = threading.Event()
         done = []
         lock = threading.Lock()
@@ -202,7 +202,7 @@ class TestThreadMode:
         assert coordinator.stats.steals > 0
 
     def test_progress_callback_sees_every_job(self):
-        jobs = list(sweep(traces_per_point=3).jobs)
+        jobs = list(sweep(traces_per_point=3).experiments)
         seen = {}
         coordinator = ShardCoordinator(2, mode="thread", unit_size=2)
         run_jobs(coordinator, jobs, progress=lambda i, r: seen.setdefault(i, r))
@@ -211,7 +211,7 @@ class TestThreadMode:
 
 
 def check_unit_one_failed(mode):
-    jobs = list(sweep(traces_per_point=3).jobs)  # 6 jobs
+    jobs = list(sweep(traces_per_point=3).experiments)  # 6 jobs
 
     def fails_unit_one(shard):
         if shard[0] is jobs[2]:
@@ -236,7 +236,7 @@ class TestFailureIsolation:
         check_unit_one_failed("serial")
 
     def test_transient_failure_recovers_within_retry_budget(self):
-        jobs = list(sweep(traces_per_point=2).jobs)
+        jobs = list(sweep(traces_per_point=2).experiments)
         attempts = {}
         lock = threading.Lock()
 
@@ -383,7 +383,7 @@ class TestUnitWriteBatches:
         # The worker entry point, run in this process on a store file.
         try:
             results = pool._process_run_unit(
-                sweep(traces_per_point=1).jobs, 64, str(tmp_path / "store.db")
+                sweep(traces_per_point=1).experiments, 64, str(tmp_path / "store.db")
             )
         finally:
             store = pool._PROCESS_STORE
@@ -404,7 +404,7 @@ class TestServiceClusterExecutor:
         assert service.cluster_stats.units > 0
 
     def test_work_unit_len(self):
-        unit = WorkUnit(index=0, start=3, jobs=tuple(sweep().jobs[:2]))
+        unit = WorkUnit(index=0, start=3, jobs=tuple(sweep().experiments[:2]))
         assert len(unit) == 2
 
 
@@ -418,7 +418,7 @@ class TestTracerPropagation:
             with obs.span("caller") as caller:
                 SimulationService(workers=workers, executor=executor).run_batch(spec)
         runs = [span for span in tracer.spans() if span.name == "rm.run"]
-        assert len(runs) == len(spec.jobs)
+        assert len(runs) == len(spec)
         assert all(span.parent_id == caller.span_id for span in runs)
 
     def test_thread_mode_unit_spans_reach_the_callers_tracer(self):

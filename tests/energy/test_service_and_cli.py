@@ -10,8 +10,9 @@ from repro.dse import DesignSpaceExplorer
 from repro.energy import available_scales
 from repro.exceptions import WorkloadError
 from repro.platforms import odroid_xu4
+from repro.api import ExperimentSpec
+from repro.api.spec import EnergySpec, PlatformSpec, WorkloadSpec
 from repro.service import BatchSpec, SimulationService
-from repro.service.jobs import SimulationJob, TraceSpec
 
 
 def _sweep(**overrides) -> BatchSpec:
@@ -22,26 +23,20 @@ def _sweep(**overrides) -> BatchSpec:
     return BatchSpec.sweep(**parameters)
 
 
-class TestSimulationJobEnergyFields:
+class TestBatchEnergyFields:
     def test_round_trip_and_defaults(self):
-        job = SimulationJob(
-            "demo",
-            trace_spec=TraceSpec(0.2, 5, seed=7),
-            governor="schedule-aware",
-            power_cap_watts=5.0,
-            energy_budget_joules=100.0,
+        spec = _sweep().with_energy_policy(
+            governor="schedule-aware", power_cap_watts=5.0, energy_budget_joules=100.0
         )
-        assert SimulationJob.from_dict(job.to_dict()) == job
+        assert BatchSpec.from_dict(spec.to_dict()) == spec
         # Unset fields stay out of the serialised form (seed specs unchanged).
-        plain = SimulationJob("plain", trace_spec=TraceSpec(0.2, 5))
-        payload = plain.to_dict()
-        assert "governor" not in payload
-        assert "power_cap_watts" not in payload
-        assert SimulationJob.from_dict(payload).governor is None
+        payload = _sweep().to_dict()["experiments"][0]
+        assert "energy" not in payload
+        assert BatchSpec.from_dict(_sweep().to_dict()).experiments[0].energy == EnergySpec()
 
     def test_unknown_governor_rejected(self):
         with pytest.raises(WorkloadError):
-            SimulationJob("bad", trace_spec=TraceSpec(0.2, 5), governor="turbo")
+            _sweep().with_energy_policy(governor="turbo")
 
 
 class TestServiceEnergy:
@@ -147,18 +142,20 @@ class TestInlinePlatformRoundTrip:
             platform_from_dict(payload)
 
     def test_inline_platform_governor_fingerprint_survives_process_executor(self):
-        job = SimulationJob(
-            "inline",
-            platform=odroid_xu4(),
-            tables="motivational",
-            trace_spec=TraceSpec(0.2, 3, seed=1),
-            governor="schedule-aware",
+        spec = ExperimentSpec(
+            name="inline",
+            platform=PlatformSpec.from_platform(odroid_xu4()),
+            workload=WorkloadSpec.poisson(0.2, 3, seed=1),
+            energy=EnergySpec(governor="schedule-aware"),
         )
-        # The worker-process path round-trips the job through to_dict; the
-        # restored job must make the same governor decisions.
-        restored = SimulationJob.from_dict(job.to_dict())
-        ladders = [t.opps for t in restored.resolve_platform().processor_types]
+        # A worker process rebuilds the platform from the spec's inline
+        # dict; the rebuilt platform must keep the governor's OPP ladders.
+        ladders = [t.opps for t in spec.platform.build().processor_types]
         assert all(ladder is not None for ladder in ladders)
+        serial = SimulationService(workers=1, executor="serial").run_batch([spec])
+        processed = SimulationService(workers=2, executor="process").run_batch([spec])
+        assert serial.failures == []
+        assert processed.fingerprint() == serial.fingerprint()
 
 
 class TestGovernorRejectsSweptTables:

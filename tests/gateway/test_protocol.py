@@ -59,6 +59,12 @@ class TestRunSubmission:
         with pytest.raises(ProtocolError, match="unknown table set 'papr'"):
             parse_run_submission(body)
 
+    def test_unknown_governor_fails_at_submission(self):
+        body = _spec_body()
+        body["spec"]["energy"] = {"governor": "turbo"}
+        with pytest.raises(ProtocolError, match="unknown governor 'turbo'"):
+            parse_run_submission(body)
+
     @pytest.mark.parametrize("tenant", ["", "a b", "a/b", "x" * 129, 7])
     def test_bad_tenant_names(self, tenant):
         with pytest.raises(ProtocolError):

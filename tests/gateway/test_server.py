@@ -96,6 +96,21 @@ class TestEquivalence:
         assert status["state"] == "done"
         assert status["result"]["fingerprint"] == reference.fingerprint()
 
+    def test_batch_with_scheduler_options_completes(self, client):
+        spec = ExperimentSpec(
+            name="gw-batch-options",
+            workload=WorkloadSpec.poisson(arrival_rate=0.25, num_requests=6, seed=2),
+            scheduler=SchedulerSpec(
+                name="mmkp-lr", options={"max_subgradient_iterations": 50}
+            ),
+        )
+        reference = Session.from_spec(spec).run_batch(trials=2)
+        record = client.submit_batch(spec, trials=2)
+        status = client.wait_batch(record["id"])
+        assert status["state"] == "done"
+        assert status["result"]["aggregate"]["failed"] == 0
+        assert status["result"]["fingerprint"] == reference.fingerprint()
+
     def test_warm_named_session_reproduces_the_cold_result(self, client):
         spec = _scenario_spec("mmkp-mdf", name="gw-warm")
         cold = client.run(spec, session="warm-0")

@@ -162,16 +162,22 @@ class TestBatchFingerprintEquivalence:
         The service always runs the production manager, so this pins the
         schedulers; the runtime manager itself is pinned by the run tests.
         """
-        from repro.service import SimulationJob, SimulationService, TraceSpec
+        from repro.api import ExperimentSpec, WorkloadSpec
+        from repro.api.spec import EnergySpec, SchedulerSpec
+        from repro.service import SimulationService
 
         def results(names):
             jobs = [
-                SimulationJob(
-                    f"job-{i}",
-                    scheduler=names.get(scheduler, scheduler),
-                    trace_spec=TraceSpec(arrival_rate=0.3, num_requests=8, seed=50 + i),
-                    governor="schedule-aware" if i == 1 else None,
-                    power_cap_watts=8.0 if i == 2 else None,
+                ExperimentSpec(
+                    name=f"job-{i}",
+                    scheduler=SchedulerSpec(name=names.get(scheduler, scheduler)),
+                    workload=WorkloadSpec.poisson(
+                        arrival_rate=0.3, num_requests=8, seed=50 + i
+                    ),
+                    energy=EnergySpec(
+                        governor="schedule-aware" if i == 1 else None,
+                        power_cap_watts=8.0 if i == 2 else None,
+                    ),
                 )
                 for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
             ]

@@ -132,15 +132,14 @@ class TestDoublePruneBoundary:
 
 class TestWarmStarts:
     def test_service_batch_shares_lr_relaxations(self):
-        from repro.service import SimulationJob, SimulationService, TraceSpec
+        from repro.api.spec import SchedulerSpec
+        from repro.service import SimulationService
 
         jobs = [
-            SimulationJob(
-                f"warm-{i}",
-                scheduler="mmkp-lr",
-                platform="motivational",
-                tables="motivational",
-                trace_spec=TraceSpec(arrival_rate=0.4, num_requests=6, seed=9),
+            ExperimentSpec(
+                name=f"warm-{i}",
+                scheduler=SchedulerSpec(name="mmkp-lr"),
+                workload=WorkloadSpec.poisson(arrival_rate=0.4, num_requests=6, seed=9),
             )
             for i in range(3)
         ]

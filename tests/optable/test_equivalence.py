@@ -114,14 +114,18 @@ class TestRuntimeManagerEquivalence:
 
 class TestBatchFingerprintEquivalence:
     def test_service_batch_results_match(self):
-        from repro.service import SimulationJob, SimulationService, TraceSpec
+        from repro.api import ExperimentSpec, WorkloadSpec
+        from repro.api.spec import SchedulerSpec
+        from repro.service import SimulationService
 
         def results(names):
             jobs = [
-                SimulationJob(
-                    f"job-{i}",
-                    scheduler=names.get(scheduler, scheduler),
-                    trace_spec=TraceSpec(arrival_rate=0.25, num_requests=6, seed=40 + i),
+                ExperimentSpec(
+                    name=f"job-{i}",
+                    scheduler=SchedulerSpec(name=names.get(scheduler, scheduler)),
+                    workload=WorkloadSpec.poisson(
+                        arrival_rate=0.25, num_requests=6, seed=40 + i
+                    ),
                 )
                 for i, scheduler in enumerate(["mmkp-mdf", "mmkp-lr", "mmkp-mdf"])
             ]

@@ -4,12 +4,9 @@ import random
 
 import pytest
 
-from repro.dse.pareto import (
-    DEFAULT_TOLERANCE,
-    pareto_front,
-    pareto_front_reference,
-)
+from repro.dse.pareto import DEFAULT_TOLERANCE, pareto_front
 from repro.optable import ParetoFrontier, pareto_select
+from tests.reference.pareto import pareto_front_reference
 
 
 def reference_select(vectors, tolerance):

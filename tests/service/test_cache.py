@@ -5,8 +5,9 @@ import pickletools
 
 import pytest
 
-from repro.api import register_scheduler
+from repro.api import ExperimentSpec, register_scheduler
 from repro.api.registry import schedulers as scheduler_registry
+from repro.api.spec import PlatformSpec, SchedulerSpec, WorkloadSpec
 from repro.core.config import ConfigTable, OperatingPoint
 from repro.core.problem import SchedulingProblem
 from repro.core.request import Job
@@ -23,7 +24,6 @@ from repro.service.cache import (
     canonical_jobs,
     problem_signature,
 )
-from repro.service.jobs import SimulationJob, TraceSpec
 from repro.service.pool import SimulationService
 from repro.store import ContentStore
 from repro.store.content import encode_key
@@ -228,13 +228,13 @@ def two_iteration_lr():
     scheduler_registry.unregister(name)
 
 
-def _lr_job(scheduler: str) -> SimulationJob:
-    return SimulationJob(
-        scheduler,
-        scheduler=scheduler,
-        platform="odroid-xu4",
+def _lr_job(scheduler: str) -> ExperimentSpec:
+    return ExperimentSpec(
+        name=scheduler,
+        scheduler=SchedulerSpec(name=scheduler),
+        platform=PlatformSpec(name="odroid-xu4"),
         tables="paper-reduced",
-        trace_spec=TraceSpec(1.5, 30, seed=5),
+        workload=WorkloadSpec.poisson(1.5, 30, seed=5),
     )
 
 

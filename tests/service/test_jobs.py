@@ -1,38 +1,34 @@
-"""Tests for declarative simulation jobs and batch specs."""
+"""Tests for batch specs: a batch is a tuple of ExperimentSpecs."""
 
 import pytest
 
-from repro.exceptions import SerializationError, WorkloadError
-from repro.platforms import Platform
-from repro.runtime.trace import RequestEvent, RequestTrace
-from repro.service.jobs import (
-    PLATFORMS,
-    SCHEDULERS,
-    BatchSpec,
-    SimulationJob,
-    TraceSpec,
+from repro.api.spec import (
+    EnergySpec,
+    ExperimentSpec,
+    PlatformSpec,
+    SchedulerSpec,
+    WorkloadSpec,
 )
+from repro.exceptions import SerializationError, WorkloadError
+from repro.io import platform_to_dict, request_trace_to_dict, tables_to_dict
+from repro.platforms import Platform, odroid_xu4
+from repro.runtime.trace import RequestEvent, RequestTrace
+from repro.service.jobs import PLATFORMS, SCHEDULERS, BatchSpec
 from repro.workload.motivational import motivational_tables
 
 
-class TestTraceSpec:
-    def test_roundtrip(self):
-        spec = TraceSpec(0.3, 12, (2.0, 5.0), seed=11)
-        assert TraceSpec.from_dict(spec.to_dict()) == spec
+def _legacy_job(**fields) -> dict:
+    """One entry of the older ``"jobs"`` batch form."""
+    entry = {
+        "name": "j",
+        "trace_spec": {"arrival_rate": 0.2, "num_requests": 5, "seed": 1},
+    }
+    entry.update(fields)
+    return entry
 
-    def test_materialise_is_deterministic(self):
-        tables = motivational_tables()
-        spec = TraceSpec(0.25, 8, seed=3)
-        first = spec.materialise(tables)
-        second = spec.materialise(tables)
-        assert [(e.time, e.application, e.name) for e in first] == [
-            (e.time, e.application, e.name) for e in second
-        ]
-        assert len(first) == 8
 
-    def test_invalid_dict_raises(self):
-        with pytest.raises(SerializationError):
-            TraceSpec.from_dict({"num_requests": 5})
+def _load_legacy(*jobs) -> BatchSpec:
+    return BatchSpec.from_dict({"name": "legacy", "jobs": list(jobs)})
 
 
 class TestRegistries:
@@ -54,68 +50,107 @@ class TestRegistries:
             PLATFORMS.build("nope")
 
 
-class TestSimulationJob:
-    def test_requires_exactly_one_trace_source(self):
-        with pytest.raises(WorkloadError):
-            SimulationJob("bad")
-        with pytest.raises(WorkloadError):
-            SimulationJob(
-                "bad",
-                trace=RequestTrace([RequestEvent(0.0, "lambda1", 5.0, "r0")]),
-                trace_spec=TraceSpec(0.1, 3),
+class TestLegacyJobs:
+    """The older ``"jobs"`` form loads through one converter."""
+
+    def test_trace_spec_job_becomes_a_poisson_experiment(self):
+        (spec,) = _load_legacy(
+            _legacy_job(
+                name="spec-job",
+                scheduler="mmkp-lr",
+                platform="odroid-xu4",
+                tables="motivational",
+                remap_on_finish=True,
+                engine="events",
+                trace_spec={
+                    "arrival_rate": 0.2,
+                    "num_requests": 6,
+                    "deadline_factor_range": [2.0, 5.0],
+                    "seed": 5,
+                },
             )
-        with pytest.raises(WorkloadError):
-            SimulationJob("", trace_spec=TraceSpec(0.1, 3))
-
-    def test_roundtrip_with_spec(self):
-        job = SimulationJob(
-            "spec-job",
-            scheduler="mmkp-lr",
-            platform="odroid-xu4",
-            tables="motivational",
-            remap_on_finish=True,
-            engine="events",
-            trace_spec=TraceSpec(0.2, 6, seed=5),
         )
-        assert SimulationJob.from_dict(job.to_dict()) == job
+        assert spec == ExperimentSpec(
+            name="spec-job",
+            platform=PlatformSpec(name="odroid-xu4"),
+            workload=WorkloadSpec.poisson(0.2, 6, (2.0, 5.0), seed=5),
+            scheduler=SchedulerSpec(name="mmkp-lr", remap_on_finish=True),
+            tables="motivational",
+        )
 
-    def test_roundtrip_with_explicit_trace_and_inline_tables(self):
+    def test_explicit_trace_inline_tables_and_inline_platform(self):
         trace = RequestTrace(
             [
                 RequestEvent(0.0, "lambda1", 9.0, "sigma1"),
                 RequestEvent(1.0, "lambda2", 4.0, "sigma2"),
             ]
         )
-        job = SimulationJob("inline", trace=trace, tables=motivational_tables())
-        restored = SimulationJob.from_dict(job.to_dict())
-        assert restored == job
-        assert len(restored.resolve_tables()) == 2
-        assert [e.name for e in restored.resolve_trace(restored.resolve_tables())] == [
-            "sigma1",
-            "sigma2",
-        ]
-
-    def test_with_seed(self):
-        job = SimulationJob("seeded", trace_spec=TraceSpec(0.2, 4, seed=1))
-        assert job.with_seed(9).trace_spec.seed == 9
-        explicit = SimulationJob(
-            "explicit", trace=RequestTrace([RequestEvent(0.0, "lambda1", 5.0, "r0")])
+        (spec,) = _load_legacy(
+            {
+                "name": "inline",
+                "trace": request_trace_to_dict(trace),
+                "tables": tables_to_dict(motivational_tables()),
+                "platform": platform_to_dict(odroid_xu4()),
+            }
         )
-        with pytest.raises(WorkloadError):
-            explicit.with_seed(9)
+        assert spec.workload == WorkloadSpec.from_trace(trace)
+        assert spec.tables is None
+        assert spec.tables_inline == tables_to_dict(motivational_tables())
+        assert spec.platform == PlatformSpec.from_platform(odroid_xu4())
+        tables = spec.resolve_tables()
+        assert [e.name for e in spec.workload.build(tables)] == ["sigma1", "sigma2"]
 
-    def test_unknown_engine_rejected_at_construction(self):
-        with pytest.raises(WorkloadError, match="engine"):
-            SimulationJob("bogus", engine="bogus", trace_spec=TraceSpec(0.2, 4))
+    def test_energy_fields_carry_over(self):
+        (spec,) = _load_legacy(
+            _legacy_job(
+                governor="schedule-aware",
+                power_cap_watts=5,
+                energy_budget_joules=100.0,
+            )
+        )
+        assert spec.energy == EnergySpec(
+            governor="schedule-aware", power_cap_watts=5.0, energy_budget_joules=100.0
+        )
 
-    def test_unknown_table_set_is_rejected_at_construction(self):
+    def test_requires_exactly_one_trace_source(self):
+        with pytest.raises(WorkloadError, match="exactly one of trace and trace_spec"):
+            _load_legacy({"name": "bad"})
+        both = _legacy_job(
+            trace=request_trace_to_dict(
+                RequestTrace([RequestEvent(0.0, "lambda1", 5.0, "r0")])
+            )
+        )
+        with pytest.raises(WorkloadError, match="exactly one of trace and trace_spec"):
+            _load_legacy(both)
+
+    def test_unknown_engine_fails_at_load(self):
+        with pytest.raises(WorkloadError, match="job 'j': unknown engine 'linear'"):
+            _load_legacy(_legacy_job(engine="linear"))
+
+    def test_unknown_table_set_fails_at_load(self):
         valid = r"\['motivational', 'paper', 'paper-reduced'\]"
         with pytest.raises(WorkloadError, match=f"unknown table set 'papr'.*{valid}"):
-            SimulationJob("typo", tables="papr", trace_spec=TraceSpec(0.2, 3))
+            _load_legacy(_legacy_job(tables="papr"))
+
+    def test_unknown_governor_fails_at_load(self):
+        with pytest.raises(WorkloadError, match="job 'j': unknown governor 'turbo'"):
+            _load_legacy(_legacy_job(governor="turbo"))
 
     def test_missing_name_raises(self):
-        with pytest.raises(SerializationError):
-            SimulationJob.from_dict({"trace_spec": {"arrival_rate": 1, "num_requests": 1}})
+        with pytest.raises(SerializationError, match="missing required field 'name'"):
+            _load_legacy({"trace_spec": {"arrival_rate": 1, "num_requests": 1}})
+
+    def test_invalid_trace_spec_raises(self):
+        with pytest.raises(SerializationError, match="invalid trace spec"):
+            _load_legacy(_legacy_job(trace_spec={"num_requests": 5}))
+
+    def test_old_form_resaves_in_the_new_form(self, tmp_path):
+        legacy = _load_legacy(_legacy_job(name="a"), _legacy_job(name="b"))
+        path = tmp_path / "batch.json"
+        legacy.save(path)
+        text = path.read_text()
+        assert '"experiments"' in text and '"jobs"' not in text
+        assert BatchSpec.load(path) == legacy
 
 
 class TestBatchSpec:
@@ -131,19 +166,33 @@ class TestBatchSpec:
         assert len(spec) == 2 * 2 * 3 * 2
         # The same trace seeds recur across schedulers and repeats (paired
         # comparison / repeated-sweep shape), distinct across rate × trial.
-        seeds = {job.trace_spec.seed for job in spec}
+        seeds = {experiment.workload.options["seed"] for experiment in spec}
         assert seeds == {100, 101, 102, 103, 104, 105}
+        assert spec.experiments[0].name == "mmkp-mdf-rate0.1-t000-rep0"
+
+    def test_sweep_embeds_a_live_platform_and_tables_inline(self):
+        spec = BatchSpec.sweep(
+            arrival_rates=[0.2],
+            traces_per_point=2,
+            num_requests=3,
+            platform=odroid_xu4(),
+            tables=motivational_tables(),
+        )
+        for experiment in spec:
+            assert experiment.platform == PlatformSpec.from_platform(odroid_xu4())
+            assert experiment.tables is None
+            assert experiment.tables_inline == tables_to_dict(motivational_tables())
 
     def test_duplicate_names_rejected(self):
-        job = SimulationJob("dup", trace_spec=TraceSpec(0.1, 2))
+        experiment = ExperimentSpec(name="dup")
         with pytest.raises(WorkloadError):
-            BatchSpec("batch", (job, job))
+            BatchSpec("batch", (experiment, experiment))
 
     def test_shard_partitions_the_batch(self):
         spec = BatchSpec.sweep(arrival_rates=[0.1], traces_per_point=7, num_requests=2)
         shards = [spec.shard(i, 3) for i in range(3)]
-        names = [job.name for shard in shards for job in shard.jobs]
-        assert sorted(names) == sorted(job.name for job in spec.jobs)
+        names = [e.name for shard in shards for e in shard]
+        assert sorted(names) == sorted(e.name for e in spec)
         with pytest.raises(WorkloadError):
             spec.shard(3, 3)
 
@@ -155,9 +204,9 @@ class TestBatchSpec:
         spec.save(path)
         restored = BatchSpec.load(path)
         assert restored.name == "disk"
-        assert restored.jobs == spec.jobs
+        assert restored.experiments == spec.experiments
 
-    def test_from_dict_requires_jobs(self):
+    def test_from_dict_requires_experiments(self):
         with pytest.raises(SerializationError):
             BatchSpec.from_dict({"name": "empty"})
 
@@ -165,69 +214,42 @@ class TestBatchSpec:
         # A batch file written with ``--engine linear`` fails at load, naming
         # the engine, instead of failing every job inside run_batch.
         data = BatchSpec.sweep(arrival_rates=[0.2], traces_per_point=1).to_dict()
-        data["jobs"][0]["engine"] = "linear"
+        data["experiments"][0]["engine"] = "linear"
         with pytest.raises(WorkloadError, match="unknown engine 'linear'"):
             BatchSpec.from_dict(data)
 
+    def test_unknown_governor_fails_at_load_in_the_new_form_too(self):
+        data = BatchSpec.sweep(arrival_rates=[0.2], traces_per_point=1).to_dict()
+        data["experiments"][0]["energy"] = {"governor": "turbo"}
+        with pytest.raises(WorkloadError, match="unknown governor 'turbo'"):
+            BatchSpec.from_dict(data)
 
-class TestJobIdentity:
-    """Equality/hash must cover the energy-policy fields added with DVFS."""
-
-    def _job(self, **overrides):
-        fields = dict(name="j", trace_spec=TraceSpec(0.2, 5, seed=1))
-        fields.update(overrides)
-        return SimulationJob(**fields)
+    def test_with_energy_policy_overrides_only_the_fields_passed(self):
+        base = BatchSpec(
+            "policy",
+            (
+                ExperimentSpec(
+                    name="e",
+                    energy=EnergySpec(power_cap_watts=4.0, account_energy=False),
+                ),
+            ),
+        )
+        (replayed,) = base.with_energy_policy(governor="powersave")
+        assert replayed.energy == EnergySpec(
+            governor="powersave", power_cap_watts=4.0, account_energy=False
+        )
+        (cleared,) = base.with_energy_policy(power_cap_watts=None)
+        assert cleared.energy == EnergySpec(account_energy=False)
+        with pytest.raises(WorkloadError, match="unknown governor"):
+            base.with_energy_policy(governor="turbo")
 
     def test_energy_fields_break_equality(self):
-        base = self._job()
-        assert base == self._job()
-        assert base != self._job(governor="powersave")
-        assert base != self._job(power_cap_watts=5.0)
-        assert base != self._job(energy_budget_joules=100.0)
+        def batch(**energy):
+            experiment = ExperimentSpec(name="e", energy=EnergySpec(**energy))
+            return BatchSpec("b", (experiment,))
 
-    def test_energy_fields_break_the_hash(self):
-        base = self._job()
-        assert hash(base) == hash(self._job())
-        assert hash(base) != hash(self._job(governor="powersave"))
-        assert hash(base) != hash(self._job(power_cap_watts=5.0))
-        assert hash(base) != hash(self._job(energy_budget_joules=100.0))
-        assert hash(self._job(governor="powersave")) != hash(
-            self._job(governor="ondemand")
-        )
-
-    def test_sweep_dedup_keeps_distinct_energy_configs(self):
-        jobs = {
-            self._job(),
-            self._job(),  # true duplicate — must collapse
-            self._job(governor="powersave"),
-            self._job(governor="powersave", power_cap_watts=4.0),
-            self._job(energy_budget_joules=50.0),
-        }
-        assert len(jobs) == 4
-
-    def test_cache_keys_cannot_collide_across_energy_configs(self):
-        cache = {self._job(): "pinned", self._job(governor="powersave"): "dvfs"}
-        assert cache[self._job()] == "pinned"
-        assert cache[self._job(governor="powersave")] == "dvfs"
-
-    def test_inline_table_jobs_stay_usable_in_sets(self):
-        # Inline (unhashable) platforms/tables stay out of the hash but
-        # participate in equality.
-        job = self._job(tables={"lambda1": motivational_tables()["lambda1"]})
-        assert len({job, self._job()}) == 2
-
-    def test_list_deadline_factor_range_stays_hashable(self):
-        # Sweeps and hand-built specs may pass lists; the spec canonicalises
-        # so job hashing (sweep dedup, cache keys) never raises.
-        job = self._job(
-            trace_spec=TraceSpec(0.2, 5, deadline_factor_range=[1.5, 4.0], seed=1)
-        )
-        assert hash(job) == hash(self._job())
-        assert job == self._job()
-        spec = BatchSpec.sweep(
-            arrival_rates=[0.2],
-            traces_per_point=1,
-            num_requests=2,
-            deadline_factor_range=[1.5, 4.0],
-        )
-        assert len({*spec.jobs}) == 1
+        assert batch() == batch()
+        assert batch() != batch(governor="powersave")
+        assert batch() != batch(power_cap_watts=5.0)
+        assert batch() != batch(energy_budget_joules=100.0)
+        assert batch() != batch(account_energy=False)

@@ -3,8 +3,9 @@
 import pytest
 
 from repro.analysis.experiments import SuiteResults
+from repro.api.spec import ExperimentSpec, SchedulerSpec, WorkloadSpec
 from repro.runtime.trace import RequestEvent, RequestTrace
-from repro.service.jobs import BatchSpec, SimulationJob, TraceSpec
+from repro.service.jobs import BatchSpec
 from repro.service.pool import BatchResults, SimulationResult, SimulationService
 
 
@@ -24,7 +25,7 @@ class TestRunBatch:
         spec = small_sweep()
         results = SimulationService(workers=1).run_batch(spec)
         assert len(results) == len(spec)
-        assert [r.job_name for r in results] == [job.name for job in spec.jobs]
+        assert [r.job_name for r in results] == [job.name for job in spec.experiments]
         assert results.failures == []
         for result in results:
             assert result.requests == 4
@@ -47,9 +48,9 @@ class TestRunBatch:
     def test_failure_isolation(self):
         ghost_trace = RequestTrace([RequestEvent(0.0, "ghost-app", 5.0, "r0")])
         jobs = [
-            SimulationJob("good-1", trace_spec=TraceSpec(0.2, 3, seed=1)),
-            SimulationJob("bad", trace=ghost_trace),
-            SimulationJob("good-2", trace_spec=TraceSpec(0.2, 3, seed=2)),
+            ExperimentSpec("good-1", workload=WorkloadSpec.poisson(0.2, 3, seed=1)),
+            ExperimentSpec("bad", workload=WorkloadSpec.from_trace(ghost_trace)),
+            ExperimentSpec("good-2", workload=WorkloadSpec.poisson(0.2, 3, seed=2)),
         ]
         results = SimulationService(workers=1).run_batch(jobs)
         assert [r.ok for r in results] == [True, False, True]
@@ -57,7 +58,13 @@ class TestRunBatch:
         assert results.aggregate()["failed"] == 1
 
     def test_unknown_scheduler_is_isolated_too(self):
-        jobs = [SimulationJob("bad-sched", scheduler="nope", trace_spec=TraceSpec(0.2, 2))]
+        jobs = [
+            ExperimentSpec(
+                "bad-sched",
+                scheduler=SchedulerSpec(name="nope"),
+                workload=WorkloadSpec.poisson(0.2, 2),
+            )
+        ]
         results = SimulationService().run_batch(jobs)
         assert not results[0].ok and "WorkloadError" in results[0].error
 
@@ -149,7 +156,7 @@ class TestAggregation:
         assert aggregate["acceptance_rate"] == pytest.approx(
             aggregate["accepted"] / aggregate["requests"]
         )
-        first = spec.jobs[0].name
+        first = spec.experiments[0].name
         assert results.result(first).job_name == first
         stats = results.search_time_stats()
         assert stats.minimum >= 0

@@ -119,11 +119,15 @@ class TestBatchCommand:
         assert main(["batch", str(spec_path), "--shard", "bogus"]) == 2
 
     def test_failing_jobs_set_exit_code(self, tmp_path, capsys):
+        from repro.api import ExperimentSpec, WorkloadSpec
         from repro.runtime import RequestEvent, RequestTrace
-        from repro.service import BatchSpec, SimulationJob
+        from repro.service import BatchSpec
 
         ghost = RequestTrace([RequestEvent(0.0, "ghost-app", 5.0, "r0")])
-        spec = BatchSpec("failing", (SimulationJob("bad", trace=ghost),))
+        spec = BatchSpec(
+            "failing",
+            (ExperimentSpec(name="bad", workload=WorkloadSpec.from_trace(ghost)),),
+        )
         path = tmp_path / "failing.json"
         spec.save(path)
         assert main(["batch", str(path), "--quiet"]) == 1
