@@ -34,7 +34,7 @@ def main() -> None:
     )
     assert ExperimentSpec.from_json(spec.to_json()) == spec
     print(f"spec {spec.name!r}: {spec.scheduler.name} / "
-          f"{spec.energy.governor} governor / engine={spec.engine}")
+          f"{spec.energy.governor} governor")
 
     # 2. Stream the run: admission decisions and energy ticks as they happen.
     print("\nstreaming run events:")

@@ -1,6 +1,6 @@
 """Statistics helpers used by the experiment harness.
 
-Only plain-Python/numpy statistics are needed: the geometric mean for
+Only plain-Python statistics are needed: the geometric mean for
 Table IV, box-plot summaries for the search-time figure and sorted relative
 energies ("S-curves") for Fig. 3.
 """

@@ -354,6 +354,12 @@ class Session:
 
         A pre-configured :class:`~repro.service.pool.SimulationService` may
         be passed to share its activation cache and metrics across sessions.
+
+        Only a ``use_cache=False`` batch is bit-comparable with :meth:`run`.
+        The activation cache solves each activation re-anchored at time 0
+        and in canonical job order, so a cached batch can break ties
+        differently and differ from :meth:`run` in the last bit of its times
+        (see :mod:`repro.service.cache`).
         """
         if service is None:
             from repro.service.pool import SimulationService

@@ -39,10 +39,18 @@ from typing import Any, Mapping
 from repro.exceptions import ReproError, SerializationError, WorkloadError
 from repro.store.memo import Memo
 
-#: The time-advance engines of the runtime manager (kept as a literal so
-#: importing the spec tree stays light; equality with
-#: :data:`repro.runtime.manager.ENGINES` is asserted by the API tests).
-ENGINES = ("events",)
+
+def retired_engine_error(engine) -> str | None:
+    """Why an old input's ``engine`` value is refused; ``None`` accepts it.
+
+    The runtime manager has one time-advance engine, ``"events"``, so no
+    spec carries an ``engine`` field any more.  Spec files, ``"jobs"`` batch
+    files and gateway submissions written before still may: ``"events"`` is
+    accepted and ignored, anything else fails at load as it always did.
+    """
+    if engine == "events":
+        return None
+    return f"unknown engine {engine!r}; choose from ('events',)"
 
 
 def _canonical(value):
@@ -498,16 +506,10 @@ class ExperimentSpec:
     dse: DSESpec | None = None
     tables: str | None = "motivational"
     tables_inline: Mapping[str, Any] | None = None
-    engine: str = "events"
 
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkloadError("experiment spec: name must not be empty")
-        if self.engine not in ENGINES:
-            raise WorkloadError(
-                f"experiment spec: unknown engine {self.engine!r}; "
-                f"choose from {ENGINES}"
-            )
         if self.tables is not None:
             from repro.workload import TABLE_SETS
 
@@ -565,7 +567,6 @@ class ExperimentSpec:
             "platform": self.platform.to_dict(),
             "workload": self.workload.to_dict(),
             "scheduler": self.scheduler.to_dict(),
-            "engine": self.engine,
         }
         energy = self.energy.to_dict()
         if energy:
@@ -581,6 +582,8 @@ class ExperimentSpec:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExperimentSpec":
         _check_mapping(data, "experiment spec")
+        if "engine" in data and (reason := retired_engine_error(data["engine"])):
+            raise WorkloadError(f"experiment spec: {reason}")
         try:
             return cls(
                 name=data.get("name", "experiment"),
@@ -598,7 +601,6 @@ class ExperimentSpec:
                     None if ("tables_inline" in data or "dse" in data) else "motivational",
                 ),
                 tables_inline=data.get("tables_inline"),
-                engine=data.get("engine", "events"),
             )
         except (KeyError, TypeError, ValueError) as error:
             raise SerializationError(f"invalid experiment spec: {error}") from None
@@ -650,7 +652,6 @@ SPEC_SCHEMAS = {
 }
 
 __all__ = [
-    "ENGINES",
     "PlatformSpec",
     "WorkloadSpec",
     "SchedulerSpec",

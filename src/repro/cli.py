@@ -591,7 +591,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             {
                 "name": spec.name,
                 "scheduler": spec.scheduler.name,
-                "engine": spec.engine,
                 "requests": len(log.outcomes),
                 "accepted": len(log.accepted),
                 "rejected": len(log.rejected),

@@ -6,8 +6,9 @@ it can also be reused for other multi-objective sweeps (e.g. the ablation
 benchmarks).
 
 Since the ``repro.optable`` refactor the filtering runs on the incremental
-:class:`~repro.optable.frontier.ParetoFrontier` engine (numpy-vectorised for
-large inputs) instead of the seed's O(n²) pairwise scan; the *semantics* are
+:class:`~repro.optable.frontier.ParetoFrontier` engine (a numpy dominance
+matrix for inputs of 32 or more points) instead of the seed's O(n²)
+pairwise scan; the *semantics* are
 unchanged — an item survives iff no other input item dominates it.  The seed
 scan lives on as the test oracle in ``tests/reference/pareto.py``.
 """

@@ -32,7 +32,7 @@ three performance layers that already exist:
 Determinism: exploration is a pure function of (platform, graph, scale), the
 merge consumes results in plan order, and batching never changes a schedule —
 so the fingerprint and every point summary are independent of the executor,
-worker count, store temperature and ``REPRO_SOLVER_NUMPY`` mode.
+worker count, store temperature and solver backend (dense numpy or pure loop).
 """
 
 from __future__ import annotations

@@ -92,12 +92,12 @@ def parse_run_submission(body: Mapping[str, Any]) -> RunSubmission:
     """Validate a ``POST /runs`` body into a :class:`RunSubmission`."""
     if not isinstance(body, Mapping):
         raise ProtocolError(f"run submission must be a JSON object, got {body!r}")
-    from repro.api.spec import ENGINES
+    from repro.api.spec import retired_engine_error
 
     # ``engine`` is accepted for old clients; the one engine needs no field.
     engine = body.get("engine")
-    if engine is not None and engine not in ENGINES:
-        raise ProtocolError(f"unknown engine {engine!r}; choose from {ENGINES}")
+    if engine is not None and (reason := retired_engine_error(engine)):
+        raise ProtocolError(reason)
     return RunSubmission(
         spec=_spec_from(body, "run submission"),
         tenant=_clean_name(body.get("tenant"), "tenant", DEFAULT_TENANT),

@@ -23,12 +23,8 @@ from repro.knapsack.lagrangian import (
     solve_lagrangian_many,
 )
 from repro.knapsack.exact import solve_exact
-from repro.knapsack._dense import (
-    HAVE_NUMPY,
-    set_solver_numpy_enabled,
-    solver_numpy_enabled,
-    solver_numpy_override,
-)
+from repro.knapsack._dense import solver_numpy_enabled, solver_numpy_override
+from repro._lazy import HAVE_NUMPY
 
 __all__ = [
     "MMKPItem",
@@ -41,6 +37,5 @@ __all__ = [
     "solve_exact",
     "HAVE_NUMPY",
     "solver_numpy_enabled",
-    "set_solver_numpy_enabled",
     "solver_numpy_override",
 ]

@@ -22,59 +22,39 @@ Every fast path reproduces the pure path's floats **bit-identically**:
   first-occurrence tie rule, which matches the pure loops' strict ``>``
   updates.
 
-The backend is selected automatically when numpy is importable; set
-``REPRO_SOLVER_NUMPY=0`` to run batches on the pure loop instead (the
-benchmarks use :func:`solver_numpy_override` to A/B the two on one host).
-The equivalence suites check both against the seed subgradient loop of the
-reference oracle in ``tests/reference``.
+The backend runs whenever numpy is installed; numpy is imported on the
+first stacked solve, not with :mod:`repro` (see :mod:`repro._lazy`).  Tests and
+benchmarks A/B it against the pure loop on one host with
+:func:`solver_numpy_override`.  The equivalence suites check both against
+the seed subgradient loop of the reference oracle in ``tests/reference``.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 from contextlib import contextmanager
 
-try:  # pragma: no cover — exercised implicitly on numpy-equipped hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover — the pure-Python fallback
-    _np = None
+from repro import _lazy
 
-#: True when numpy is importable at all (the hatch can only disable it).
-HAVE_NUMPY = _np is not None
-
-_ENABLED = HAVE_NUMPY and os.environ.get("REPRO_SOLVER_NUMPY", "1") not in (
-    "0",
-    "false",
-    "no",
-)
+_ENABLED = True
 
 
 def solver_numpy_enabled() -> bool:
-    """``True`` when the dense numpy solver backend is in force."""
-    return _ENABLED
+    """``True`` when stacked solves run on the dense numpy backend.
 
-
-def set_solver_numpy_enabled(enabled: bool) -> bool:
-    """Set the switch globally; returns the previous state.
-
-    Enabling is a no-op on hosts without numpy (the pure path is the only
-    one available there).
+    Imports numpy on the first call that finds the backend enabled.
     """
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(enabled) and HAVE_NUMPY
-    return previous
+    return _ENABLED and _lazy.numpy() is not None
 
 
 @contextmanager
 def solver_numpy_override(enabled: bool):
-    """Context manager pinning the switch to ``enabled`` within the block."""
-    previous = set_solver_numpy_enabled(enabled)
+    """Pin the dense backend on (where numpy imports) or off within the block."""
+    global _ENABLED
+    previous, _ENABLED = _ENABLED, bool(enabled)
     try:
         yield
     finally:
-        set_solver_numpy_enabled(previous)
+        _ENABLED = previous
 
 
 class DensePack:
@@ -96,9 +76,7 @@ class DensePack:
         ``(dims,)`` float64 copy of the problem capacities.
 
     Packs are interned on the problem instance (one pack per problem, built
-    on first use) and expose a content :attr:`fingerprint` so solve caches
-    and content stores can key batched solves the way
-    :class:`~repro.optable.table.OpTable` interning keys tables.
+    on first use).
     """
 
     __slots__ = (
@@ -108,40 +86,26 @@ class DensePack:
         "group_sizes",
         "capacities",
         "shape_key",
-        "_fingerprint",
     )
 
     def __init__(self, problem) -> None:
+        np = _lazy.numpy()
         values = problem.dense_values
         rows = problem.dense_rows
         num_groups = len(values)
         max_items = max(len(group) for group in values)
         dims = problem.num_dimensions
-        self.values = _np.full((num_groups, max_items), -_np.inf)
-        self.weights = _np.zeros((num_groups, max_items, dims))
-        self.mask = _np.zeros((num_groups, max_items), dtype=bool)
+        self.values = np.full((num_groups, max_items), -np.inf)
+        self.weights = np.zeros((num_groups, max_items, dims))
+        self.mask = np.zeros((num_groups, max_items), dtype=bool)
         self.group_sizes = tuple(len(group) for group in values)
         for g, (group_values, group_rows) in enumerate(zip(values, rows)):
             size = len(group_values)
             self.values[g, :size] = group_values
             self.weights[g, :size, :] = group_rows
             self.mask[g, :size] = True
-        self.capacities = _np.asarray(problem.capacities, dtype=float)
+        self.capacities = np.asarray(problem.capacities, dtype=float)
         self.shape_key = (num_groups, max_items, dims)
-        self._fingerprint: str | None = None
-
-    @property
-    def fingerprint(self) -> str:
-        """Content hash of the packed instance (values, weights, capacities)."""
-        if self._fingerprint is None:
-            digest = hashlib.blake2b(digest_size=16)
-            digest.update(repr(self.shape_key).encode())
-            digest.update(repr(self.group_sizes).encode())
-            digest.update(_np.ascontiguousarray(self.values).tobytes())
-            digest.update(_np.ascontiguousarray(self.weights).tobytes())
-            digest.update(_np.ascontiguousarray(self.capacities).tobytes())
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
 
 
 def pack_dense(problem) -> DensePack:
@@ -172,7 +136,8 @@ def _prefix_total(array, counts, batch_index):
     ``-0.0`` — adding ``+0.0`` maps that single case back and is the
     identity everywhere else.
     """
-    acc = _np.add.accumulate(array, axis=1)
+    np = _lazy.numpy()
+    acc = np.add.accumulate(array, axis=1)
     if array.ndim == 2:
         return acc[batch_index, counts - 1] + 0.0
     return acc[batch_index, counts - 1, :] + 0.0
@@ -197,18 +162,19 @@ def _repair_stacked(values, weights, mask, capacities, group_counts, limits, sel
     is ``None`` when even repair failed (value ``-inf``), exactly like the
     pure path's :class:`~repro.knapsack.mmkp.MMKPSolution` fields.
     """
+    np = _lazy.numpy()
     batch, num_groups, max_items = values.shape
     current = selections.copy()
     slack = capacities + 1e-9
-    divisor = _np.where(capacities == 0.0, 1.0, capacities)
-    done = _np.zeros(batch, dtype=bool)
+    divisor = np.where(capacities == 0.0, 1.0, capacities)
+    done = np.zeros(batch, dtype=bool)
     out: list[tuple[bool, float, tuple[int, ...] | None]] = [
         (False, float("-inf"), None)
     ] * batch
-    batch_index = _np.arange(batch)
+    batch_index = np.arange(batch)
     batch_col = batch_index[:, None]
-    group_row = _np.arange(num_groups)[None, :]
-    item_cube = _np.arange(max_items)[None, None, :]
+    group_row = np.arange(num_groups)[None, :]
+    item_cube = np.arange(max_items)[None, None, :]
 
     passes = 0
     while not done.all():
@@ -221,7 +187,7 @@ def _repair_stacked(values, weights, mask, capacities, group_counts, limits, sel
             totals = _prefix_total(
                 values[batch_col, group_row, current], group_counts, batch_index
             )
-            for b in _np.nonzero(finish_feasible)[0]:
+            for b in np.nonzero(finish_feasible)[0]:
                 out[b] = (
                     True,
                     float(totals[b]),
@@ -238,14 +204,14 @@ def _repair_stacked(values, weights, mask, capacities, group_counts, limits, sel
             break
 
         violations = (used - capacities) / divisor  # (B, D)
-        worst = _np.argmax(violations, axis=1)  # first max, like pure ``max``
+        worst = np.argmax(violations, axis=1)  # first max, like pure ``max``
         current_weight = selected_rows[batch_col, group_row, worst[:, None]]  # (B, G)
         column = weights[
             batch_col[:, :, None], group_row[:, :, None], item_cube, worst[:, None, None]
         ]  # (B, G, I)
-        savings = _np.where(mask, current_weight[:, :, None] - column, -_np.inf)
+        savings = np.where(mask, current_weight[:, :, None] - column, -np.inf)
         flat = savings.reshape(batch, num_groups * max_items)
-        best_flat = _np.argmax(flat, axis=1)  # first occurrence == pure scan order
+        best_flat = np.argmax(flat, axis=1)  # first occurrence == pure scan order
         best_saving = flat[batch_index, best_flat]
 
         # ``best_group is None`` break: no strictly positive saving left and
@@ -256,7 +222,7 @@ def _repair_stacked(values, weights, mask, capacities, group_counts, limits, sel
         if apply.any():
             rows = best_flat // max_items
             items = best_flat % max_items
-            targets = _np.nonzero(apply)[0]
+            targets = np.nonzero(apply)[0]
             current[targets, rows[targets]] = items[targets]
         passes += 1
 
@@ -276,16 +242,17 @@ def _stack_packs(packs):
     group count, so problems of different sizes share one tensor without any
     representable difference in their arithmetic.
     """
+    np = _lazy.numpy()
     batch = len(packs)
     dims = int(packs[0].capacities.shape[0])
     group_max = max(p.values.shape[0] for p in packs)
     item_max = max(p.values.shape[1] for p in packs)
-    values = _np.full((batch, group_max, item_max), -_np.inf)
-    weights = _np.zeros((batch, group_max, item_max, dims))
-    mask = _np.zeros((batch, group_max, item_max), dtype=bool)
-    capacities = _np.empty((batch, dims))
-    group_counts = _np.empty(batch, dtype=_np.int64)
-    limits = _np.empty(batch, dtype=_np.int64)
+    values = np.full((batch, group_max, item_max), -np.inf)
+    weights = np.zeros((batch, group_max, item_max, dims))
+    mask = np.zeros((batch, group_max, item_max), dtype=bool)
+    capacities = np.empty((batch, dims))
+    group_counts = np.empty(batch, dtype=np.int64)
+    limits = np.empty(batch, dtype=np.int64)
     for b, pack in enumerate(packs):
         groups, items = pack.values.shape
         values[b, :groups, :items] = pack.values
@@ -303,24 +270,25 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
     Returns one ``(multipliers, dual_bound, best_primal, iterations)`` tuple
     per pack, bit-identical to running the pure loop on each problem alone.
     """
+    np = _lazy.numpy()
     batch = len(packs)
     values, weights, mask, capacities, group_counts, limits = _stack_packs(packs)
     dims = capacities.shape[1]
     num_groups = values.shape[1]
-    batch_index = _np.arange(batch)
+    batch_index = np.arange(batch)
     batch_col = batch_index[:, None]
-    group_row = _np.arange(num_groups)[None, :]
+    group_row = np.arange(num_groups)[None, :]
 
-    multipliers = _np.zeros((batch, dims))
-    best_dual = _np.full(batch, _np.inf)
-    best_multipliers = _np.zeros((batch, dims))
-    best_value = _np.full(batch, -_np.inf)
+    multipliers = np.zeros((batch, dims))
+    best_dual = np.full(batch, np.inf)
+    best_multipliers = np.zeros((batch, dims))
+    best_value = np.full(batch, -np.inf)
     best_selection: list[tuple[int, ...] | None] = [None] * batch
     best_feasible = [False] * batch
-    iterations = _np.zeros(batch, dtype=_np.int64)
-    active = _np.ones(batch, dtype=bool)
+    iterations = np.zeros(batch, dtype=np.int64)
+    active = np.ones(batch, dtype=bool)
     repair_memo: list[dict] = [{} for _ in range(batch)]
-    previous_selection = _np.full((batch, num_groups), -1, dtype=_np.int64)
+    previous_selection = np.full((batch, num_groups), -1, dtype=np.int64)
 
     iteration = 0
     for iteration in range(1, max_iterations + 1):
@@ -331,7 +299,7 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
         for d in range(1, dims):
             penalty = penalty + multipliers[:, d][:, None, None] * weights[..., d]
         reduced = values - penalty
-        selection = _np.argmax(reduced, axis=2)  # (B, G), first-occurrence ties
+        selection = np.argmax(reduced, axis=2)  # (B, G), first-occurrence ties
 
         selected_values = values[batch_col, group_row, selection]  # (B, G)
         selected_rows = weights[batch_col, group_row, selection]  # (B, G, D)
@@ -339,7 +307,7 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
         used = _prefix_total(selected_rows, group_counts, batch_index)  # (B, D)
 
         # Relaxed value = value + sum(m * (cap - used)), terms in pure order.
-        gap = _np.zeros(batch)
+        gap = np.zeros(batch)
         for d in range(dims):
             gap = gap + multipliers[:, d] * (capacities[:, d] - used[:, d])
         relaxed = total_value + gap
@@ -357,13 +325,13 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
         # selection actually moved do any Python-level work here.
         changed = active & (selection != previous_selection).any(axis=1)
         if changed.any():
-            changed_list = [int(b) for b in _np.nonzero(changed)[0]]
+            changed_list = [int(b) for b in np.nonzero(changed)[0]]
             keys = [selection[b].tobytes() for b in changed_list]
             need = [
                 b for b, key in zip(changed_list, keys) if key not in repair_memo[b]
             ]
             if need:
-                subset = _np.asarray(need)
+                subset = np.asarray(need)
                 repaired = _repair_stacked(
                     values[subset],
                     weights[subset],
@@ -384,7 +352,7 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
         previous_selection = selection
 
         subgradient = used - capacities  # (B, D)
-        converged = active & (_np.abs(subgradient) < 1e-12).all(axis=1)
+        converged = active & (np.abs(subgradient) < 1e-12).all(axis=1)
         if converged.any():
             iterations[converged] = iteration
             active &= ~converged
@@ -393,8 +361,8 @@ def _solve_stacked(packs, max_iterations: int, initial_step: float):
 
         step = initial_step / (iteration**0.5)
         updated = multipliers + step * subgradient
-        updated = _np.where(updated > 0.0, updated, 0.0)  # max(0.0, x)
-        multipliers = _np.where(active[:, None], updated, multipliers)
+        updated = np.where(updated > 0.0, updated, 0.0)  # max(0.0, x)
+        multipliers = np.where(active[:, None], updated, multipliers)
 
     iterations[active] = iteration
 

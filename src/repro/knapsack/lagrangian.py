@@ -16,11 +16,11 @@ iterations reproduce the previous relaxed selection, so the loop derives the
 load, value, subgradient and greedy repair once per distinct selection and
 replays them; the dual value and the multiplier step still run every
 iteration.  On hosts with numpy, :func:`solve_lagrangian_many` hands whole
-batches to the :mod:`repro.knapsack._dense` backend, which runs the same
-method on stacked padded ndarrays lock-step and reproduces the loop
-bit-identically — same selections, multipliers, dual bounds and iteration
-counts.  ``REPRO_SOLVER_NUMPY=0`` keeps those batches on the loop too.  The
-seed loop the production loop was derived from is kept as the reference in
+batches to the :mod:`repro.knapsack._dense` backend (numpy is imported on
+the first such batch), which runs the same method on stacked padded
+ndarrays lock-step and reproduces the loop bit-identically — same
+selections, multipliers, dual bounds and iteration counts.  The seed loop
+the production loop was derived from is kept as the reference in
 ``tests/reference/oracle.py``.
 """
 

@@ -13,8 +13,11 @@ of re-materialising ad-hoc point lists per activation:
   dominance-filtered index set).  The intern pool is one ``optable``
   :class:`~repro.store.memo.Memo`; :func:`bind_intern_store` sets its store.
 * :class:`ParetoFrontier` / :func:`pareto_select` — the incremental Pareto
-  engine replacing the seed's O(n²) pairwise scan (numpy-vectorised for
-  large inputs, auto-detected at import).
+  engine replacing the seed's O(n²) pairwise scan.  Inputs of 32 or more
+  points — the DVFS-swept DSE fronts — go through a numpy dominance matrix
+  when numpy is installed, 6–10× faster there; numpy is imported on that
+  first call, never by ``import repro``.  Every other aggregate is a pure
+  loop: the per-application tables are too small for ndarrays to pay.
 * :class:`ProblemView` — per-activation slices (capacity-feasible indices,
   MMKP weight rows) shared across segments — and :func:`SolveCache`, which
   builds the ``solve`` :class:`~repro.store.memo.Memo` (keyed by table
@@ -26,7 +29,6 @@ Boundary rule: every public API keeps accepting ``list[OperatingPoint]`` /
 property) is the only conversion point.
 """
 
-from repro.optable._backend import HAVE_NUMPY
 from repro.optable.adapters import (
     iter_point_rows,
     optables_for,
@@ -45,7 +47,6 @@ from repro.optable.table import (
 from repro.optable.view import ProblemView, SolveCache
 
 __all__ = [
-    "HAVE_NUMPY",
     "OpTable",
     "ParetoFrontier",
     "ProblemView",

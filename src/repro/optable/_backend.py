@@ -1,87 +1,48 @@
-"""Numeric backend of the columnar operating-point kernel.
+"""The numpy kernel of the Pareto frontier.
 
-The kernel is pure Python; when numpy is importable an accelerated code path
-is selected automatically at import time.  Both paths implement *exactly* the
-same semantics — every acceleration is a vectorisation of element-wise
-comparisons or stable index sorts, never a reformulation that could change
-results — so a machine without numpy produces bit-identical tables, fronts
-and schedules (the equivalence tests assert this contract on the pure-Python
-path, which is always available).
-
-Set ``REPRO_OPTABLE_NUMPY=0`` to force the pure-Python path even when numpy
-is installed (used by the benchmarks to measure the two paths against each
-other).
+:func:`dominance_survivors` evaluates the reference dominance of a whole
+input as one boolean matrix.  It is the one optable path that keeps numpy:
+on the DVFS-swept DSE fronts (roughly 100–300 points per variant) it runs
+6–10× faster than the pure incremental frontier.  Below
+:data:`NUMPY_MIN_POINTS` points the array set-up costs more than it saves —
+which covers every per-application table the runtime manager selects over —
+so those inputs never import numpy.  The matrix is quadratic in the input,
+so above a few hundred points the frontier wins again; no caller builds
+fronts that large.  The comparisons are the frontier's own, element for
+element, so a host without numpy produces bit-identical fronts.
 """
 
 from __future__ import annotations
 
-import os
+from repro import _lazy
 
-try:  # pragma: no cover — exercised implicitly on numpy-equipped hosts
-    import numpy as _np
-except ImportError:  # pragma: no cover — the pure-Python fallback
-    _np = None
-
-if os.environ.get("REPRO_OPTABLE_NUMPY", "1") in ("0", "false", "no"):
-    _np = None
-
-#: True when the numpy fast path is active.
-HAVE_NUMPY = _np is not None
-
-#: Point-count threshold below which the pure-Python paths win (array set-up
-#: costs more than the loop it saves for the paper's small per-app tables).
+#: Inputs of this many points or more go through the numpy matrix.
 NUMPY_MIN_POINTS = 32
-
-
-def numpy_module():
-    """The numpy module when the fast path is active, else ``None``."""
-    return _np
-
-
-def stable_argsort(values) -> tuple[int, ...]:
-    """Indices that sort ``values`` ascending, ties kept in input order.
-
-    Identical to ``sorted(range(len(values)), key=values.__getitem__)`` — the
-    numpy path uses a stable mergesort so equal keys preserve index order
-    exactly like Python's stable sort.
-    """
-    if _np is not None and len(values) >= NUMPY_MIN_POINTS:
-        return tuple(int(i) for i in _np.argsort(_np.asarray(values), kind="stable"))
-    return tuple(sorted(range(len(values)), key=values.__getitem__))
-
-
-def first_argmin(values) -> int:
-    """Index of the first occurrence of the minimum of ``values``."""
-    if _np is not None and len(values) >= NUMPY_MIN_POINTS:
-        return int(_np.argmin(_np.asarray(values)))
-    best = 0
-    best_value = values[0]
-    for index in range(1, len(values)):
-        if values[index] < best_value:
-            best, best_value = index, values[index]
-    return best
 
 
 def dominance_survivors(
     vectors: list[tuple[float, ...]], tolerances: tuple[float, ...]
-) -> list[bool]:
+) -> list[bool] | None:
     """Reference Pareto dominance over the *whole* input, vectorised.
 
     ``survivors[i]`` is ``True`` iff no other vector dominates ``vectors[i]``
     (minimisation, per-dimension numerical slack ``tolerances``).  This is the
-    exact pairwise semantics of the seed's ``pareto_front``; the numpy path
-    evaluates the same comparisons as a boolean matrix.  Returns ``None`` when
-    the input is too small for the fast path to pay off (callers then use the
+    exact pairwise semantics of the seed's ``pareto_front``, evaluated as a
+    boolean matrix.  Returns ``None`` when the input is below
+    :data:`NUMPY_MIN_POINTS` or numpy is missing (callers then use the
     incremental frontier).
     """
-    if _np is None or len(vectors) < NUMPY_MIN_POINTS:
+    if len(vectors) < NUMPY_MIN_POINTS:
         return None
-    a = _np.asarray(vectors, dtype=float)
-    tol = _np.asarray(tolerances, dtype=float)
+    np = _lazy.numpy()
+    if np is None:
+        return None
+    a = np.asarray(vectors, dtype=float)
+    tol = np.asarray(tolerances, dtype=float)
     # no_worse[i, j]: vector i is <= vector j + tol in every dimension.
     no_worse = (a[:, None, :] <= a[None, :, :] + tol).all(axis=2)
     strictly = (a[:, None, :] < a[None, :, :] - tol).any(axis=2)
     dominates = no_worse & strictly
-    _np.fill_diagonal(dominates, False)
+    np.fill_diagonal(dominates, False)
     dominated = dominates.any(axis=0)
     return [not bool(d) for d in dominated]

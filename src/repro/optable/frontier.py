@@ -16,8 +16,9 @@ the reference answer for any insertion order.  With a non-zero tolerance the
 relation loses transitivity in pathological near-tie chains, so
 :meth:`ParetoFrontier.survivors` finishes with a verification pass that
 re-checks each frontier member against every seen vector — O(n·f) with
-``f = |frontier|`` instead of the seed's O(n²) — and the numpy backend
-vectorises the whole reference comparison for large inputs.  Either way the
+``f = |frontier|`` instead of the seed's O(n²).  :func:`pareto_select` hands
+inputs of 32 or more points to the numpy dominance matrix of
+:mod:`repro.optable._backend` when numpy is installed.  Either way the
 result is exactly the reference set, in first-occurrence input order.
 """
 

@@ -21,8 +21,6 @@ import hashlib
 import struct
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.optable import _backend
-from repro.optable._backend import first_argmin, stable_argsort
 from repro.optable.frontier import pareto_select
 from repro.store.memo import Memo
 
@@ -152,13 +150,15 @@ class OpTable:
     def order_by_energy(self) -> tuple[int, ...]:
         """Indices sorted ascending by energy; ties keep index order.
 
-        Identical to ``sorted(range(n), key=energies.__getitem__)`` — and,
-        because ``remaining_energy(r) = energy * r`` is monotone for any
-        positive remaining ratio, also the remaining-energy order every
-        scheduler needs.
+        Because ``remaining_energy(r) = energy * r`` is monotone for any
+        positive remaining ratio, this is also the remaining-energy order
+        every scheduler needs.
         """
         if self._order_by_energy is None:
-            self._order_by_energy = stable_argsort(self.energies)
+            energies = self.energies
+            self._order_by_energy = tuple(
+                sorted(range(len(energies)), key=energies.__getitem__)
+            )
         return self._order_by_energy
 
     @property
@@ -175,14 +175,14 @@ class OpTable:
     def argmin_time(self) -> int:
         """Index of the first point attaining the minimum execution time."""
         if self._argmin_time is None:
-            self._argmin_time = first_argmin(self.times)
+            self._argmin_time = self.times.index(min(self.times))
         return self._argmin_time
 
     @property
     def argmin_energy(self) -> int:
         """Index of the first point attaining the minimum energy."""
         if self._argmin_energy is None:
-            self._argmin_energy = first_argmin(self.energies)
+            self._argmin_energy = self.energies.index(min(self.energies))
         return self._argmin_energy
 
     @property
@@ -234,21 +234,6 @@ class OpTable:
             i
             for i, row in enumerate(self.resources)
             if all(r <= c for r, c in zip(row, capacity))
-        )
-
-    def numpy_columns(self):
-        """``(times, energies, resources)`` as numpy arrays, or ``None``.
-
-        Only materialised on demand; pure-Python hosts get ``None`` and use
-        the tuple columns.
-        """
-        np = _backend.numpy_module()
-        if np is None:
-            return None
-        return (
-            np.asarray(self.times),
-            np.asarray(self.energies),
-            np.asarray(self.resources, dtype=float),
         )
 
 

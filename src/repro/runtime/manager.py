@@ -74,8 +74,6 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle guard, typing only
 _FINISH_TOLERANCE = 1e-6
 _TIME_EPSILON = 1e-9
 
-#: The supported time-advance engines.
-ENGINES = ("events",)
 #: Speeds within this tolerance of 1.0 leave the schedule unstretched.
 _SCALE_EPSILON = 1e-9
 

@@ -28,12 +28,20 @@ of the canonical scheduling result.  :class:`CachingScheduler` wraps any
 Because both paths re-hydrate the same record, the returned schedule is a
 pure function of the problem — independent of cache state, hit order, worker
 count or sharing — which is what makes ``SimulationService`` batches
-bit-reproducible regardless of parallelism.  The flip side: the wrapped
-heuristic sees jobs in canonical order, so it may break ties differently
-than on the raw problem.  A cached run can therefore differ from an
-*uncached* run in tie-break decisions (never in validity — returned
+bit-reproducible regardless of parallelism.  The flip side is that a cached
+run can differ from an *uncached* run in two ways, while remaining
+bit-identical from run to run and never differing in validity (returned
 schedules satisfy the same constraints (2b)–(2e), which the test suite
-checks), while remaining bit-identical from run to run.
+checks):
+
+* the wrapped heuristic sees jobs in canonical order, so it may break ties
+  differently than on the raw problem;
+* times are anchored at 0 and shifted back by ``now``, and
+  ``(x - now) + now`` need not equal ``x``, so a completion time can
+  differ in its last bit (15.352748990552687 against 15.352748990552685).
+
+Only an uncached batch (``use_cache=False``) is bit-comparable with
+:meth:`Session.run <repro.api.session.Session.run>`.
 
 The cache is thread-safe; one instance may be shared by all worker threads of
 a batch so activations repeated *across* traces hit as well.

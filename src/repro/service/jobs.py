@@ -28,6 +28,7 @@ from repro.api.spec import (
     PlatformSpec,
     SchedulerSpec,
     WorkloadSpec,
+    retired_engine_error,
 )
 from repro.core.config import ConfigTable
 from repro.exceptions import SerializationError, WorkloadError
@@ -99,7 +100,6 @@ class BatchSpec:
         base_seed: int = 0,
         platform: str | Platform = "motivational",
         tables: str | Mapping[str, ConfigTable] = "motivational",
-        engine: str = "events",
         name: str = "sweep",
     ) -> "BatchSpec":
         """A full factorial sweep: arrival rates × schedulers × trials.
@@ -121,7 +121,6 @@ class BatchSpec:
             tables_inline=(
                 None if isinstance(tables, str) else tables_to_dict(tables)
             ),
-            engine=engine,
         )
         experiments = []
         for scheduler in schedulers:
@@ -230,12 +229,14 @@ def _legacy_experiment(data: Mapping[str, Any]) -> ExperimentSpec:
     A job names its scheduler, platform and table set flatly and carries
     either a Poisson ``trace_spec`` or an explicit ``trace``; inline
     platforms, tables and traces are parsed (hence validated) here, at load.
-    The spec's own checks (engine, table set, governor, ...) fail with the
-    job's name in front.
+    A retired ``engine`` field and the spec's own checks (table set,
+    governor, ...) fail with the job's name in front.
     """
     if "name" not in data:
         raise SerializationError("simulation job: missing required field 'name'")
     name = data["name"]
+    if "engine" in data and (reason := retired_engine_error(data["engine"])):
+        raise WorkloadError(f"job {name!r}: {reason}")
     trace, trace_spec = data.get("trace"), data.get("trace_spec")
     if (trace is None) == (trace_spec is None):
         raise WorkloadError(
@@ -280,7 +281,6 @@ def _legacy_experiment(data: Mapping[str, Any]) -> ExperimentSpec:
                 if isinstance(tables, str)
                 else tables_to_dict(tables_from_dict(tables))
             ),
-            engine=data.get("engine", "events"),
         )
     except WorkloadError as error:
         reason = str(error).removeprefix("experiment spec: ")

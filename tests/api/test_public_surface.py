@@ -65,7 +65,6 @@ EXPECTED_SPEC_SCHEMAS = {
         "dse",
         "tables",
         "tables_inline",
-        "engine",
     ),
 }
 
@@ -153,9 +152,3 @@ class TestTopLevelReexports:
         ):
             assert name in repro.__all__
             assert getattr(repro, name) is getattr(api, name)
-
-    def test_engine_names_agree_across_layers(self):
-        from repro.api.spec import ENGINES as SPEC_ENGINES
-        from repro.runtime.manager import ENGINES as MANAGER_ENGINES
-
-        assert SPEC_ENGINES == MANAGER_ENGINES == ("events",)

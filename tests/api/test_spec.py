@@ -3,7 +3,6 @@
 import pytest
 
 from repro.api.spec import (
-    ENGINES,
     DSESpec,
     EnergySpec,
     ExperimentSpec,
@@ -28,7 +27,6 @@ def _rich_spec() -> ExperimentSpec:
             governor="schedule-aware", power_cap_watts=9.5, energy_budget_joules=400.0
         ),
         tables="motivational",
-        engine="events",
     )
 
 
@@ -89,16 +87,23 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_engine_validated(self):
-        with pytest.raises(WorkloadError, match="engine"):
-            ExperimentSpec(engine="quantum")
+        # Spec files may still carry the retired field; only "events" loads.
+        with pytest.raises(
+            WorkloadError,
+            match=r"experiment spec: unknown engine 'quantum'; choose from \('events',\)",
+        ):
+            ExperimentSpec.from_dict({"engine": "quantum"})
         # The seed "linear" engine lives on only as the test-side oracle.
         with pytest.raises(WorkloadError, match="engine"):
-            ExperimentSpec(engine="linear")
+            ExperimentSpec.from_dict({"engine": "linear"})
 
-    def test_engines_match_the_runtime_manager(self):
-        from repro.runtime.manager import ENGINES as MANAGER_ENGINES
-
-        assert ENGINES == MANAGER_ENGINES
+    def test_retired_engine_field_is_accepted_and_dropped(self):
+        spec = _rich_spec()
+        data = dict(spec.to_dict(), engine="events")
+        assert ExperimentSpec.from_dict(data) == spec
+        assert "engine" not in spec.to_dict()
+        with pytest.raises(TypeError):
+            ExperimentSpec(engine="events")
 
     def test_empty_name_rejected(self):
         with pytest.raises(WorkloadError):

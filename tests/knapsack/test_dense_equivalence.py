@@ -1,11 +1,11 @@
 """Bit-identity of the dense numpy MMKP-LR backend against the pure solver.
 
 Acceptance contract of ``repro.knapsack._dense``: schedules, assignments,
-energies and statistics must be *identical* — not merely close — between
-``REPRO_SOLVER_NUMPY=1`` and ``=0``, for every scheduler, on both the
-motivational workload and the (scaled) Table III census.  The dense backend
-is a faster evaluation order of the same arithmetic, never a different
-algorithm, so every float must come out bit-for-bit equal.
+energies and statistics must be *identical* — not merely close — with
+``solver_numpy_override(True)`` and ``(False)``, for every scheduler, on
+both the motivational workload and the (scaled) Table III census.  The
+dense backend is a faster evaluation order of the same arithmetic, never a
+different algorithm, so every float must come out bit-for-bit equal.
 
 This file mirrors ``tests/optable/test_equivalence.py`` for the solver
 toggle; the solver-level property tests live in

@@ -1,5 +1,7 @@
 """OpTable columns, aggregates, fingerprinting and interning."""
 
+import random
+
 import pytest
 
 from repro.core.config import ConfigTable, OperatingPoint
@@ -58,6 +60,32 @@ class TestAggregates:
         assert table.min_time == 4.0
         assert table.min_energy == 4.0
         assert table.max_demand == (2, 1)
+
+    @pytest.mark.parametrize("size", [4, 32, 150])
+    def test_orders_and_minima_on_tables_of_any_size(self, size):
+        # Few distinct values, so every size has ties the orders and minima
+        # must break by index.
+        rng = random.Random(size)
+        points = [
+            OperatingPoint(
+                ResourceVector([rng.randrange(1, 3), rng.randrange(0, 3)]),
+                float(rng.randrange(1, 6)),
+                float(rng.randrange(1, 6)) / 2,
+            )
+            for _ in range(size)
+        ]
+        table = as_optable(points)
+        times = [p.execution_time for p in points]
+        energies = [p.energy for p in points]
+        assert table.order_by_energy == tuple(
+            sorted(range(size), key=lambda i: (energies[i], i))
+        )
+        first_fastest = next(i for i, t in enumerate(times) if t == min(times))
+        first_cheapest = next(i for i, e in enumerate(energies) if e == min(energies))
+        assert table.argmin_time == first_fastest
+        assert table.argmin_energy == first_cheapest
+        assert table.min_time == min(times)
+        assert table.min_energy == min(energies)
 
     def test_pareto_index_drops_dominated_points(self):
         # Index 3 ((1,1) @ 5.0s/7.5J) is dominated by index 1 ((0,1) with the

@@ -93,7 +93,6 @@ def ok_result(**overrides):
     fields = dict(
         job_name="job",
         scheduler="mmkp-mdf",
-        engine="events",
         requests=10,
         accepted=8,
         rejected=2,

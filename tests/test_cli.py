@@ -208,14 +208,22 @@ class TestRunCommand:
         assert exit_info.value.code == 2
         assert "--engine" in capsys.readouterr().err
 
-    def test_trial_results_record_the_event_engine(self, spec_path, tmp_path):
+    def test_trial_results_carry_no_engine_field(self, spec_path, tmp_path):
         output_path = tmp_path / "trials.json"
         code = main(
             ["run", str(spec_path), "--trials", "2", "--output", str(output_path)]
         )
         assert code == 0
         data = json.loads(output_path.read_text())
-        assert [entry["engine"] for entry in data["results"]] == ["events", "events"]
+        assert len(data["results"]) == 2
+        assert all("engine" not in entry for entry in data["results"])
+
+    def test_spec_file_with_the_retired_engine_field_runs(self, tmp_path):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({"name": "old", "engine": "events"}))
+        output_path = tmp_path / "old.json"
+        assert main(["run", str(legacy), "--output", str(output_path)]) == 0
+        assert "engine" not in json.loads(output_path.read_text())
 
     def test_invalid_spec_file_reports_an_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
