@@ -195,7 +195,6 @@ def evaluate_suite(
     capacity: ResourceVector | Platform,
     tables: Mapping[str, ConfigTable],
     schedulers: Sequence[Scheduler],
-    batch_admissions: bool = False,
 ) -> SuiteResults:
     """Run every scheduler on every test case of the suite.
 
@@ -210,13 +209,6 @@ def evaluate_suite(
         suite must be present.
     schedulers:
         The scheduling algorithms to compare.
-    batch_admissions:
-        Hand each scheduler that implements ``schedule_many`` (MMKP-LR) the
-        whole suite at once, so a sweep's admission relaxations amortise
-        into stacked solves.  Schedules, energies and feasibility are
-        bit-identical to the sequential default; per-case ``search_time``
-        becomes each case's equal share of the batch wall time, which is why
-        the paper's Fig. 4 search-time reproduction keeps the default off.
 
     Returns
     -------
@@ -227,11 +219,8 @@ def evaluate_suite(
     problems = [case.problem(capacity, tables) for case in cases]
     runs: list[SchedulerRun] = []
     for scheduler in schedulers:
-        if batch_admissions and hasattr(scheduler, "schedule_many"):
-            results = scheduler.schedule_many(problems)
-        else:
-            results = [scheduler.schedule(problem) for problem in problems]
-        for case, result in zip(cases, results):
+        for case, problem in zip(cases, problems):
+            result = scheduler.schedule(problem)
             runs.append(
                 SchedulerRun(
                     case_name=case.name,

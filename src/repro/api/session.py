@@ -345,7 +345,6 @@ class Session:
         *,
         workers: int = 1,
         executor: str = "auto",
-        use_cache: bool = True,
         cache_size: int = 4096,
         service=None,
         progress=None,
@@ -354,12 +353,8 @@ class Session:
 
         A pre-configured :class:`~repro.service.pool.SimulationService` may
         be passed to share its activation cache and metrics across sessions.
-
-        Only a ``use_cache=False`` batch is bit-comparable with :meth:`run`.
-        The activation cache solves each activation re-anchored at time 0
-        and in canonical job order, so a cached batch can break ties
-        differently and differ from :meth:`run` in the last bit of its times
-        (see :mod:`repro.service.cache`).
+        Each trial's result holds the decisions :meth:`run` makes for it,
+        bit for bit, with the cache on or off (``cache_size=0``).
         """
         if service is None:
             from repro.service.pool import SimulationService
@@ -367,7 +362,6 @@ class Session:
             service = SimulationService(
                 workers=workers,
                 executor=executor,
-                use_cache=use_cache,
                 cache_size=cache_size,
                 kernel_caches=self.kernel_caches,
                 store=self._store,

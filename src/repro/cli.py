@@ -98,10 +98,10 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
         help=_EXECUTOR_HELP,
     )
     parser.add_argument(
-        "--no-cache", action="store_true", help="disable the activation cache"
-    )
-    parser.add_argument(
-        "--cache-size", type=int, default=4096, help="activation cache capacity"
+        "--cache-size",
+        type=int,
+        default=4096,
+        help="activation cache capacity (0 turns the cache off)",
     )
     parser.add_argument(
         "--store", default=None, metavar="PATH",
@@ -118,7 +118,6 @@ def _make_service(args: argparse.Namespace):
     service = SimulationService(
         workers=args.workers,
         executor=getattr(args, "executor", "auto"),
-        use_cache=not getattr(args, "no_cache", False),
         cache_size=getattr(args, "cache_size", 4096),
         store=getattr(args, "store", None),
     )
@@ -897,11 +896,9 @@ def _cmd_energy(args: argparse.Namespace) -> int:
         if base is None:
             return 2
         # One service for every governor replay, so --compare reuses the
-        # activation cache across replays.  Cache keys are per-problem
-        # signatures (job residuals included), so a hit returns a valid
-        # schedule for the same problem; per the documented cache semantics
-        # it may differ from the uncached run in heuristic tie-breaks —
-        # pass --no-cache to force plain scheduler runs.
+        # activation cache across replays.  A key is the problem as given,
+        # so a hit returns what the plain scheduler returns on it and the
+        # totals equal --cache-size 0 runs.
         service = _make_service(args)
         for governor in governors:
             # Only the flags the user actually passed override the spec's

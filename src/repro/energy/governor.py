@@ -116,10 +116,8 @@ class FrequencyGovernor(abc.ABC):
         :class:`~repro.kernel.state.LoadLedger`: cached per-segment
         busy-core rows shared with the budget admission check.  The rows
         are integer sums, so reading them instead of re-deriving
-        ``resource_usage`` cannot change any selected speed.  Governors
-        that ignore it — including third-party ones written against the
-        pre-kernel signature, which the runtime manager detects and calls
-        without the argument — behave identically.
+        ``resource_usage`` cannot change any selected speed.  The runtime
+        manager always passes it; a governor may ignore it.
         """
 
     def __repr__(self) -> str:

@@ -44,8 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Mapping
 
-import inspect
-
 from repro.api.events import RunEvent, RunEventKind
 from repro.core.config import ConfigTable
 from repro.core.request import Job
@@ -306,9 +304,6 @@ class RuntimeManager:
         if kernel_caches is None:
             kernel_caches = KernelCaches()
         self._kernel_caches = kernel_caches
-        self._governor_takes_ledger = governor is not None and (
-            "ledger" in inspect.signature(governor.select_scale).parameters
-        )
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -442,19 +437,9 @@ class RuntimeManager:
         with obs.span(
             "governor", category="energy", governor=self._governor.name
         ) as governor_span:
-            if self._governor_takes_ledger:
-                scale = self._governor.select_scale(
-                    schedule,
-                    active,
-                    ctx.now,
-                    self._platform,
-                    self._tables,
-                    ledger=ledger,
-                )
-            else:
-                scale = self._governor.select_scale(
-                    schedule, active, ctx.now, self._platform, self._tables
-                )
+            scale = self._governor.select_scale(
+                schedule, active, ctx.now, self._platform, self._tables, ledger=ledger
+            )
             governor_span.annotate(scale=scale)
         if not 0.0 < scale <= 1.0 + _SCALE_EPSILON:
             raise SchedulingError(

@@ -17,8 +17,8 @@ Modules
   energy-policy helpers.
 * :mod:`repro.service.cache` — :func:`ActivationCache` /
   :class:`CachingScheduler`: an ``activation`` :class:`~repro.store.memo.Memo`
-  over canonical scheduling-problem signatures, so structurally identical
-  activations across traces are solved once.
+  over scheduling problems as given, so an activation repeated across
+  traces (repeats, governor replays, warm reruns) is solved once.
 * :mod:`repro.service.pool` — :class:`SimulationService`: batches fanned
   out through one :class:`~repro.cluster.ShardCoordinator` (serial, thread
   or process mode), each experiment wired by
@@ -51,19 +51,20 @@ Describe a batch declaratively, then run it::
 
 Determinism guarantees
 ----------------------
-Every experiment carries its own workload seed and activation caching is
-*canonical* (a cached result is a pure function of its problem, whatever
-the cache holds), so a batch yields the same
-:meth:`~repro.service.pool.BatchResults.fingerprint` for any worker count
-and executor.  Wall-clock fields are excluded from the fingerprint.
+Every experiment carries its own workload seed and a cache hit returns what
+the plain scheduler returns on the same problem, so a batch yields the same
+:meth:`~repro.service.pool.BatchResults.fingerprint` for any worker count,
+executor and cache state, with each result equal to ``Session.run`` of its
+experiment.  Wall-clock fields are excluded from the fingerprint.
 
 Cache semantics
 ---------------
-Cache keys are canonical problem signatures — capacity, table content
-fingerprints, sorted job residuals and *relative* deadlines, scheduler name
-and options — so hits are exact modulo a time shift and request renaming.  One cache is
-shared across all traces of a batch (per worker process under the
-``"process"`` and ``"cluster"`` executors).
+A cache key is the problem as given — capacity, activation time, every
+job's name, application, arrival, deadline and remaining ratio in problem
+order, table content fingerprints, scheduler name and options — so a hit
+is the plain scheduler's answer to that very problem.  One cache is shared
+across all traces of a batch (per worker process under the ``"process"``
+and ``"cluster"`` executors); ``cache_size=0`` turns it off.
 
 The corresponding CLI entry point is ``repro-rm batch`` (see
 :mod:`repro.cli`).

@@ -32,14 +32,15 @@ store-less code.
 Determinism guarantee
 ---------------------
 Results are returned in job order and every simulation is a pure function of
-its declarative spec: per-experiment workload seeds, canonical activation
-caching (a cached result is a pure function of its problem, whatever the
-memo holds) and fresh scheduler instances per job mean that a batch
-produces **bit-identical deterministic results for any worker count and
-any executor** — aggregate fingerprints for ``workers=1`` and
-``workers=4`` match exactly.  Wall-clock fields (``search_time_total``,
-``wall_time``) are the only exception and are excluded from
-:meth:`BatchResults.fingerprint`.
+its declarative spec: per-experiment workload seeds, an activation memo
+keyed by the problem as given (a hit returns what the plain scheduler
+returns) and fresh scheduler instances per job mean that a batch produces
+**bit-identical deterministic results for any worker count, any executor
+and any cache state**, equal to :meth:`Session.run
+<repro.api.session.Session.run>` of each experiment — aggregate
+fingerprints for ``workers=1`` and ``workers=4`` match exactly.  Wall-clock
+fields (``search_time_total``, ``wall_time``) are the only exception and
+are excluded from :meth:`BatchResults.fingerprint`.
 
 Failure isolation: an exception inside one simulation is captured as that
 job's ``error`` string; the rest of the batch is unaffected.
@@ -248,7 +249,9 @@ class BatchResults:
         """A SHA-256 digest of every deterministic result field.
 
         Two batch runs with the same specs and seeds produce the same
-        fingerprint regardless of worker count, executor or caching.
+        fingerprint regardless of worker count, executor or caching; each
+        result holds the decisions :meth:`Session.run
+        <repro.api.session.Session.run>` makes for its spec.
         """
         digest = hashlib.sha256()
         for result in self._results:
@@ -443,13 +446,12 @@ class SimulationService:
     executor:
         ``"auto"`` (serial for one worker, threads otherwise), ``"serial"``,
         ``"thread"``, ``"process"`` or ``"cluster"``.
-    use_cache:
-        Enable the shared activation cache (see :mod:`repro.service.cache`).
     cache_size:
         Maximum cached activations (per service, or per worker process for
-        the ``"process"`` and ``"cluster"`` executors).  Caching is on only
-        when ``use_cache`` is true and ``cache_size`` is positive — the same
-        decision for every executor, so the fingerprint never depends on it.
+        the ``"process"`` and ``"cluster"`` executors) of the shared
+        activation cache (see :mod:`repro.service.cache`); ``0`` turns it
+        off on every executor.  The cache never changes a result, so the
+        fingerprint never depends on it.
     metrics:
         An existing :class:`ServiceMetrics` registry to record into; a fresh
         one is created when omitted.
@@ -478,7 +480,6 @@ class SimulationService:
         self,
         workers: int = 1,
         executor: str = "auto",
-        use_cache: bool = True,
         cache_size: int = 4096,
         metrics: ServiceMetrics | None = None,
         kernel_caches: KernelCaches | None = None,
@@ -489,16 +490,11 @@ class SimulationService:
         self.workers = workers
         self.executor = executor
         self._mode = executor_mode(executor, workers)
-        self.use_cache = use_cache
         self.cache_size = cache_size
         self.store = resolve_store(store)
         #: The activation memo, or ``None``: decided once here, and handed
         #: to worker processes as its bound (0 for none).
-        self.cache = (
-            ActivationCache(cache_size, self.store)
-            if use_cache and cache_size > 0
-            else None
-        )
+        self.cache = ActivationCache(cache_size, self.store) if cache_size > 0 else None
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: Shard statistics of the most recent batch (any executor).
         self.cluster_stats = None

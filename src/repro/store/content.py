@@ -3,10 +3,11 @@
 Every cache in this library is content-keyed: solve memos embed table
 fingerprints and exact ratios, exmem column tables are keyed by table
 fingerprints, interned :class:`~repro.optable.table.OpTable` objects *are*
-their fingerprint, and the activation cache keys canonicalised problem
-signatures.  A hit therefore describes the same mathematical object
-wherever it comes from — another thread, another process, or a previous
-run — which is exactly the property a shared persistent store needs.
+their fingerprint, and the activation cache keys each scheduling problem
+as given, table fingerprints included.  A hit therefore describes the same
+mathematical object wherever it comes from — another thread, another
+process, or a previous run — which is exactly the property a shared
+persistent store needs.
 
 :class:`ContentStore` layers that on a byte-level
 :class:`~repro.store.backend.CacheBackend`:

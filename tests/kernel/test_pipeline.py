@@ -143,7 +143,7 @@ class TestWarmStarts:
             )
             for i in range(3)
         ]
-        service = SimulationService(use_cache=False)
+        service = SimulationService(cache_size=0)
         results = service.run_batch(jobs)
         assert results.failures == []
         info = service.kernel_caches.solve_cache.info()

@@ -3,8 +3,11 @@
 The digests below pin the results of representative batches — the CI smoke
 file, a DSE batch over a cold and a warm store, motivational and explicit
 traces — and the ``repro-rm energy --compare`` totals.  Every executor must
-reproduce them bit for bit.
+reproduce them bit for bit, with the activation cache on or off, and every
+batch result must hold the decisions ``Session.run`` makes for its spec.
 """
+
+import functools
 
 import json
 from pathlib import Path
@@ -36,20 +39,20 @@ EXECUTORS = {
     "cluster": dict(workers=2, executor="cluster"),
 }
 
-SMOKE_DIGEST = "bc1c94df6ea37cfe3a0e33673d5e8e42dcb629d97a5bf5c4044098f97c8413a2"
+SMOKE_DIGEST = "8620605705795bd6f43820611045067a91a1c9a9cda40a5d842cb7fd85df20c9"
 
 DSE_DIGESTS = {
     "dse-mmkp-mdf-0.5": "55496e111f3fdf9fef33f59bfc810556fabf90911f035f13f073753b8a28c528",
-    "dse-mmkp-mdf-1.5": "e1a56e9fa12d3ad577812536dd1d0f184ca576633658987dedbaf89f8bf1b548",
-    "dse-mmkp-lr-0.5": "c5dde864144d03b1c84d2cbf3202ffff549e32785b6890fb6739e89349dfd011",
+    "dse-mmkp-mdf-1.5": "8aad1520416828f8fe67f112583e7a67d48a198d891a75b86be7d3b0fb6c97d5",
+    "dse-mmkp-lr-0.5": "3f6bc9a45168cacadb281c0323a6dfca3849be9c0f18b66443df4a40c81b643d",
     "dse-mmkp-lr-1.5": "33a9ad05399f718ec364b7828c61cb4741c49945d1cc57ef878573f4d0d0795e",
 }
 
 MOTIVATIONAL_DIGEST = "eb2d07752b1ab6784118ef1ac0f74981b590eb15382b82c349be2f6738e5982e"
-EXPLICIT_DIGEST = "60f6559a13788c96c49ecdcc396fba277cdc69f447f2ca39498ffa3acf4460a6"
+EXPLICIT_DIGEST = "65c044ef44b8e2682e2103181a2c57b9410c5667e461117ae2fa073de71469ee"
 
 ENERGY_COMPARE_TOTALS = {
-    "ondemand": 395.9359858080882,
+    "ondemand": 394.9069858080882,
     "performance": 404.63837315087443,
     "powersave": 328.0191598863797,
     "schedule-aware": 392.2062498038033,
@@ -179,6 +182,15 @@ class TestPinnedFingerprints:
         assert json.loads(output.read_text())["totals"] == ENERGY_COMPARE_TOTALS
 
 
+def _dse_batch() -> BatchSpec:
+    """The batch-sweep benchmark's shape: DSE tables, both schedulers, seeds."""
+    experiments = ()
+    for spec in _dse_specs():
+        seeds = DSE_SEEDS[spec.scheduler.name]
+        experiments += Session.from_spec(spec).to_batch(seeds=seeds).experiments
+    return BatchSpec("dse", experiments)
+
+
 def _shape(name: str) -> BatchSpec:
     """One batch per spec shape that crosses the process boundary."""
     poisson = WorkloadSpec.poisson(arrival_rate=0.3, num_requests=6, seed=1)
@@ -215,10 +227,27 @@ def _shape(name: str) -> BatchSpec:
         )
     elif name == "motivational":
         return _motivational_batch()
+    elif name == "smoke":
+        return BatchSpec.load(SPECS / "smoke_batch.json")
+    elif name == "dse":
+        return _dse_batch()
     else:
         assert name == "explicit"
         return _explicit_batch()
     return Session.from_spec(base).to_batch(seeds=[1, 2, 3])
+
+
+#: Every shape above, checked against ``Session.run`` of each experiment.
+SESSION_SHAPES = [
+    "named-tables",
+    "inline",
+    "options",
+    "energy-policy",
+    "motivational",
+    "explicit",
+    "smoke",
+    "dse",
+]
 
 
 class TestExecutorDeterminism:
@@ -260,18 +289,21 @@ class TestExecutorDeterminism:
             assert results.failures == [], [r.error for r in results.failures]
         assert len({results.fingerprint() for results in digests.values()}) == 1
 
-    @pytest.mark.parametrize(
-        "shape", ["named-tables", "inline", "options", "energy-policy", "explicit"]
-    )
+    @pytest.mark.parametrize("shape", SESSION_SHAPES)
     def test_an_uncached_batch_equals_session_run(self, shape):
-        batch = _shape(shape)
-        results = _run(batch, "serial", use_cache=False)
-        for spec, result in zip(batch, results):
-            log = Session.from_spec(spec).run()
-            assert result.total_energy == log.total_energy
-            assert [_decision(o) for o in result.outcomes] == [
-                _decision(o) for o in log.outcomes
-            ]
+        results = _run(_shape(shape), "serial", cache_size=0)
+        assert [_decisions(result) for result in results] == _session_decisions(shape)
+
+    @pytest.mark.parametrize("shape", SESSION_SHAPES)
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    def test_a_cached_batch_equals_session_run(self, executor, shape):
+        """The activation memo keys each problem as given, so a cached batch
+        makes Session.run's decisions, float for float."""
+        service = SimulationService(**EXECUTORS[executor])
+        assert service.cache is not None
+        results = service.run_batch(_shape(shape))
+        assert results.failures == [], [r.error for r in results.failures]
+        assert [_decisions(result) for result in results] == _session_decisions(shape)
 
 
 class TestInlineSections:
@@ -332,14 +364,25 @@ class TestInlineSections:
 
 
 def _decision(outcome) -> tuple:
-    """The deterministic fields of one request outcome."""
+    """The deterministic fields of one request outcome, floats by ``repr``."""
     return (
         outcome.name,
         outcome.accepted,
-        outcome.arrival,
-        outcome.deadline,
-        outcome.completion_time,
+        repr(outcome.arrival),
+        repr(outcome.deadline),
+        repr(outcome.completion_time),
     )
+
+
+def _decisions(run) -> tuple:
+    """A batch result's or an execution log's energy and decisions."""
+    return repr(run.total_energy), [_decision(o) for o in run.outcomes]
+
+
+@functools.lru_cache(maxsize=None)
+def _session_decisions(shape: str) -> list:
+    """What ``Session.run`` decides for every experiment of the shape."""
+    return [_decisions(Session.from_spec(spec).run()) for spec in _shape(shape)]
 
 
 class TestSchedulerOptions:
@@ -382,19 +425,12 @@ class TestSchedulerOptions:
         for batch in batches:
             cached = shared.run_batch(batch)
             alone = SimulationService(workers=1).run_batch(batch)
-            uncached = SimulationService(workers=1, use_cache=False).run_batch(batch)
+            uncached = SimulationService(workers=1, cache_size=0).run_batch(batch)
             # The shared memo serves each option set exactly what a memo of
-            # its own would ...
+            # its own would, and what the uncached run computes.
             assert cached.failures == []
-            assert cached.fingerprint() == alone.fingerprint()
-            # ... and the decisions of the uncached run (the canonical cache
-            # re-anchors times, so floats may differ in the last bit).
-            for hit, plain in zip(cached, uncached):
-                assert [o.accepted for o in hit.outcomes] == [
-                    o.accepted for o in plain.outcomes
-                ]
-                assert hit.total_energy == pytest.approx(plain.total_energy, rel=1e-12)
-        uncached = SimulationService(workers=1, use_cache=False)
+            assert cached.fingerprint() == alone.fingerprint() == uncached.fingerprint()
+        uncached = SimulationService(workers=1, cache_size=0)
         default, configured = (
             uncached.run_batch(self._batch(options)) for options in ({}, self.OPTIONS)
         )
@@ -415,7 +451,7 @@ class TestAccountEnergy:
         for executor in EXECUTORS:
             results = session.run_batch(
                 seeds=[1, 2, 3],
-                service=SimulationService(**EXECUTORS[executor], use_cache=False),
+                service=SimulationService(**EXECUTORS[executor], cache_size=0),
             )
             assert results.failures == []
             for trial, result in zip(batch, results):

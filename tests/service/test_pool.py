@@ -116,34 +116,33 @@ class TestCachingBehaviour:
 
     def test_cache_off_runs_clean(self):
         spec = small_sweep(traces=3)
-        service = SimulationService(workers=1, use_cache=False)
+        service = SimulationService(workers=1, cache_size=0)
         results = service.run_batch(spec)
         assert results.failures == []
         assert service.cache is None
         assert service.metrics.cache_hit_rate == 0.0
 
     def test_cache_size_zero_is_cache_off_on_every_executor(self):
-        """A zero-size cache means no cache: the same fingerprint on every
-        executor, equal to ``use_cache=False``."""
+        """A zero-size cache means no cache on every executor, and the same
+        fingerprint as a cached run."""
         spec = BatchSpec.sweep(
             arrival_rates=[1.5],
             schedulers=["mmkp-mdf"],
             traces_per_point=4,
             num_requests=6,
         )
-        uncached = SimulationService(use_cache=False).run_batch(spec).fingerprint()
+        cached = SimulationService().run_batch(spec).fingerprint()
         for executor in ("serial", "thread", "process", "cluster"):
             service = SimulationService(workers=2, executor=executor, cache_size=0)
             assert service.cache is None
-            assert service.run_batch(spec).fingerprint() == uncached, executor
+            assert service.run_batch(spec).fingerprint() == cached, executor
 
     def test_cached_and_uncached_agree_on_admissions(self):
         spec = small_sweep(traces=6, num_requests=5)
-        cached = SimulationService(workers=1, use_cache=True).run_batch(spec)
-        uncached = SimulationService(workers=1, use_cache=False).run_batch(spec)
-        for with_cache, without in zip(cached, uncached):
-            assert with_cache.accepted == without.accepted
-            assert with_cache.rejected == without.rejected
+        cached = SimulationService(workers=1).run_batch(spec)
+        uncached = SimulationService(workers=1, cache_size=0).run_batch(spec)
+        assert cached.failures == []
+        assert cached.fingerprint() == uncached.fingerprint()
 
 
 class TestAggregation:
