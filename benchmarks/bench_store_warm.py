@@ -5,7 +5,7 @@ Two measurements for the ``repro.store`` + ``repro.cluster`` subsystems:
 * **Warm-store rerun** — a census batch under MMKP-LR (the solve-dominated
   configuration: every activation pays a Lagrangian iteration) is run twice
   against the same on-disk SQLite store.  The first run fills the store;
-  the second serves every activation and solve from it.  The acceptance bar
+  the second serves every activation from it.  The acceptance bar
   is **> 5x** — a warm rerun must skip essentially all scheduling work —
   and the two fingerprints must be identical (a cache that changes answers
   is not a cache).

@@ -1,11 +1,12 @@
 """Warm-store batch reruns and the cluster executor in one script.
 
 The batch service recomputes every scheduler activation from scratch on
-every run.  With a :class:`~repro.store.ContentStore` attached, all the
-content-keyed caches (activations, Lagrangian solves, EX-MEM columns, the
-``OpTable`` intern pool) write through to one SQLite file — so rerunning
-the same study is mostly store reads, and worker *processes* (the
-``cluster`` executor) warm each other through the same file.
+every run.  With a :class:`~repro.store.ContentStore` attached, the
+activation memo writes through to one SQLite file — so rerunning the same
+study is mostly store reads, and worker *processes* (the ``cluster``
+executor) warm each other through the same file.  The kernel's solve and
+EX-MEM memos stay in process: a warm rerun answers every activation from
+the store before reaching them.
 
 The script runs one census-flavoured sweep three times:
 
@@ -19,9 +20,6 @@ The script runs one census-flavoured sweep three times:
 Run with::
 
     PYTHONPATH=src python examples/warm_store_batch.py
-
-Set ``REPRO_STORE=0`` to watch the escape hatch: the store arguments are
-ignored and all three runs compute cold (still fingerprint-identical).
 """
 
 import tempfile
@@ -89,18 +87,15 @@ def main() -> None:
         print("\nall three fingerprints identical — caching and sharding "
               "never change answers")
 
-        if warm_service.store is not None:
-            stats = warm_service.store.stats()
-            print(f"\nstore {stats['path']} (version {stats['version']})")
-            for namespace, entry in sorted(stats["namespaces"].items()):
-                print(f"  {namespace:24s} {entry['entries']:5d} entries "
-                      f"{entry['bytes']:8d} bytes")
-            for kind, counters in sorted(stats["kinds"].items()):
-                print(f"  {kind:12s} hits={counters['hits']:<5d} "
-                      f"misses={counters['misses']:<5d} "
-                      f"puts={counters['puts']}")
-        else:
-            print("\nREPRO_STORE=0 — store disabled, every run computed cold")
+        stats = warm_service.store.stats()
+        print(f"\nstore {stats['path']} (version {stats['version']})")
+        for namespace, entry in sorted(stats["namespaces"].items()):
+            print(f"  {namespace:24s} {entry['entries']:5d} entries "
+                  f"{entry['bytes']:8d} bytes")
+        for kind, counters in sorted(stats["kinds"].items()):
+            print(f"  {kind:12s} hits={counters['hits']:<5d} "
+                  f"misses={counters['misses']:<5d} "
+                  f"puts={counters['puts']}")
 
         if cluster_service.cluster_stats is not None:
             print(f"\ncluster: {cluster_service.cluster_stats.as_dict()}")

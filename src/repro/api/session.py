@@ -154,14 +154,15 @@ class Session:
         it; derived live objects (platform, tables) are cached per session.
     kernel_caches:
         Optional pre-existing :class:`~repro.kernel.caches.KernelCaches` to
-        adopt instead of building a fresh store — the gateway passes one per
+        adopt instead of building a fresh one — the gateway passes one per
         tenant so warm starts survive across sessions and requests.
     store:
         Optional persistent :class:`~repro.store.ContentStore` (or a path
-        for a SQLite-backed one).  When given and no ``kernel_caches`` were
-        injected, the session's caches — and any batch service it builds —
-        become store-backed, so runs warm each other across sessions,
-        processes and host restarts.  ``REPRO_STORE=0`` force-disables.
+        for a SQLite-backed one) behind the activation memo of the batch
+        service :meth:`run_batch` builds and the exploration tasks of
+        :meth:`explore`, so batches and sweeps warm each other across
+        sessions, processes and host restarts.  :meth:`run` never touches
+        it: its caches are the process-local :attr:`kernel_caches`.
     """
 
     def __init__(self, spec: ExperimentSpec, *, kernel_caches=None, store=None):
@@ -228,7 +229,7 @@ class Session:
         if self._kernel_caches is None:
             from repro.kernel.caches import KernelCaches
 
-            self._kernel_caches = KernelCaches(self._store)
+            self._kernel_caches = KernelCaches()
         return self._kernel_caches
 
     @property

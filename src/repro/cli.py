@@ -106,8 +106,7 @@ def _add_service_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store", default=None, metavar="PATH",
         help="persistent content-addressed cache store (SQLite file); warm "
-        "reruns reuse solves across invocations ($REPRO_STORE also works, "
-        "REPRO_STORE=0 force-disables)",
+        "reruns read their activations back across invocations",
     )
 
 
@@ -115,20 +114,12 @@ def _make_service(args: argparse.Namespace):
     """Build the SimulationService described by the shared flags."""
     from repro.service import SimulationService
 
-    service = SimulationService(
+    return SimulationService(
         workers=args.workers,
         executor=getattr(args, "executor", "auto"),
         cache_size=getattr(args, "cache_size", 4096),
         store=getattr(args, "store", None),
     )
-    if service.store is not None:
-        # One CLI invocation is one process, so binding the process-global
-        # OpTable intern pool to the store is safe — and lets table builds
-        # warm across invocations like every other cache kind.
-        from repro.optable import bind_intern_store
-
-        bind_intern_store(service.store)
-    return service
 
 
 def _load_batch(path: str):
@@ -297,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--store", default=None, metavar="PATH",
         help="content store memoising exploration tasks and solves across "
-        "workers and reruns ($REPRO_STORE also works)",
+        "workers and reruns",
     )
     sweep.add_argument(
         "--output", default=None, help="write the full SweepResult JSON"
@@ -447,8 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--store", default=None, metavar="PATH",
-        help="persistent content-addressed cache store shared by all tenants "
-        "(SQLite file; $REPRO_STORE also works, REPRO_STORE=0 disables)",
+        help="persistent content-addressed cache store behind every "
+        "tenant's batch submissions (SQLite file)",
     )
 
     store = subparsers.add_parser(
@@ -463,8 +454,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     store.add_argument("action", choices=["stats", "gc", "clear"])
     store.add_argument(
-        "--store", default=None, metavar="PATH",
-        help="store path (defaults to $REPRO_STORE)",
+        "--store", required=True, metavar="PATH", help="store path"
     )
     store.add_argument(
         "--max-entries", type=int, default=None, metavar="N",
@@ -996,15 +986,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_store(args: argparse.Namespace) -> int:
     import json
 
-    from repro.store import resolve_store
+    from repro.store import ContentStore
 
-    store = resolve_store(args.store)
-    if store is None:
-        print(
-            "error: no store configured (pass --store PATH or set REPRO_STORE)",
-            file=sys.stderr,
-        )
-        return 2
+    store = ContentStore.open(args.store)
     try:
         if args.action == "stats":
             stats = store.stats()

@@ -671,8 +671,10 @@ def run_sweep(
     workers, unit_size, max_retries:
         Coordinator knobs (``"serial"`` runs one worker).
     store:
-        Content store (or path) memoising exploration tasks and Lagrangian
-        solves across workers and reruns; ``None`` consults ``REPRO_STORE``.
+        Content store (or path) memoising exploration tasks (``dse`` rows)
+        and the policy phase's Lagrangian solves (``solve`` rows) across
+        workers and reruns, so a warm rerun neither explores nor solves;
+        ``None`` runs without one.
     progress:
         Optional ``(task_index, outcome) -> None`` callback, fired as each
         work unit completes (``outcome`` is ``None`` for a failed task).

@@ -86,9 +86,9 @@ class GatewayConfig:
     #: ``trace_id``, the span tree is served by ``GET /runs/{id}/trace`` and
     #: phase durations feed the ``/metrics`` exposition.
     trace_runs: bool = True
-    #: Path of a persistent :class:`~repro.store.ContentStore` shared by
-    #: every tenant's caches (``None``: tenants stay process-local; the
-    #: ``REPRO_STORE`` environment variable overrides either way).
+    #: Path of a persistent :class:`~repro.store.ContentStore` behind the
+    #: activation memo of every tenant's batch submissions (``None``: no
+    #: store).  Single runs never read or write it.
     store_path: str | None = None
 
 
@@ -199,7 +199,7 @@ class GatewayServer:
         from repro.store.content import resolve_store
 
         self.content_store = resolve_store(self.config.store_path)
-        self.store = SessionStore(self.content_store)
+        self.store = SessionStore()
         self.registry = RunRegistry()
         self.admission = AdmissionController(
             max_concurrent=self.config.max_concurrent,

@@ -18,12 +18,12 @@ included, resolve named and DSE table sets through the per-process memo of
 :func:`repro.dse.tables.design_tables`, so no submission re-runs the DSE.
 
 Tenants are isolated from each other by construction: nothing in one
-tenant's store is reachable from another's.  A gateway configured with a
-persistent :class:`~repro.store.ContentStore` shares *entries* across
-tenants anyway — safely, because the content store is keyed purely by
-problem content (fingerprints, capacities, exact ratios), never by tenant:
-each tenant still gets its own :class:`KernelCaches` memos, but all of them
-write through to (and warm from) the one shared store.
+tenant's caches is reachable from another's.  Every tenant's
+:class:`KernelCaches` stays in process; a gateway configured with a
+persistent :class:`~repro.store.ContentStore` uses it only behind the
+activation memo of batch submissions (see
+:class:`~repro.gateway.server.GatewayServer`), where entries are keyed
+purely by problem content, never by tenant.
 """
 
 from __future__ import annotations
@@ -58,12 +58,9 @@ class SessionStore:
     #: Named sessions kept per tenant before the least recently used drops.
     MAX_NAMED_SESSIONS = 32
 
-    def __init__(self, content_store=None) -> None:
+    def __init__(self) -> None:
         self._tenants: dict[str, TenantState] = {}
         self._lock = threading.Lock()
-        #: Optional shared repro.store.ContentStore backing every tenant's
-        #: caches (None keeps each tenant purely process-local, as before).
-        self.content_store = content_store
 
     def tenant(self, name: str) -> TenantState:
         """The (created-on-first-use) state of one tenant."""
@@ -85,7 +82,7 @@ class SessionStore:
             if state.kernel_caches is None:
                 from repro.kernel.caches import KernelCaches
 
-                state.kernel_caches = KernelCaches(self.content_store)
+                state.kernel_caches = KernelCaches()
             return state.kernel_caches
 
     def session_for(self, tenant: str, session_name: str | None, spec):

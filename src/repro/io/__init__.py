@@ -8,7 +8,6 @@ small helpers for saving/loading whole experiment setups.
 """
 
 from repro.io.serialization import (
-    batch_results_to_dict,
     config_table_from_dict,
     config_table_to_dict,
     exploration_result_from_dict,
@@ -31,7 +30,6 @@ from repro.io.serialization import (
 )
 
 __all__ = [
-    "batch_results_to_dict",
     "platform_to_dict",
     "platform_from_dict",
     "config_table_to_dict",

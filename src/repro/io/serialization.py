@@ -277,17 +277,6 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# Batch-simulation specs and results (repro.service)
-# ---------------------------------------------------------------------- #
-def batch_results_to_dict(results) -> dict:
-    """Serialise :class:`~repro.service.pool.BatchResults` (export only).
-
-    Results are summaries of simulations and are recomputed, not loaded.
-    """
-    return results.to_dict()
-
-
-# ---------------------------------------------------------------------- #
 # Design-space exploration
 # ---------------------------------------------------------------------- #
 def exploration_result_to_dict(result) -> dict:

@@ -10,9 +10,11 @@ when they pose the *same* mathematical sub-problem — which is exactly when
 reuse is bit-identical.
 
 Each sub-cache is a bounded, thread-safe :class:`~repro.store.memo.Memo`,
-so one instance may serve the service's thread executor; given a
-:class:`~repro.store.content.ContentStore`, the solve and EX-MEM memos warm
-from it and write through to it.
+so one instance may serve the service's thread executor.  All of them stay
+in process: a warm rerun against a
+:class:`~repro.store.content.ContentStore` reads every activation back from
+the service's activation memo before these are asked (the DSE sweep binds
+its own schedulers' solve memos).
 """
 
 from __future__ import annotations
@@ -39,8 +41,7 @@ class KernelCaches:
     * :meth:`shared_slices` — one :class:`~repro.optable.view.SharedSlices`
       per ``(capacity, table set)`` in the :attr:`slices` memo:
       capacity-fitting index sets and MMKP weight rows survive across
-      activations and across batch jobs.  Never store-backed: the slices
-      hold interned table references and are cheap to refill.
+      activations and across batch jobs.
     * :attr:`solve_cache` — the ``solve`` memo of MMKP-LR's segment
       relaxations, shared deliberately so repeated relaxations across a
       batch hit (keys embed table fingerprints, capacities and exact
@@ -53,10 +54,10 @@ class KernelCaches:
     are few per homogeneous batch; EX-MEM columns are small and per table.
     """
 
-    def __init__(self, store=None):
+    def __init__(self):
         self.slices = Memo("slices", 64)
-        self.solve_cache = Memo("solve", 4096, store)
-        self.exmem = Memo("exmem", 1024, store)
+        self.solve_cache = Memo("solve", 4096)
+        self.exmem = Memo("exmem", 1024)
 
     def shared_slices(
         self, capacity, tables: Mapping[str, "ConfigTable"]

@@ -10,8 +10,8 @@ of re-materialising ad-hoc point lists per activation:
   scale, per-cluster demand) with canonical construction, content
   fingerprints and process-wide interning, plus precomputed aggregates
   (stable sort orders, first-minimum indices, per-cluster max demand, the
-  dominance-filtered index set).  The intern pool is one ``optable``
-  :class:`~repro.store.memo.Memo`; :func:`bind_intern_store` sets its store.
+  dominance-filtered index set).  The intern pool is one process-local
+  ``optable`` :class:`~repro.store.memo.Memo`.
 * :class:`ParetoFrontier` / :func:`pareto_select` — the incremental Pareto
   engine replacing the seed's O(n²) pairwise scan.  Inputs of 32 or more
   points — the DVFS-swept DSE fronts — go through a numpy dominance matrix
@@ -39,7 +39,6 @@ from repro.optable.frontier import ParetoFrontier, pareto_select
 from repro.optable.table import (
     OpTable,
     as_optable,
-    bind_intern_store,
     clear_intern_pool,
     fingerprint_points,
     intern_info,
@@ -52,7 +51,6 @@ __all__ = [
     "ProblemView",
     "SolveCache",
     "as_optable",
-    "bind_intern_store",
     "clear_intern_pool",
     "fingerprint_points",
     "intern_info",

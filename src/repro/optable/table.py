@@ -34,8 +34,8 @@ POINT_TOLERANCE = 1e-12
 #: Process-wide intern pool: fingerprint → the canonical OpTable instance.
 #: Bounded so a long-lived service sweeping ever-new tables cannot grow
 #: without bound; eviction only costs a rebuild on the next request —
-#: existing references stay valid.  Its store is bound per process via
-#: :func:`bind_intern_store`; ``None`` keeps interning purely local.
+#: existing references stay valid.  Never store-backed: every caller holds
+#: the points a table is built from.
 _INTERN = Memo("optable", 4096)
 
 
@@ -275,26 +275,11 @@ def as_optable(source) -> OpTable:
     if not points:
         raise ValueError("an OpTable needs at least one operating point")
     key = fingerprint_points(points)
-    # A persisted table arrives with whatever lazy aggregates its writer had
-    # already materialised — but it is trusted only if it is the table its
-    # key names; anything else is rebuilt and overwritten.
     table = _INTERN.get(key)
-    if not isinstance(table, OpTable) or table.fingerprint != key:
+    if table is None:
         table = OpTable(points, key)
         _INTERN.put(key, table)
     return table
-
-
-def bind_intern_store(store):
-    """Bind a ``ContentStore`` as the interning second level; returns the
-    previous binding (``None`` unbinds).
-
-    A module-level binding (rather than a parameter) because interning is
-    itself process-global — every ``as_optable`` call site shares the pool,
-    so they must share its persistent backing too.
-    """
-    previous, _INTERN.store = _INTERN.store, store
-    return previous
 
 
 def intern_info() -> dict[str, int]:

@@ -20,14 +20,13 @@ bounded shard retry — in the mode its executor name selects
   in this mode).
 
 A service may additionally be bound to a persistent
-:class:`~repro.store.ContentStore` (``store=`` or the ``REPRO_STORE``
-environment variable): the activation and kernel memos warm from it and
-write to it, process workers reopen the store by path, and warm reruns
-start from every entry previous runs persisted.  Each work unit runs inside
-one :meth:`~repro.store.ContentStore.batch`, so the rows a unit writes
-reach the store in one transaction when the unit ends.  With no store
-configured (or ``REPRO_STORE=0``) behaviour is bit-identical to the
-store-less code.
+:class:`~repro.store.ContentStore` (``store=``): the activation memo warms
+from it and writes to it, process workers reopen the store by path, and a
+warm rerun reads every activation back from it before the kernel memos,
+which stay in process, are asked.  Each work unit runs inside one
+:meth:`~repro.store.ContentStore.batch`, so the rows a unit writes reach
+the store in one transaction when the unit ends.  With or without a
+store, every result is the same.
 
 Determinism guarantee
 ---------------------
@@ -368,7 +367,7 @@ def _simulate(
 _PROCESS_CACHE: Memo | None = None
 #: Per-process incremental-kernel warm starts (content-keyed, so sharing
 #: across the heterogeneous jobs of one worker process is always sound).
-_PROCESS_KERNEL_CACHES: KernelCaches | None = None
+_PROCESS_KERNEL_CACHES = KernelCaches()
 #: Per-process content store, reopened from the parent's path token.  A
 #: SQLite store crosses the process boundary by *path*, not by object —
 #: each worker opens its own connection (see repro.store.backend).
@@ -377,19 +376,11 @@ _PROCESS_STORE_TOKEN: str | None = None
 
 
 def _process_store(store_token: str | None) -> ContentStore | None:
-    """The worker-process store for ``store_token`` (rebinding on change)."""
+    """The worker-process store for ``store_token`` (reopened on change)."""
     global _PROCESS_STORE, _PROCESS_STORE_TOKEN
-    if store_token != _PROCESS_STORE_TOKEN or (
-        store_token is not None and _PROCESS_STORE is None
-    ):
-        # resolve_store re-applies the REPRO_STORE escape hatch, so a
-        # worker inheriting REPRO_STORE=0 stays store-less no matter what
-        # token the parent sends.
-        _PROCESS_STORE = resolve_store(store_token) if store_token else None
+    if store_token != _PROCESS_STORE_TOKEN:
+        _PROCESS_STORE = ContentStore.open(store_token) if store_token else None
         _PROCESS_STORE_TOKEN = store_token
-        from repro.optable.table import bind_intern_store
-
-        bind_intern_store(_PROCESS_STORE)
     return _PROCESS_STORE
 
 
@@ -397,7 +388,7 @@ def _process_simulate(
     spec: ExperimentSpec, cache_size: int, store_token: str | None = None
 ) -> SimulationResult:
     """Simulate one experiment inside a worker process, on its process caches."""
-    global _PROCESS_CACHE, _PROCESS_KERNEL_CACHES
+    global _PROCESS_CACHE
     store = _process_store(store_token)
     cache = None
     if cache_size > 0:
@@ -408,11 +399,6 @@ def _process_simulate(
         ):
             _PROCESS_CACHE = ActivationCache(cache_size, store)
         cache = _PROCESS_CACHE
-    if (
-        _PROCESS_KERNEL_CACHES is None
-        or _PROCESS_KERNEL_CACHES.solve_cache.store is not store
-    ):
-        _PROCESS_KERNEL_CACHES = KernelCaches(store)
     return _simulate(spec, cache, _PROCESS_KERNEL_CACHES)
 
 
@@ -457,11 +443,9 @@ class SimulationService:
         one is created when omitted.
     store:
         A persistent :class:`~repro.store.ContentStore` (or a path for a
-        SQLite-backed one) shared by the activation cache, the kernel
-        caches and — in ``"process"``/``"cluster"`` mode — every worker
-        process.  ``None`` (the default) keeps all caches process-local;
-        the ``REPRO_STORE`` environment variable can opt in (a path) or
-        force-disable (``0``) regardless of this argument.
+        SQLite-backed one) behind the activation cache, shared — in
+        ``"process"``/``"cluster"`` mode — by every worker process.
+        ``None`` (the default) keeps the activation cache process-local.
 
     Examples
     --------
@@ -504,7 +488,7 @@ class SimulationService:
         #: candidate columns.  Callers may inject one to pool across
         #: services/sessions.
         self.kernel_caches = (
-            kernel_caches if kernel_caches is not None else KernelCaches(self.store)
+            kernel_caches if kernel_caches is not None else KernelCaches()
         )
 
     # ------------------------------------------------------------------ #

@@ -1,13 +1,16 @@
 """The persistent content-addressed store (:class:`ContentStore`).
 
-Every cache in this library is content-keyed: solve memos embed table
-fingerprints and exact ratios, exmem column tables are keyed by table
-fingerprints, interned :class:`~repro.optable.table.OpTable` objects *are*
-their fingerprint, and the activation cache keys each scheduling problem
-as given, table fingerprints included.  A hit therefore describes the same
-mathematical object wherever it comes from — another thread, another
-process, or a previous run — which is exactly the property a shared
-persistent store needs.
+The store keeps what a rerun reads back: the batch service's
+``activation`` memo, which keys each scheduling problem as given (table
+fingerprints included), and the DSE sweep's ``dse`` exploration tasks and
+``solve`` relaxations (the sweep's policy phase calls the schedulers with
+no activation memo in front).  Every key is a content key, so a hit
+describes the same mathematical object wherever it comes from — another
+thread, another process, or a previous run — which is exactly the
+property a shared persistent store needs.  The kernel's ``solve`` and
+``exmem`` memos stay in process, because a warm batch answers every
+activation from the store before they are asked; so does the ``OpTable``
+intern pool, whose callers hold the points a table is built from.
 
 :class:`ContentStore` layers that on a byte-level
 :class:`~repro.store.backend.CacheBackend`:
@@ -29,12 +32,6 @@ persistent store needs.
   (or a failing backend) degrades to a miss: the caller recomputes, the
   bad row is deleted best-effort, and a ``corrupt``/``error`` counter
   records the event.
-
-The module also owns the ``REPRO_STORE`` escape hatch: ``REPRO_STORE=0``
-disables every store binding no matter what the code configures, restoring
-the seed's process-local behaviour bit-identically;
-``REPRO_STORE=/path/to.db`` opts the whole process into a shared store
-without touching call sites.
 """
 
 from __future__ import annotations
@@ -83,8 +80,8 @@ def encode_key(key: object) -> str:
 class ContentStore:
     """A shared, persistent map of content-addressed cache entries.
 
-    One store serves many cache *kinds* (``solve``, ``exmem``, ``optable``,
-    ``activation``); each kind gets its own versioned namespace and its own
+    One store serves many cache *kinds* (``activation``, ``dse``,
+    ``solve``); each kind gets its own versioned namespace and its own
     counters.  All methods are thread-safe, and when the backend is SQLite
     the same file may be open from many processes at once (see
     :class:`~repro.store.backend.SQLiteBackend`).
@@ -336,35 +333,15 @@ class ContentStore:
         return f"ContentStore(backend={self._backend!r}, version={self._version!r})"
 
 
-# -- the REPRO_STORE escape hatch ---------------------------------------
-
-_DISABLED_VALUES = ("0", "false", "no", "off")
-
-
-def store_enabled() -> bool:
-    """Whether store bindings are allowed at all (``REPRO_STORE`` ≠ 0)."""
-    env = os.environ.get("REPRO_STORE")
-    return env is None or env.strip().lower() not in _DISABLED_VALUES
-
-
 def resolve_store(store: "ContentStore | str | os.PathLike | None" = None):
-    """Resolve the effective store for a service/session/gateway.
+    """The store a service, session, sweep or gateway uses.
 
-    Precedence: ``REPRO_STORE=0`` (or ``false``/``no``/``off``) force-disables
-    every binding; otherwise an explicit :class:`ContentStore` or path wins;
-    otherwise a path set via ``REPRO_STORE`` opts the process in; otherwise
-    no store is used and behaviour matches the seed bit-identically.
+    A :class:`ContentStore` passes through, a path opens a SQLite-backed
+    one, and ``None`` means no store.
     """
-    env = os.environ.get("REPRO_STORE")
-    if env is not None and env.strip().lower() in _DISABLED_VALUES:
-        return None
-    if isinstance(store, ContentStore):
+    if store is None or isinstance(store, ContentStore):
         return store
-    if store is not None:
-        return ContentStore.open(store)
-    if env is not None and env.strip():
-        return ContentStore.open(env.strip())
-    return None
+    return ContentStore.open(store)
 
 
 __all__ = [
@@ -373,5 +350,4 @@ __all__ = [
     "ContentStore",
     "encode_key",
     "resolve_store",
-    "store_enabled",
 ]

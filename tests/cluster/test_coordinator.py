@@ -347,9 +347,12 @@ class TestUnitWriteBatches:
         )
         spec = BatchSpec.sweep(
             arrival_rates=[0.2, 0.5],
-            schedulers=["mmkp-lr"],
+            # Only activation rows reach the store; MDF writes as many as
+            # MMKP-LR at a tenth of its cost.  Two traces per serial unit:
+            # 280 rows, past one queue.
+            schedulers=["mmkp-mdf"],
             traces_per_point=4,
-            num_requests=30,
+            num_requests=140,
             base_seed=3,
             name="batch",
         )
@@ -392,6 +395,27 @@ class TestUnitWriteBatches:
         store.close()
         assert all(result.ok for result in results)
         assert batches == [puts]
+
+
+class TestWorkerProcessCaches:
+    def test_a_worker_keeps_one_kernel_caches_across_stores(self, tmp_path):
+        from repro.service import pool
+
+        caches = pool._PROCESS_KERNEL_CACHES
+        jobs = sweep(traces_per_point=1, scheduler="mmkp-lr").experiments
+        try:
+            for name in ("a.db", "b.db"):
+                results = pool._process_run_unit(jobs, 64, str(tmp_path / name))
+                store = pool._PROCESS_STORE
+                namespaces = set(store.stats()["namespaces"])
+                store.close()
+                assert all(result.ok for result in results)
+                assert pool._PROCESS_KERNEL_CACHES is caches
+                assert namespaces == {store.namespace("activation")}
+        finally:
+            pool._process_store(None)
+        assert caches.solve_cache.store is None
+        assert caches.solve_cache.misses > 0
 
 
 class TestServiceClusterExecutor:

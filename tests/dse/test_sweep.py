@@ -25,6 +25,7 @@ from repro.io import sweep_result_from_dict, sweep_result_to_dict
 from repro.knapsack import HAVE_NUMPY, solver_numpy_override
 from repro.platforms import odroid_xu4
 from repro.schedulers import MMKPLRScheduler
+from repro.store import ContentStore
 
 #: A small but non-trivial sweep: two scenarios with different seeds on one
 #: platform, small variants only, MMKP-LR points (the batching scheduler).
@@ -109,6 +110,13 @@ class TestDeterminismMatrix:
         for result in (cold, warm):
             assert result.frontier_fingerprint == reference.frontier_fingerprint
             assert result.points == reference.points
+        # Exploration tasks and policy-phase solves: what a rerun reads back.
+        store = ContentStore.open(path)
+        try:
+            namespaces = set(store.stats()["namespaces"])
+            assert namespaces == {store.namespace("dse"), store.namespace("solve")}
+        finally:
+            store.close()
 
     def test_warm_store_warms_other_executors(self, reference, tmp_path):
         path = str(tmp_path / "shared-store.db")

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import ExperimentSpec, SchedulerSpec, Session, WorkloadSpec
 from repro.gateway.client import GatewayClient
-from repro.gateway.server import GatewayConfig, GatewayServer, InProcessGateway
+from repro.gateway.server import GatewayConfig, InProcessGateway
 from repro.obs import Tracer
 from repro.store import ContentStore
 
@@ -36,6 +36,17 @@ class TestGatewayStore:
         reference = Session.from_spec(_spec()).run()
         assert status["result"]["fingerprint"] == reference.fingerprint()
 
+    def test_single_runs_leave_the_store_empty(self, gateway, client):
+        # A tenant's kernel caches stay in process: even MMKP-LR's solves
+        # of a single run write nothing to the shared store.
+        spec = ExperimentSpec(
+            name="gw-store-lr",
+            workload=WorkloadSpec.scenario("S1"),
+            scheduler=SchedulerSpec(name="mmkp-lr"),
+        )
+        assert client.run(spec)["state"] == "done"
+        assert gateway.server.content_store.stats()["namespaces"] == {}
+
     def test_batches_fill_the_store_and_metrics_expose_it(self, gateway, client):
         # Trials reseed the workload, so the batch spec must be seedable
         # (the motivational scenarios are fixed traces).
@@ -51,6 +62,10 @@ class TestGatewayStore:
         server = gateway.server
         stats = server.content_store.stats()
         assert stats["namespaces"], "batch never wrote to the gateway store"
+        # Only the batch's activation memo is store-backed.
+        assert set(stats["namespaces"]) == {
+            server.content_store.namespace("activation")
+        }
 
         text = client.metrics_text()
         assert "# TYPE repro_store_puts counter" in text
@@ -64,16 +79,6 @@ class TestGatewayStore:
         ):
             client.run(_spec("gw-no-store"))
             assert "repro_store_" not in client.metrics_text()
-
-    def test_env_escape_hatch_disables_the_configured_store(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE", "0")
-        server = GatewayServer(
-            GatewayConfig(port=0, store_path=str(tmp_path / "ignored.db"))
-        )
-        assert server.content_store is None
-        assert not (tmp_path / "ignored.db").exists()
 
 
 class TestStoreObsCounts:

@@ -8,8 +8,6 @@ from repro.core.config import ConfigTable, OperatingPoint
 from repro.optable import (
     OpTable,
     as_optable,
-    bind_intern_store,
-    clear_intern_pool,
     fingerprint_points,
     intern_info,
     iter_point_rows,
@@ -17,7 +15,6 @@ from repro.optable import (
     to_config_table,
 )
 from repro.platforms.resources import ResourceVector
-from repro.store import ContentStore
 
 
 def points_fixture():
@@ -134,25 +131,6 @@ class TestInterning:
         after = intern_info()
         assert after["tables"] >= before["tables"]
         assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
-
-    def test_persisted_entry_that_is_not_the_keyed_table_is_never_interned(self):
-        points = points_fixture()
-        key = fingerprint_points(points)
-        other = OpTable(points[:2], fingerprint_points(points[:2]))
-        store = ContentStore.in_memory()
-        previous = bind_intern_store(store)
-        try:
-            for impostor in ("not a table", other):
-                clear_intern_pool()
-                store.put("optable", key, impostor)
-                table = as_optable(points)
-                assert isinstance(table, OpTable)
-                assert table.fingerprint == key
-                assert table.times == (10.0, 5.0, 4.0, 5.0)
-                assert as_optable(points) is table
-        finally:
-            bind_intern_store(previous)
-            clear_intern_pool()
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError):

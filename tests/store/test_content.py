@@ -247,31 +247,14 @@ class TestBatch:
 
 
 class TestResolveStore:
-    def test_none_without_configuration(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
+    def test_none_without_configuration(self):
         assert resolve_store(None) is None
 
-    def test_explicit_store_passes_through(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
+    def test_explicit_store_passes_through(self):
         store = ContentStore.in_memory()
         assert resolve_store(store) is store
 
-    def test_explicit_path_opens_sqlite(self, monkeypatch, tmp_path):
-        monkeypatch.delenv("REPRO_STORE", raising=False)
+    def test_explicit_path_opens_sqlite(self, tmp_path):
         store = resolve_store(tmp_path / "s.db")
         assert isinstance(store.backend, SQLiteBackend)
         store.close()
-
-    def test_env_path_opts_in(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_STORE", str(tmp_path / "env.db"))
-        store = resolve_store(None)
-        assert store is not None
-        assert store.path == str(tmp_path / "env.db")
-        store.close()
-
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", " 0 "])
-    def test_escape_hatch_beats_everything(self, monkeypatch, value, tmp_path):
-        monkeypatch.setenv("REPRO_STORE", value)
-        assert resolve_store(None) is None
-        assert resolve_store(ContentStore.in_memory()) is None
-        assert resolve_store(tmp_path / "s.db") is None

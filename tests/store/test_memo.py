@@ -12,7 +12,7 @@ import pytest
 
 from repro.kernel.caches import KernelCaches
 from repro.obs import Tracer, merged_counts
-from repro.optable import SolveCache, as_optable, bind_intern_store, clear_intern_pool
+from repro.optable import SolveCache, as_optable
 from repro.service.cache import ActivationCache
 from repro.store import ContentStore, Memo, MemoryBackend
 from repro.workload.motivational import motivational_tables
@@ -201,25 +201,26 @@ class TestStoreBacking:
 
 
 class TestKernelCaches:
-    def test_memos_and_their_bounds(self, store):
-        caches = KernelCaches(store)
+    def test_memos_and_their_bounds(self):
+        caches = KernelCaches()
         assert (caches.slices.kind, caches.slices.bound) == ("slices", 64)
         assert (caches.solve_cache.kind, caches.solve_cache.bound) == ("solve", 4096)
         assert (caches.exmem.kind, caches.exmem.bound) == ("exmem", 1024)
-        assert caches.slices.store is None  # never store-backed
-        assert caches.solve_cache.store is store
-        assert caches.exmem.store is store
+        # All three stay in process: a rerun reads activations, not these.
+        assert caches.slices.store is None
+        assert caches.solve_cache.store is None
+        assert caches.exmem.store is None
 
-    def test_exmem_roundtrip(self, store):
-        caches = KernelCaches(store)
+    def test_exmem_roundtrip(self):
+        caches = KernelCaches()
         assert caches.exmem.get(("fp", 4)) is None
         caches.exmem.put(("fp", 4), ("pairs", "columns"))
         assert caches.exmem.get(("fp", 4)) == ("pairs", "columns")
         assert caches.exmem.get(("fp", None)) is None
         assert caches.info()["exmem_tables"] == 1
 
-    def test_info_keeps_its_keys(self, store):
-        info = KernelCaches(store).info()
+    def test_info_keeps_its_keys(self):
+        info = KernelCaches().info()
         assert {
             "slice_sets",
             "exmem_tables",
@@ -228,8 +229,8 @@ class TestKernelCaches:
             "solve_cache_misses",
         } <= set(info)
 
-    def test_exmem_thread_storm_keeps_the_bound(self, store):
-        caches = KernelCaches(store)
+    def test_exmem_thread_storm_keeps_the_bound(self):
+        caches = KernelCaches()
         caches.exmem.bound = 4
 
         def op(t, i):
@@ -239,55 +240,28 @@ class TestKernelCaches:
         _thread_storm(op)
         assert caches.info()["exmem_tables"] <= 4
 
-    def test_exmem_warms_a_second_instance_and_counts_a_hit(self):
-        store = ContentStore.in_memory()
-        KernelCaches(store).exmem.put(("fp", 3), ("columns",))
-        second = KernelCaches(store)
-        counts = _traced(lambda: second.exmem.get(("fp", 3)))
+    def test_exmem_counts_a_hit_and_a_second_instance_starts_cold(self):
+        first = KernelCaches()
+        first.exmem.put(("fp", 3), ("columns",))
+        counts = _traced(lambda: first.exmem.get(("fp", 3)))
         assert counts.get("cache.exmem.hit") == 1
         assert "cache.exmem.miss" not in counts
-        assert second.exmem.get(("fp", 4)) is None
+        assert KernelCaches().exmem.get(("fp", 3)) is None
 
-    def test_solve_memo_warms_a_second_instance(self):
-        store = ContentStore.in_memory()
-        KernelCaches(store).solve_cache.put(("fp", 4.0), "solution")
-        second = KernelCaches(store)
-        assert second.solve_cache.get(("fp", 4.0)) == "solution"
-        assert second.info()["solve_cache_hits"] == 1
+    def test_solve_memo_is_per_instance(self):
+        first = KernelCaches()
+        first.solve_cache.put(("fp", 4.0), "solution")
+        assert first.solve_cache.get(("fp", 4.0)) == "solution"
+        assert first.info()["solve_cache_hits"] == 1
+        second = KernelCaches()
+        assert second.solve_cache.get(("fp", 4.0)) is None
+        assert second.info()["solve_cache_misses"] == 1
 
 
-class TestInternStoreBinding:
-    def test_intern_warm_through_store(self):
-        store = ContentStore.in_memory()
-        previous = bind_intern_store(store)
-        try:
-            clear_intern_pool()
-            points = list(motivational_tables()["lambda1"])
-            built = as_optable(points)
-            assert store.counters()["optable"]["puts"] >= 1
-            # A fresh process is simulated by clearing the intern pool: the
-            # rebuild must come from the store, not from a new construction.
-            clear_intern_pool()
-            warmed = as_optable(points)
-            assert warmed.fingerprint == built.fingerprint
-            assert warmed.times == built.times
-            assert store.counters()["optable"]["hits"] >= 1
-        finally:
-            bind_intern_store(previous)
-            clear_intern_pool()
+class TestInternPool:
+    def test_interning_is_process_local(self):
+        from repro.optable.table import _INTERN
 
-    def test_bind_returns_the_previous_store(self):
-        store = ContentStore.in_memory()
-        previous = bind_intern_store(store)
-        try:
-            assert bind_intern_store(None) is store
-        finally:
-            bind_intern_store(previous)
-
-    def test_unbound_interning_untouched(self):
-        previous = bind_intern_store(None)
-        try:
-            points = list(motivational_tables()["lambda1"])
-            assert as_optable(points) is as_optable(points)
-        finally:
-            bind_intern_store(previous)
+        points = list(motivational_tables()["lambda1"])
+        assert as_optable(points) is as_optable(points)
+        assert _INTERN.store is None

@@ -11,6 +11,7 @@ import sqlite3
 
 import pytest
 
+from repro.api import ExperimentSpec, SchedulerSpec, Session, WorkloadSpec
 from repro.dse import paper_operating_points, reduced_tables
 from repro.platforms import odroid_xu4
 from repro.service import BatchSpec, SimulationService
@@ -34,11 +35,6 @@ def _bounded_exmem():
     )
     yield
     schedulers.unregister("ex-mem-small")
-
-
-@pytest.fixture(autouse=True)
-def _no_env_store(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE", raising=False)
 
 
 def motivational_spec(scheduler):
@@ -102,6 +98,57 @@ class TestMotivationalEquivalence:
         counters = warm.store.counters()["activation"]
         assert counters["hits"] >= len(spec)
 
+    def test_explicit_store_object_is_honoured(self):
+        spec = motivational_spec("fixed")
+        store = ContentStore.in_memory()
+        baseline = run_fingerprint(spec)
+        assert run_fingerprint(spec, store=store) == baseline
+        assert run_fingerprint(spec, store=store) == baseline  # warm
+        assert store.counters()["activation"]["hits"] >= len(spec)
+
+
+class TestWhatTheStoreHolds:
+    """A batch stores its activations and nothing else: the kernel's solve
+    and EX-MEM memos and the OpTable intern pool stay in process."""
+
+    @pytest.mark.parametrize("executor", ["serial", "thread", "cluster"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_only_activations_persist_and_a_rerun_reads_them_all(
+        self, scheduler, executor, tmp_path
+    ):
+        spec = motivational_spec(scheduler)
+        path = str(tmp_path / "store.db")
+        workers = 1 if executor == "serial" else 2
+        cold = SimulationService(workers=workers, executor=executor, store=path)
+        cold_fingerprint = cold.run_batch(spec).fingerprint()
+        namespaces = set(cold.store.stats()["namespaces"])
+        assert namespaces == {cold.store.namespace("activation")}
+
+        warm = SimulationService(workers=workers, executor=executor, store=path)
+        results = warm.run_batch(spec)
+        assert all(r.ok for r in results), [r.error for r in results if not r.ok]
+        assert results.fingerprint() == cold_fingerprint
+        assert set(warm.store.stats()["namespaces"]) == namespaces
+        if executor != "cluster":  # worker counters stay in the workers
+            counters = warm.store.counters()
+            assert set(counters) == {"activation"}
+            assert counters["activation"]["misses"] == 0
+            assert counters["activation"]["puts"] == 0
+            assert counters["activation"]["hits"] >= len(spec)
+            assert warm.cache.misses == 0
+
+    def test_a_session_run_leaves_the_store_empty(self, tmp_path):
+        spec = ExperimentSpec(
+            name="session-lr",
+            workload=WorkloadSpec.poisson(arrival_rate=0.5, num_requests=8, seed=7),
+            scheduler=SchedulerSpec(name="mmkp-lr"),
+        )
+        session = Session(spec, store=str(tmp_path / "store.db"))
+        log = session.run()
+        assert log.fingerprint() == Session(spec).run().fingerprint()
+        assert session.kernel_caches.info()["solve_cache_misses"] > 0
+        assert session.store.stats()["namespaces"] == {}
+
 
 class TestProcessAndClusterEquivalence:
     @pytest.mark.parametrize("scheduler", ["mmkp-mdf", "mmkp-lr"])
@@ -152,26 +199,6 @@ class TestCorruptedStore:
         corrupt = sum(k["corrupt"] for k in service.store.counters().values())
         assert corrupt > 0
         # The vandalised rows were dropped and the rerun rewrote good ones:
-        # every distinct entry (activation or solve) missed once and was
-        # re-put.
+        # every distinct activation missed once and was re-put.
         total_puts = sum(k["puts"] for k in service.store.counters().values())
         assert total_puts == vandalised
-
-
-class TestEscapeHatch:
-    def test_env_zero_restores_store_free_behaviour(self, monkeypatch, tmp_path):
-        spec = motivational_spec("mmkp-mdf")
-        baseline = run_fingerprint(spec)
-        monkeypatch.setenv("REPRO_STORE", "0")
-        service = SimulationService(store=str(tmp_path / "ignored.db"))
-        assert service.store is None
-        assert service.run_batch(spec).fingerprint() == baseline
-        assert not (tmp_path / "ignored.db").exists()
-
-    def test_explicit_store_object_is_honoured(self, tmp_path):
-        spec = motivational_spec("fixed")
-        store = ContentStore.in_memory()
-        baseline = run_fingerprint(spec)
-        assert run_fingerprint(spec, store=store) == baseline
-        assert run_fingerprint(spec, store=store) == baseline  # warm
-        assert store.counters()["activation"]["hits"] >= len(spec)

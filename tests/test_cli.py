@@ -133,6 +133,26 @@ class TestBatchCommand:
         assert main(["batch", str(path), "--quiet"]) == 1
         assert "FAILED bad" in capsys.readouterr().out
 
+    def test_a_store_keeps_only_activations(self, tmp_path, capsys):
+        from repro.service import BatchSpec
+
+        spec_path = tmp_path / "lr.json"
+        BatchSpec.sweep(
+            arrival_rates=[0.5],
+            schedulers=["mmkp-lr"],
+            traces_per_point=2,
+            num_requests=5,
+            name="cli-store",
+        ).save(spec_path)
+        store = str(tmp_path / "store.db")
+        for _ in range(2):  # cold, then warm
+            assert main(["batch", str(spec_path), "--store", store, "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["store", "stats", "--store", store, "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["namespaces"]
+        assert all(name.startswith("activation:") for name in stats["namespaces"])
+
 
 class TestArgumentParsing:
     def test_missing_command_fails(self):
@@ -142,6 +162,12 @@ class TestArgumentParsing:
     def test_unknown_scheduler_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["schedule", "case.json", "--tables", "t.json", "--scheduler", "magic"])
+
+    def test_store_command_requires_a_store_path(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["store", "stats"])
+        assert exit_info.value.code == 2
+        assert "--store" in capsys.readouterr().err
 
 
 class TestRunCommand:
