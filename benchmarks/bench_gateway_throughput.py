@@ -1,7 +1,7 @@
 """E11 — gateway throughput: warm runs/sec through the network daemon.
 
 Measures how fast the scheduler-as-a-service daemon (:mod:`repro.gateway`)
-turns submissions into finished runs when its per-tenant caches are warm —
+turns submissions into finished runs when its one set of caches is warm —
 the steady state of a long-running deployment serving repeat workloads:
 
 * an **in-process** reference: ``Session.run()`` in a plain loop, the upper
@@ -69,9 +69,7 @@ def measure_gateway_throughput(
     spec = _bench_spec()
     in_process_rate, reference = _in_process_rate(spec, max(runs // 4, 10))
 
-    config = GatewayConfig(
-        port=0, max_concurrent=clients, max_per_tenant=clients
-    )
+    config = GatewayConfig(port=0, max_concurrent=clients)
     with InProcessGateway(config) as gateway:
         with GatewayClient(gateway.base_url) as warm_client:
             for _ in range(WARMUP_RUNS):

@@ -8,7 +8,7 @@ Demonstrates the full client-facing surface of the gateway:
    rebuilt into typed :class:`RunEvent` objects,
 3. the remote-equivalence contract — the gateway run's result fingerprint
    matches an in-process ``Session.run()`` of the same spec exactly,
-4. a warm named session: the second submission reuses the tenant's kernel
+4. a warm named session: the second submission reuses the daemon's kernel
    caches and the materialised session,
 5. a seeded batch fan-out through ``POST /batches``, and
 6. the daemon's health and Prometheus metrics endpoints.

@@ -154,8 +154,8 @@ class Session:
         it; derived live objects (platform, tables) are cached per session.
     kernel_caches:
         Optional pre-existing :class:`~repro.kernel.caches.KernelCaches` to
-        adopt instead of building a fresh one — the gateway passes one per
-        tenant so warm starts survive across sessions and requests.
+        adopt instead of building a fresh one — the gateway passes its one
+        daemon-wide set so warm starts survive across sessions and requests.
     store:
         Optional persistent :class:`~repro.store.ContentStore` (or a path
         for a SQLite-backed one) behind the activation memo of the batch

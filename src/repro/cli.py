@@ -28,7 +28,7 @@ The CLI mirrors the typical usage of the library:
   :mod:`repro.energy`.
 * ``repro-rm serve`` — run the scheduler-as-a-service gateway daemon:
   REST submission of experiment specs, SSE streaming of run events,
-  per-tenant concurrency limits and graceful drain; see
+  one concurrency bound with a FIFO queue, and graceful drain; see
   :mod:`repro.gateway`.
 * ``repro-rm submit`` — submit an :class:`~repro.api.spec.ExperimentSpec`
   JSON file to a running gateway and wait for (or stream) the result.
@@ -422,11 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-concurrent", type=int, default=8,
-        help="total runs executing at once (excess queue fairly)",
-    )
-    serve.add_argument(
-        "--max-per-tenant", type=int, default=2,
-        help="runs one tenant may execute at once",
+        help="runs executing at once (excess queue in order of arrival)",
     )
     serve.add_argument(
         "--queue-timeout", type=float, default=None, metavar="SECONDS",
@@ -439,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store", default=None, metavar="PATH",
         help="persistent content-addressed cache store behind every "
-        "tenant's batch submissions (SQLite file)",
+        "batch submission (SQLite file)",
     )
 
     store = subparsers.add_parser(
@@ -480,7 +476,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=os.environ.get("REPRO_GATEWAY_URL", "http://127.0.0.1:8023"),
         help="gateway base URL (default: $REPRO_GATEWAY_URL or localhost:8023)",
     )
-    submit.add_argument("--tenant", default=None, help="tenant label for admission")
+    submit.add_argument("--tenant", default=None, help="namespace for named sessions")
     submit.add_argument(
         "--session", default=None,
         help="named gateway session to reuse (warm kernel caches)",
@@ -969,7 +965,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_concurrent=args.max_concurrent,
-        max_per_tenant=args.max_per_tenant,
         queue_timeout_s=args.queue_timeout,
         batch_workers=args.batch_workers,
         store_path=args.store,

@@ -1,7 +1,7 @@
 """``repro.gateway`` — scheduler-as-a-service over the Session facade.
 
 A long-running, stdlib-only asyncio daemon that exposes the full
-:class:`~repro.api.session.Session` surface to remote tenants:
+:class:`~repro.api.session.Session` surface to remote clients:
 
 * :mod:`repro.gateway.protocol` — the JSON wire schemas (run/batch
   submission, error envelopes, SSE framing of
@@ -9,11 +9,11 @@ A long-running, stdlib-only asyncio daemon that exposes the full
 * :mod:`repro.gateway.server` — the HTTP daemon: ``POST /runs``,
   ``POST /batches``, status/wait endpoints, per-run SSE event streams,
   ``/healthz`` and Prometheus ``/metrics``, with graceful drain on SIGTERM;
-* :mod:`repro.gateway.store` — named, resumable sessions and one
-  :class:`~repro.kernel.caches.KernelCaches` per tenant, so warm starts
-  survive across requests;
-* :mod:`repro.gateway.admission` — per-tenant concurrency limits with
-  fair, round-robin FIFO queueing across tenants;
+* :mod:`repro.gateway.store` — named, resumable sessions over the daemon's
+  one :class:`~repro.kernel.caches.KernelCaches`, so warm starts survive
+  across requests; a submission's tenant label namespaces session names;
+* :mod:`repro.gateway.admission` — one concurrency bound over a FIFO queue
+  with a queue timeout;
 * :mod:`repro.gateway.bridge` — the bounded backpressure pipe from the
   synchronous simulation thread into the event loop;
 * :mod:`repro.gateway.client` — the blocking reference client used by

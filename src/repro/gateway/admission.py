@@ -1,14 +1,12 @@
-"""Fair admission of gateway work: per-tenant limits and FIFO queueing.
+"""Admission of gateway work: one concurrency bound and one FIFO queue.
 
-The daemon must keep serving *many* tenants when one of them floods it.
-The :class:`AdmissionController` enforces two concurrency bounds — a global
-executor bound and a per-tenant bound — and queues the excess **fairly**:
-waiters form one FIFO per tenant and slots are granted round-robin across
-tenants, so a tenant submitting 100 runs cannot starve a tenant submitting
-one (within a tenant, order of arrival is preserved).
+The daemon runs at most ``max_concurrent`` simulations at once.  The
+:class:`AdmissionController` queues the excess in order of arrival and
+hands each freed slot to the oldest waiter still waiting; a waiter may
+bound its wait with a queue timeout.
 
 Everything runs on the event loop (no locks needed); the controller hands
-out slots as awaited futures, optionally bounded by a queue timeout.
+out slots as awaited futures.
 """
 
 from __future__ import annotations
@@ -25,76 +23,49 @@ class AdmissionTimeout(ReproError):
 
 
 class AdmissionController:
-    """Grant run slots fairly across tenants, FIFO within a tenant.
+    """Grant run slots in order of arrival under one concurrency bound.
 
     Parameters
     ----------
     max_concurrent:
-        Global bound on simultaneously running simulations.
-    max_per_tenant:
-        Bound on one tenant's simultaneously running simulations.
+        Bound on simultaneously running simulations.
     queue_timeout_s:
         Default bound on time spent *waiting* for a slot (``None``: wait
         forever); per-acquire timeouts override it.
     """
 
     def __init__(
-        self,
-        *,
-        max_concurrent: int = 8,
-        max_per_tenant: int = 2,
-        queue_timeout_s: float | None = None,
+        self, *, max_concurrent: int = 8, queue_timeout_s: float | None = None
     ):
-        if max_concurrent < 1 or max_per_tenant < 1:
-            raise ValueError("admission limits must be at least 1")
+        if max_concurrent < 1:
+            raise ValueError("max_concurrent must be at least 1")
         self.max_concurrent = max_concurrent
-        self.max_per_tenant = max_per_tenant
         self.queue_timeout_s = queue_timeout_s
-        self._queues: dict[str, deque] = {}
-        self._order: deque[str] = deque()  # round-robin cursor over tenants
-        self._running: dict[str, int] = {}
-        self._total_running = 0
-        # Observability (served by GET /metrics and asserted by tests).
+        self._waiters: deque[asyncio.Future] = deque()
+        self._running = 0
+        # Observability (served by GET /healthz and /metrics, asserted by tests).
         self.admitted = 0
         self.timeouts = 0
         self.peak_total = 0
-        self.peak_per_tenant: dict[str, int] = {}
 
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
     @property
     def running_total(self) -> int:
         """Simulations currently holding a slot."""
-        return self._total_running
+        return self._running
 
     @property
     def queued_total(self) -> int:
-        """Waiters currently queued across all tenants."""
-        return sum(
-            sum(1 for future in queue if not future.done())
-            for queue in self._queues.values()
-        )
+        """Waiters currently queued."""
+        return sum(1 for future in self._waiters if not future.done())
 
-    def running_of(self, tenant: str) -> int:
-        """Slots the named tenant currently holds."""
-        return self._running.get(tenant, 0)
-
-    # ------------------------------------------------------------------ #
-    # Slot lifecycle
-    # ------------------------------------------------------------------ #
-    async def acquire(self, tenant: str, timeout_s: float | None = None) -> None:
-        """Wait (fairly) for a run slot of ``tenant``.
+    async def acquire(self, timeout_s: float | None = None) -> None:
+        """Wait for a run slot, behind every earlier waiter.
 
         Raises :class:`AdmissionTimeout` when the wait exceeds the timeout;
         the waiter is removed from the queue, never granted.
         """
         future = asyncio.get_running_loop().create_future()
-        queue = self._queues.get(tenant)
-        if queue is None:
-            queue = self._queues[tenant] = deque()
-            self._order.append(tenant)
-        queue.append(future)
+        self._waiters.append(future)
         self._dispatch()
         if timeout_s is None:
             timeout_s = self.queue_timeout_s
@@ -104,66 +75,36 @@ class AdmissionController:
             # wait_for cancelled the future; _dispatch skips done waiters.
             self.timeouts += 1
             raise AdmissionTimeout(
-                f"tenant {tenant!r}: no run slot within {timeout_s:g}s "
-                f"({self._total_running} running, {self.queued_total} queued)"
+                f"no run slot within {timeout_s:g}s "
+                f"({self._running} running, {self.queued_total} queued)"
             ) from None
 
-    def release(self, tenant: str) -> None:
-        """Return a slot and wake the next fair waiter."""
-        count = self._running.get(tenant, 0)
-        if count <= 0:
-            raise RuntimeError(f"release without acquire for tenant {tenant!r}")
-        if count == 1:
-            del self._running[tenant]
-        else:
-            self._running[tenant] = count - 1
-        self._total_running -= 1
+    def release(self) -> None:
+        """Return a slot and wake the oldest waiter."""
+        if self._running <= 0:
+            raise RuntimeError("release without acquire")
+        self._running -= 1
         self._dispatch()
 
     @contextlib.asynccontextmanager
-    async def slot(self, tenant: str, timeout_s: float | None = None):
-        """``async with controller.slot(tenant): ...`` acquire/release."""
-        await self.acquire(tenant, timeout_s)
+    async def slot(self, timeout_s: float | None = None):
+        """``async with controller.slot(): ...`` acquire/release."""
+        await self.acquire(timeout_s)
         try:
             yield
         finally:
-            self.release(tenant)
-
-    # ------------------------------------------------------------------ #
-    # Fair dispatch
-    # ------------------------------------------------------------------ #
-    def _grant(self, tenant: str, future) -> None:
-        count = self._running.get(tenant, 0) + 1
-        self._running[tenant] = count
-        self._total_running += 1
-        self.admitted += 1
-        self.peak_total = max(self.peak_total, self._total_running)
-        self.peak_per_tenant[tenant] = max(
-            self.peak_per_tenant.get(tenant, 0), count
-        )
-        future.set_result(None)
+            self.release()
 
     def _dispatch(self) -> None:
-        """Grant as many slots as the limits allow, round-robin by tenant."""
-        progressed = True
-        while progressed and self._total_running < self.max_concurrent:
-            progressed = False
-            for _ in range(len(self._order)):
-                tenant = self._order[0]
-                self._order.rotate(-1)
-                queue = self._queues.get(tenant)
-                if queue:
-                    # Timed-out waiters were cancelled in place; skip them.
-                    while queue and queue[0].done():
-                        queue.popleft()
-                if not queue:
-                    continue
-                if self._running.get(tenant, 0) >= self.max_per_tenant:
-                    continue
-                self._grant(tenant, queue.popleft())
-                progressed = True
-                if self._total_running >= self.max_concurrent:
-                    return
+        """Grant free slots to the oldest waiters, FIFO."""
+        while self._waiters and self._running < self.max_concurrent:
+            future = self._waiters.popleft()
+            if future.done():  # timed out: cancelled in place
+                continue
+            self._running += 1
+            self.admitted += 1
+            self.peak_total = max(self.peak_total, self._running)
+            future.set_result(None)
 
 
 __all__ = ["AdmissionController", "AdmissionTimeout"]

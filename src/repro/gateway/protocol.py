@@ -23,6 +23,7 @@ it from ``GET /healthz`` and clients may refuse to talk to a newer major.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, IO, Iterator, Mapping
 
@@ -62,7 +63,7 @@ def _spec_from(body: Mapping[str, Any], label: str):
         raise ProtocolError(f"{label} needs a 'spec' object (an ExperimentSpec)")
     try:
         return ExperimentSpec.from_dict(spec_data)
-    except ReproError as error:
+    except (ReproError, RecursionError) as error:
         raise ProtocolError(f"invalid experiment spec: {error}") from error
 
 
@@ -135,10 +136,10 @@ def _positive(value: Any, label: str) -> float | None:
         return None
     try:
         value = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProtocolError(f"{label} must be a number, got {value!r}") from None
-    if value <= 0:
-        raise ProtocolError(f"{label} must be positive, got {value}")
+    if not 0 < value < math.inf:  # NaN fails both comparisons
+        raise ProtocolError(f"{label} must be positive and finite, got {value}")
     return value
 
 

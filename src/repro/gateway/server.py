@@ -52,12 +52,11 @@ from repro.service.metrics import (
     Counter,
     Histogram,
     ServiceMetrics,
-    escape_label_value,
     prometheus_grouped_lines,
     prometheus_lines,
 )
 
-_MAX_REQUEST_LINE = 8192
+_MAX_LINE_BYTES = 8192
 _MAX_HEADER_COUNT = 100
 _READ_TIMEOUT_S = 30.0
 
@@ -72,10 +71,8 @@ class GatewayConfig:
 
     host: str = "127.0.0.1"
     port: int = 8023  # 0 = ephemeral (the bound port is GatewayServer.port)
-    #: Global bound on simultaneously running simulations.
+    #: Bound on simultaneously running simulations; the excess queues FIFO.
     max_concurrent: int = 8
-    #: Bound on one tenant's simultaneously running simulations.
-    max_per_tenant: int = 2
     #: Default bound on queue wait (None: wait forever).
     queue_timeout_s: float | None = None
     #: Worker count of each batch submission's SimulationService.
@@ -87,8 +84,8 @@ class GatewayConfig:
     #: phase durations feed the ``/metrics`` exposition.
     trace_runs: bool = True
     #: Path of a persistent :class:`~repro.store.ContentStore` behind the
-    #: activation memo of every tenant's batch submissions (``None``: no
-    #: store).  Single runs never read or write it.
+    #: activation memo of every batch submission (``None``: no store).
+    #: Single runs never read or write it.
     store_path: str | None = None
 
 
@@ -155,9 +152,11 @@ class _Request:
         self.body = body
 
     def json(self) -> Any:
+        # ValueError: bad UTF-8, bad JSON or an integer past the digit limit;
+        # RecursionError: nesting deeper than the interpreter allows.
         try:
             return json.loads(self.body.decode("utf-8") or "null")
-        except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        except (ValueError, RecursionError) as error:
             raise ProtocolError(f"request body is not valid JSON: {error}") from None
 
 
@@ -203,7 +202,6 @@ class GatewayServer:
         self.registry = RunRegistry()
         self.admission = AdmissionController(
             max_concurrent=self.config.max_concurrent,
-            max_per_tenant=self.config.max_per_tenant,
             queue_timeout_s=self.config.queue_timeout_s,
         )
         self.metrics = GatewayMetrics()
@@ -278,21 +276,31 @@ class GatewayServer:
     # ------------------------------------------------------------------ #
     # HTTP plumbing
     # ------------------------------------------------------------------ #
+    @staticmethod
+    async def _read_line(reader: asyncio.StreamReader) -> bytes:
+        """One request or header line, refused with 400 when too long."""
+        try:
+            line = await reader.readline()
+            if len(line) <= _MAX_LINE_BYTES:
+                return line
+        except ValueError:  # longer than the StreamReader's own buffer limit
+            pass
+        raise _HttpError(400, protocol.error_body("http", "line too long"))
+
     async def _read_request(self, reader: asyncio.StreamReader) -> _Request | None:
-        line = await reader.readline()
+        line = await self._read_line(reader)
         if not line:
             return None  # client connected and left
-        if len(line) > _MAX_REQUEST_LINE:
-            raise _HttpError(400, protocol.error_body("http", "request line too long"))
         try:
             method, target, _version = line.decode("latin-1").split(None, 2)
+            split = urllib.parse.urlsplit(target)
         except ValueError:
             raise _HttpError(
                 400, protocol.error_body("http", f"malformed request line {line!r}")
             ) from None
         headers: dict[str, str] = {}
         for _ in range(_MAX_HEADER_COUNT):
-            raw = await reader.readline()
+            raw = await self._read_line(reader)
             if raw in (b"\r\n", b"\n", b""):
                 break
             name, _, value = raw.decode("latin-1").partition(":")
@@ -305,9 +313,11 @@ class GatewayServer:
             try:
                 size = int(length)
             except ValueError:
+                size = -1
+            if size < 0:
                 raise _HttpError(
                     400, protocol.error_body("http", f"bad Content-Length {length!r}")
-                ) from None
+                )
             if size > self.config.max_body_bytes:
                 raise _HttpError(
                     413,
@@ -316,36 +326,29 @@ class GatewayServer:
                     ),
                 )
             body = await reader.readexactly(size)
-        split = urllib.parse.urlsplit(target)
         query = {
             key: values[-1]
             for key, values in urllib.parse.parse_qs(split.query).items()
         }
         return _Request(method.upper(), split.path, query, headers, body)
 
-    @staticmethod
+    @classmethod
     def _write_response(
+        cls,
         writer: asyncio.StreamWriter,
         status: int,
-        body: Mapping[str, Any] | None,
+        body: Mapping[str, Any],
         *,
-        content_type: str = "application/json",
         keep_alive: bool = False,
     ) -> None:
-        payload = b""
-        if body is not None:
-            payload = (json.dumps(body, sort_keys=True) + "\n").encode("utf-8")
-        connection = "keep-alive" if keep_alive else "close"
-        writer.write(
-            (
-                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-                f"Content-Type: {content_type}\r\n"
-                f"Content-Length: {len(payload)}\r\n"
-                f"Connection: {connection}\r\n"
-                "\r\n"
-            ).encode("latin-1")
+        """A JSON response: ``body`` serialised with sorted keys."""
+        cls._write_text(
+            writer,
+            status,
+            json.dumps(body, sort_keys=True) + "\n",
+            "application/json",
+            keep_alive=keep_alive,
         )
-        writer.write(payload)
 
     @staticmethod
     def _write_text(
@@ -495,7 +498,6 @@ class GatewayServer:
             "running": self.admission.running_total,
             "queued": self.admission.queued_total,
             "records": self.registry.counts(),
-            "tenants": self.store.tenants(),
         }
 
     def _prometheus(self) -> str:
@@ -510,12 +512,6 @@ class GatewayServer:
         lines.append(f"repro_gateway_queued {self.admission.queued_total}")
         lines.append("# TYPE repro_gateway_running_peak gauge")
         lines.append(f"repro_gateway_running_peak {self.admission.peak_total}")
-        lines.append("# TYPE repro_gateway_tenant_running_peak gauge")
-        for tenant, peak in sorted(self.admission.peak_per_tenant.items()):
-            lines.append(
-                "repro_gateway_tenant_running_peak"
-                f'{{tenant="{escape_label_value(tenant)}"}} {peak}'
-            )
         lines.extend(
             prometheus_grouped_lines(
                 "phase_seconds",
@@ -661,9 +657,7 @@ class GatewayServer:
         loop = asyncio.get_running_loop()
         bridge = EventBridge(loop, record.append_event)
         try:
-            async with self.admission.slot(
-                record.tenant, self._queue_budget(deadline)
-            ):
+            async with self.admission.slot(self._queue_budget(deadline)):
                 record.mark_running()
                 self.metrics.queue_wait_s.observe(time.time() - record.submitted_at)
                 started = time.perf_counter()
@@ -731,9 +725,7 @@ class GatewayServer:
         )
         loop = asyncio.get_running_loop()
         try:
-            async with self.admission.slot(
-                record.tenant, self._queue_budget(deadline)
-            ):
+            async with self.admission.slot(self._queue_budget(deadline)):
                 record.mark_running()
                 self.metrics.queue_wait_s.observe(time.time() - record.submitted_at)
 
@@ -773,8 +765,7 @@ async def serve(config: GatewayConfig | None = None) -> None:
     server.install_signal_handlers()
     print(
         f"repro gateway listening on http://{server.config.host}:{server.port} "
-        f"(max {server.config.max_concurrent} concurrent, "
-        f"{server.config.max_per_tenant} per tenant)",
+        f"(max {server.config.max_concurrent} concurrent)",
         flush=True,
     )
     await server.wait_closed()

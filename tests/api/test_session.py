@@ -230,12 +230,11 @@ class TestStreaming:
 
 
 class TestConcurrentSessions:
-    def test_parallel_sessions_with_private_caches_match_serial(self):
-        """Two Sessions with independent KernelCaches, run in parallel
-        threads, produce batch fingerprints identical to running each
-        serially — per-tenant cache isolation never leaks across sessions.
-        This is the property the gateway's per-tenant warm stores rely on.
-        """
+    @staticmethod
+    def _assert_parallel_batches_match_serial(caches_factory) -> None:
+        """Seeded batches of two specs, run in parallel threads on sessions
+        built with ``caches_factory()``, equal each spec's serial batch on
+        fresh caches."""
         import threading
 
         from repro.kernel.caches import KernelCaches
@@ -252,7 +251,7 @@ class TestConcurrentSessions:
         def work(index):
             try:
                 session = Session.from_spec(
-                    specs[index], kernel_caches=KernelCaches()
+                    specs[index], kernel_caches=caches_factory()
                 )
                 parallel_results[index] = session.run_batch(trials=3)
             except BaseException as error:  # surfaced below
@@ -263,10 +262,32 @@ class TestConcurrentSessions:
             thread.start()
         for thread in threads:
             thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         for reference, observed in zip(serial, parallel_results):
             assert observed is not None
             assert observed.fingerprint() == reference.fingerprint()
+
+    def test_parallel_sessions_with_private_caches_match_serial(self):
+        """Independent KernelCaches never leak across parallel sessions."""
+        from repro.kernel.caches import KernelCaches
+
+        self._assert_parallel_batches_match_serial(KernelCaches)
+
+    def test_parallel_sessions_sharing_one_caches_match_serial(self):
+        """Parallel sessions over one KernelCaches, as every gateway run
+        shares the daemon's, get the answers of private caches."""
+        import sys
+
+        from repro.kernel.caches import KernelCaches
+
+        shared = KernelCaches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            self._assert_parallel_batches_match_serial(lambda: shared)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestSessionSurface:

@@ -1,4 +1,4 @@
-"""Tests of the fair admission controller (event-loop driven, no sockets)."""
+"""Tests of the FIFO admission controller (event-loop driven, no sockets)."""
 
 import asyncio
 
@@ -14,19 +14,19 @@ def run(coroutine):
 class TestLimits:
     def test_global_limit_bounds_concurrency(self):
         async def scenario():
-            controller = AdmissionController(max_concurrent=2, max_per_tenant=2)
+            controller = AdmissionController(max_concurrent=2)
             observed_peak = 0
             running = 0
 
-            async def worker(tenant):
+            async def worker():
                 nonlocal observed_peak, running
-                async with controller.slot(tenant):
+                async with controller.slot():
                     running += 1
                     observed_peak = max(observed_peak, running)
                     await asyncio.sleep(0.01)
                     running -= 1
 
-            await asyncio.gather(*(worker(f"t{i}") for i in range(6)))
+            await asyncio.gather(*(worker() for _ in range(6)))
             assert observed_peak == 2
             assert controller.peak_total == 2
             assert controller.admitted == 6
@@ -35,68 +35,24 @@ class TestLimits:
 
         run(scenario())
 
-    def test_per_tenant_limit_holds_even_with_free_global_slots(self):
-        async def scenario():
-            controller = AdmissionController(max_concurrent=8, max_per_tenant=1)
-
-            async def worker():
-                async with controller.slot("solo"):
-                    await asyncio.sleep(0.005)
-
-            await asyncio.gather(*(worker() for _ in range(4)))
-            assert controller.peak_per_tenant["solo"] == 1
-            assert controller.peak_total == 1
-
-        run(scenario())
-
     def test_invalid_limits(self):
         with pytest.raises(ValueError):
             AdmissionController(max_concurrent=0)
-        with pytest.raises(ValueError):
-            AdmissionController(max_per_tenant=0)
 
     def test_release_without_acquire(self):
         controller = AdmissionController()
         with pytest.raises(RuntimeError, match="release without acquire"):
-            controller.release("ghost")
+            controller.release()
 
 
-class TestFairness:
-    def test_flooding_tenant_cannot_starve_another(self):
-        """Tenant A queues 4 runs before B submits one; with one global
-        slot the grants must alternate A, B, A, ... — B runs second, not
-        fifth."""
-
+class TestFifo:
+    def test_slots_are_granted_in_arrival_order(self):
         async def scenario():
-            controller = AdmissionController(max_concurrent=1, max_per_tenant=1)
-            order = []
-
-            async def worker(label, tenant):
-                async with controller.slot(tenant):
-                    order.append(label)
-                    await asyncio.sleep(0)
-
-            tasks = [
-                asyncio.create_task(worker(f"a{i}", "tenant-a")) for i in range(4)
-            ]
-            await asyncio.sleep(0)  # let every A enqueue (a0 now runs)
-            tasks.append(asyncio.create_task(worker("b0", "tenant-b")))
-            await asyncio.gather(*tasks)
-            assert order[0] == "a0"
-            assert order.index("b0") < order.index("a3")
-            # Within tenant A the FIFO order is preserved.
-            a_order = [label for label in order if label.startswith("a")]
-            assert a_order == ["a0", "a1", "a2", "a3"]
-
-        run(scenario())
-
-    def test_fifo_within_one_tenant(self):
-        async def scenario():
-            controller = AdmissionController(max_concurrent=1, max_per_tenant=1)
+            controller = AdmissionController(max_concurrent=1)
             order = []
 
             async def worker(index):
-                async with controller.slot("one"):
+                async with controller.slot():
                     order.append(index)
                     await asyncio.sleep(0)
 
@@ -109,29 +65,28 @@ class TestFairness:
 class TestTimeouts:
     def test_queued_waiter_times_out(self):
         async def scenario():
-            controller = AdmissionController(max_concurrent=1, max_per_tenant=1)
-            await controller.acquire("a")
+            controller = AdmissionController(max_concurrent=1)
+            await controller.acquire()
             with pytest.raises(AdmissionTimeout, match="no run slot"):
-                await controller.acquire("a", timeout_s=0.01)
+                await controller.acquire(timeout_s=0.01)
             assert controller.timeouts == 1
             # The cancelled waiter is skipped at dispatch: releasing the
             # held slot must not grant it (nor corrupt the counters).
-            controller.release("a")
+            controller.release()
             assert controller.running_total == 0
-            # The lane still works afterwards.
-            await controller.acquire("a", timeout_s=1.0)
-            controller.release("a")
+            assert controller.queued_total == 0
+            # The queue still works afterwards.
+            await controller.acquire(timeout_s=1.0)
+            controller.release()
 
         run(scenario())
 
     def test_default_timeout_from_constructor(self):
         async def scenario():
-            controller = AdmissionController(
-                max_concurrent=1, max_per_tenant=1, queue_timeout_s=0.01
-            )
-            await controller.acquire("a")
+            controller = AdmissionController(max_concurrent=1, queue_timeout_s=0.01)
+            await controller.acquire()
             with pytest.raises(AdmissionTimeout):
-                await controller.acquire("b")
-            controller.release("a")
+                await controller.acquire()
+            controller.release()
 
         run(scenario())

@@ -37,7 +37,7 @@ class TestGatewayStore:
         assert status["result"]["fingerprint"] == reference.fingerprint()
 
     def test_single_runs_leave_the_store_empty(self, gateway, client):
-        # A tenant's kernel caches stay in process: even MMKP-LR's solves
+        # The daemon's kernel caches stay in process: even MMKP-LR's solves
         # of a single run write nothing to the shared store.
         spec = ExperimentSpec(
             name="gw-store-lr",

@@ -2,8 +2,10 @@
 
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import ExperimentSpec, WorkloadSpec
 from repro.gateway.protocol import (
@@ -17,6 +19,28 @@ from repro.gateway.protocol import (
     parse_run_submission,
     sse_frame,
 )
+
+
+#: Submission timeouts every parser refuses: not a number, not positive,
+#: not finite, or past float range.
+BAD_TIMEOUTS = [
+    "soon",
+    0,
+    -1,
+    {},
+    "nan",
+    pytest.param(float("nan"), id="float-nan"),
+    "inf",
+    pytest.param(10**400, id="int-past-float-range"),
+]
+
+
+def _nested(depth: int) -> list:
+    """A list nested ``depth`` levels deep."""
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 def _spec_body(**extra) -> dict:
@@ -49,9 +73,19 @@ class TestRunSubmission:
         with pytest.raises(ProtocolError, match="needs a 'spec'"):
             parse_run_submission({"tenant": "acme"})
 
-    def test_invalid_spec_is_a_protocol_error(self):
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            pytest.param({"name": "x", "workload": {"kind": "?"}}, id="bad-workload"),
+            pytest.param(
+                {"name": "x", "scheduler": {"options": {"x": _nested(5000)}}},
+                id="nested-past-the-recursion-limit",
+            ),
+        ],
+    )
+    def test_invalid_spec_is_a_protocol_error(self, spec):
         with pytest.raises(ProtocolError, match="invalid experiment spec"):
-            parse_run_submission({"spec": {"name": "x", "workload": {"kind": "?"}}})
+            parse_run_submission({"spec": spec})
 
     def test_unknown_table_set_fails_at_submission(self):
         body = _spec_body()
@@ -70,9 +104,9 @@ class TestRunSubmission:
         with pytest.raises(ProtocolError):
             parse_run_submission(_spec_body(tenant=tenant))
 
-    @pytest.mark.parametrize("timeout", ["soon", 0, -1, {}])
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
     def test_bad_timeouts(self, timeout):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="timeout_s"):
             parse_run_submission(_spec_body(timeout_s=timeout))
 
     def test_non_mapping_body(self):
@@ -96,6 +130,91 @@ class TestBatchSubmission:
     def test_bad_seeds(self, seeds):
         with pytest.raises(ProtocolError, match="seeds"):
             parse_batch_submission(_spec_body(seeds=seeds))
+
+    @pytest.mark.parametrize("timeout", BAD_TIMEOUTS)
+    def test_bad_timeouts(self, timeout):
+        with pytest.raises(ProtocolError, match="timeout_s"):
+            parse_batch_submission(_spec_body(timeout_s=timeout))
+
+
+#: Any JSON value; Python's json reads NaN and the infinities too.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=8,
+)
+NAMES = st.from_regex(r"[A-Za-z0-9._-]{1,8}", fullmatch=True)
+
+#: Every subtree of a spec that the parser reads; () is the whole spec.
+SPEC_PATHS = [
+    (),
+    ("name",),
+    ("platform",),
+    ("platform", "name"),
+    ("platform", "inline"),
+    ("workload",),
+    ("workload", "source"),
+    ("workload", "options"),
+    ("workload", "options", "arrival_rate"),
+    ("workload", "options", "num_requests"),
+    ("workload", "options", "deadline_factor_range"),
+    ("workload", "options", "seed"),
+    ("scheduler",),
+    ("scheduler", "name"),
+    ("scheduler", "options"),
+    ("scheduler", "remap_on_finish"),
+    ("energy",),
+    ("energy", "governor"),
+    ("energy", "power_cap_watts"),
+    ("energy", "energy_budget_joules"),
+    ("dse",),
+    ("tables",),
+    ("tables_inline",),
+    ("engine",),
+]
+
+#: The submission's own fields: arbitrary JSON or a value of the right shape.
+SUBMISSION_FIELDS = {
+    "tenant": JSON_VALUES | NAMES,
+    "session": JSON_VALUES | NAMES,
+    "timeout_s": JSON_VALUES | st.sampled_from(["nan", "inf", "-inf", "1e400", "2.5"]),
+    "trials": JSON_VALUES | st.integers(-1, 4),
+    "seeds": JSON_VALUES | st.lists(st.integers(), max_size=3),
+    "engine": JSON_VALUES | st.just("events"),
+}
+
+
+def _spec_with(subtrees: dict):
+    """A valid spec's dictionary with the given subtrees replaced."""
+    if () in subtrees:
+        return subtrees[()]
+    spec = _spec_body()["spec"]
+    for path, value in sorted(subtrees.items()):
+        parent = spec
+        for key in path[:-1]:
+            if not isinstance(parent, dict):
+                break
+            parent = parent.setdefault(key, {})
+        else:
+            if isinstance(parent, dict):
+                parent[path[-1]] = value
+    return spec
+
+
+class TestAnyBody:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parse=st.sampled_from([parse_run_submission, parse_batch_submission]),
+        subtrees=st.dictionaries(st.sampled_from(SPEC_PATHS), JSON_VALUES, max_size=3),
+        fields=st.fixed_dictionaries({}, optional=SUBMISSION_FIELDS),
+    )
+    def test_a_body_parses_or_raises_a_protocol_error(self, parse, subtrees, fields):
+        try:
+            submission = parse({"spec": _spec_with(subtrees), **fields})
+        except ProtocolError:
+            return
+        assert submission.timeout_s is None or 0 < submission.timeout_s < math.inf
 
 
 class TestCanonicalEvents:

@@ -5,8 +5,10 @@ port) through the blocking :class:`GatewayClient` — the same path
 ``repro-rm submit`` takes.
 """
 
+import json
 import socket
 import threading
+import urllib.parse
 
 import pytest
 
@@ -41,6 +43,25 @@ def _slow_spec(name: str = "gw-slow", requests: int = 400):
             arrival_rate=0.5, num_requests=requests, seed=1
         ),
     )
+
+
+def _raw_exchange(gateway, raw: bytes) -> tuple[int, dict]:
+    """Send ``raw`` on a fresh socket; the status and JSON body of the reply."""
+    split = urllib.parse.urlsplit(gateway.base_url)
+    with socket.create_connection((split.hostname, split.port), timeout=10) as sock:
+        sock.sendall(raw)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, "server closed the connection mid-headers"
+            data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = int(head.lower().split(b"content-length:")[1].split(b"\r\n")[0])
+        while len(body) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "server closed the connection mid-body"
+            body += chunk
+    return int(head.split()[1]), json.loads(body)
 
 
 @pytest.fixture(scope="module")
@@ -185,7 +206,6 @@ class TestHttpSurface:
         assert "# TYPE repro_gateway_http_requests counter" in text
         assert "repro_gateway_runs_completed" in text
         assert "repro_gateway_running_peak" in text
-        assert 'repro_gateway_tenant_running_peak{tenant="default"}' in text
 
     def test_unknown_run_is_404(self, client):
         with pytest.raises(GatewayError) as info:
@@ -202,11 +222,66 @@ class TestHttpSurface:
             client._request("GET", "/nope")
         assert info.value.status == 404
 
-    def test_malformed_body_is_400(self, client):
+    @pytest.mark.parametrize(
+        "extra",
+        [{"spec": "not an object"}, {"timeout_s": "nan"}, {"timeout_s": "inf"}],
+    )
+    def test_malformed_body_is_400(self, client, extra):
+        body = {"spec": _scenario_spec(name="gw-malformed").to_dict(), **extra}
         with pytest.raises(GatewayError) as info:
-            client._request("POST", "/runs", {"spec": "not an object"})
+            client._request("POST", "/runs", body)
         assert info.value.status == 400
         assert info.value.body["error"]["type"] == "protocol"
+
+    @pytest.mark.parametrize(
+        "raw, kind",
+        [
+            pytest.param(
+                b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+                "http",
+                id="negative-content-length",
+            ),
+            pytest.param(
+                b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n",
+                "http",
+                id="request-line-over-64KiB",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 70_000 + b"\r\n\r\n",
+                "http",
+                id="header-line-over-64KiB",
+            ),
+            pytest.param(
+                b"GET /healthz HTTP/1.1\r\nX-Big: " + b"b" * 9_000 + b"\r\n\r\n",
+                "http",
+                id="header-line-over-8KiB",
+            ),
+            pytest.param(
+                b"GET http://[::1/healthz HTTP/1.1\r\n\r\n",
+                "http",
+                id="malformed-target",
+            ),
+            pytest.param(
+                b"POST /runs HTTP/1.1\r\nContent-Length: 5000\r\n\r\n" + b"1" * 5000,
+                "protocol",
+                id="number-past-the-int-digit-limit",
+            ),
+            pytest.param(
+                b"POST /runs HTTP/1.1\r\nContent-Length: 200000\r\n\r\n"
+                + b"[" * 100_000
+                + b"]" * 100_000,
+                "protocol",
+                id="json-nested-past-the-recursion-limit",
+            ),
+        ],
+    )
+    def test_malformed_request_is_400_and_the_daemon_keeps_serving(
+        self, gateway, client, raw, kind
+    ):
+        status, body = _raw_exchange(gateway, raw)
+        assert status == 400
+        assert body["error"]["type"] == kind
+        assert client.healthz()["status"] == "ok"
 
     @pytest.mark.parametrize("engine", ["bogus", "linear"])
     def test_unknown_engine_is_400_at_submission(self, client, engine):
@@ -261,12 +336,12 @@ class TestRunPath:
         )
 
 
-class TestConcurrencyAndFairness:
-    def test_many_concurrent_clients_respect_tenant_limits(self):
-        """12 concurrent clients over 3 tenants: everything completes, no
-        errors, and the per-tenant/global concurrency peaks never exceed
-        the configured limits — the excess queued instead of failing."""
-        config = GatewayConfig(port=0, max_concurrent=4, max_per_tenant=2)
+class TestConcurrency:
+    def test_many_concurrent_clients_respect_the_global_bound(self):
+        """12 concurrent clients over 3 tenant labels: everything completes,
+        no errors, and the concurrency peak never exceeds the one bound —
+        the excess queued instead of failing."""
+        config = GatewayConfig(port=0, max_concurrent=4)
         with InProcessGateway(config) as gateway:
             results = []
             errors = []
@@ -294,17 +369,12 @@ class TestConcurrencyAndFairness:
 
             admission = gateway.server.admission
             assert admission.admitted == 12
-            assert admission.peak_total <= 4
-            assert all(
-                peak <= 2 for peak in admission.peak_per_tenant.values()
-            )
+            assert admission.peak_total <= config.max_concurrent
             assert admission.running_total == 0
             assert admission.queued_total == 0
 
     def test_queue_timeout_fails_the_submission_not_the_daemon(self):
-        config = GatewayConfig(
-            port=0, max_concurrent=1, max_per_tenant=1, queue_timeout_s=0.01
-        )
+        config = GatewayConfig(port=0, max_concurrent=1, queue_timeout_s=0.01)
         with (
             InProcessGateway(config) as gateway,
             GatewayClient(gateway.base_url) as client,

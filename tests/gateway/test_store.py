@@ -1,4 +1,4 @@
-"""Tests of the per-tenant session store (no sockets)."""
+"""Tests of the gateway session store (no sockets)."""
 
 import dataclasses
 
@@ -13,22 +13,14 @@ def _spec(seed: int = 3) -> ExperimentSpec:
     )
 
 
-class TestTenantIsolation:
-    def test_each_tenant_owns_one_lazy_kernel_caches(self):
-        store = SessionStore()
-        a = store.caches_for("a")
-        b = store.caches_for("b")
-        assert a is store.caches_for("a")  # stable per tenant
-        assert a is not b  # never shared across tenants
-        assert store.tenants() == ["a", "b"]
-
-    def test_anonymous_sessions_are_fresh_but_share_the_tenant_caches(self):
+class TestOneKernelCaches:
+    def test_anonymous_sessions_are_fresh_but_share_the_daemon_caches(self):
         store = SessionStore()
         first = store.session_for("a", None, _spec())
-        second = store.session_for("a", None, _spec())
+        second = store.session_for("b", None, _spec())
         assert first is not second
         assert first.kernel_caches is second.kernel_caches
-        assert first.kernel_caches is store.caches_for("a")
+        assert first.kernel_caches is store.kernel_caches
 
 
 class TestNamedSessions:
@@ -46,21 +38,24 @@ class TestNamedSessions:
         assert rebound.kernel_caches is first.kernel_caches
         assert store.named_sessions("a") == ["warm"]
 
-    def test_same_name_in_different_tenants_is_distinct(self):
+    def test_same_name_in_different_tenants_is_distinct_over_one_caches(self):
         store = SessionStore()
         a = store.session_for("a", "warm", _spec())
         b = store.session_for("b", "warm", _spec())
         assert a is not b
-        assert a.kernel_caches is not b.kernel_caches
+        assert a.kernel_caches is b.kernel_caches is store.kernel_caches
+        assert store.session_for("a", "warm", _spec()) is a
+        assert store.named_sessions("a") == ["warm"]
+        assert store.named_sessions("b") == ["warm"]
 
-    def test_lru_eviction_of_named_sessions(self):
+    def test_lru_eviction_bounds_all_tenants_together(self):
         store = SessionStore()
         limit = SessionStore.MAX_NAMED_SESSIONS
         spec = _spec()
         for index in range(limit + 2):
             named = dataclasses.replace(spec, name=f"store-{index}")
-            store.session_for("a", f"s{index}", named)
-        names = store.named_sessions("a")
+            store.session_for(f"t{index % 2}", f"s{index}", named)
+        names = store.named_sessions("t0") + store.named_sessions("t1")
         assert len(names) == limit
         assert "s0" not in names and "s1" not in names
-        assert names[-1] == f"s{limit + 1}"
+        assert store.named_sessions("t1")[-1] == f"s{limit + 1}"
