@@ -397,10 +397,12 @@ class Session:
         distributed sweep engine (:func:`repro.dse.sweep.run_sweep`) instead
         of the memo: one of :data:`repro.cluster.EXECUTORS`, with
         ``workers`` parallel workers and an optional content ``store``
-        (instance or path) memoising exploration tasks across workers and
-        reruns.  The resulting tables are bit-identical
-        to the serial path; only the wall time changes.  ``store=None``
-        falls back to the session's own store.
+        (instance or path) memoising exploration tasks across reruns.  This
+        process answers every stored task itself, so an explore against a
+        warm store starts no worker on any executor; a path is opened for
+        the call and closed after it.  The resulting tables are
+        bit-identical to the serial path; only the wall time changes.
+        ``store=None`` falls back to the session's own store.
         """
         from repro.dse.explorer import DesignSpaceExplorer
 

@@ -288,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--store", default=None, metavar="PATH",
         help="content store memoising exploration tasks and solves across "
-        "workers and reruns",
+        "reruns (a warm rerun starts no worker)",
     )
     sweep.add_argument(
         "--output", default=None, help="write the full SweepResult JSON"

@@ -195,6 +195,8 @@ class ShardCoordinator:
         self.stats = CoordinatorStats(
             units=len(units), per_worker_units=[0] * self.workers
         )
+        if not units:
+            return []  # no work, no worker thread, no pool
         results: list = [_PENDING] * len(items)
         results_lock = threading.Lock()
 

@@ -11,13 +11,15 @@ three performance layers that already exist:
   the ``points × variants × scales`` demand down to the unique
   ``(platform, variant, scale)`` exploration tasks and records how many
   evaluations that saved (``explorations_deduped``).
-* **Execute** — tasks fan out through the
-  :class:`~repro.cluster.ShardCoordinator` in the mode every executor name
+* **Execute** — the calling process owns the
+  :class:`~repro.store.ContentStore`: it answers every task stored under
+  the ``"dse"`` kind itself and sends only the misses through the
+  :class:`~repro.cluster.ShardCoordinator`, in the mode every executor name
   selects (serial, thread or process; work stealing, bounded retry, one
-  :class:`~repro.exceptions.WorkloadError` naming the first failed task);
-  the :class:`~repro.store.ContentStore` memoises finished tasks under the
-  ``"dse"`` kind so shards warm each other across workers and across
-  reruns.
+  :class:`~repro.exceptions.WorkloadError` naming the first failed task).
+  Workers only explore; the caller writes each explored task's row as its
+  work unit completes, so a fully stored sweep starts no worker and an
+  interrupted one keeps its finished tasks.
 * **Merge** — shard results stream, in plan order, into one incremental
   Pareto frontier per (platform, variant); the resulting tables are
   bit-identical to :meth:`DesignSpaceExplorer.explore` and are summarised by
@@ -37,7 +39,7 @@ worker count, store temperature and solver backend (dense numpy or pure loop).
 
 from __future__ import annotations
 
-import functools
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -47,7 +49,6 @@ from repro.core.config import ConfigTable, OperatingPoint
 from repro.dataflow.applications import paper_applications
 from repro.dataflow.graph import KPNGraph
 from repro.dse.explorer import DesignSpaceExplorer
-from repro.dse.pareto import pareto_front
 from repro.dse.tables import platform_fingerprint, reduced_tables
 from repro.exceptions import WorkloadError
 from repro.obs import tracer as obs
@@ -361,38 +362,74 @@ def _explorer_for(task: ExplorationTask) -> DesignSpaceExplorer:
     return explorer
 
 
-def run_exploration_task(
-    task: ExplorationTask, store: ContentStore | None = None
-) -> dict:
-    """Execute one exploration task, memoised in the content store.
+def run_exploration_task(task: ExplorationTask) -> list[OperatingPoint]:
+    """Explore one task and return its operating points.
 
-    Returns ``{"points": [OperatingPoint, ...], "cached": bool}`` with the
-    points in the exact enumeration order of
+    The points come in the exact enumeration order of
     :meth:`DesignSpaceExplorer.explore_all` for this (variant, scale) slice —
-    concatenating slices in plan order reproduces the serial walk.
+    concatenating slices in plan order reproduces the serial walk.  No store
+    is involved: :func:`run_sweep` reads and writes the task's ``dse`` row
+    in the calling process.
     """
-    if store is not None:
-        cached = store.get(_STORE_KIND, task.store_key)
-        if cached is not None:
-            return {"points": cached, "cached": True}
     explorer = _explorer_for(task)
-    points = [
+    return [
         result.operating_point
         for result in explorer.explore_all(task.graph, opp_scales=(task.scale,))
     ]
-    if store is not None:
-        store.put(_STORE_KIND, task.store_key, points)
-    return {"points": points, "cached": False}
 
 
-def _explore_in_worker(token: str | None, tasks) -> list[dict]:
-    """Process-mode unit: explore ``tasks`` on the store reopened by token."""
-    store = ContentStore.open(token) if token else None
-    try:
-        return [run_exploration_task(task, store) for task in tasks]
-    finally:
-        if store is not None:
-            store.close()
+def _explore_in_worker(tasks) -> list[list[OperatingPoint]]:
+    """The coordinator unit of every mode: explore a shard's tasks."""
+    return [run_exploration_task(task) for task in tasks]
+
+
+def _execute(
+    plan: SweepPlan,
+    coordinator: ShardCoordinator,
+    store: ContentStore | None,
+    progress,
+) -> list[dict]:
+    """One ``{"points", "cached"}`` outcome per task, in plan order.
+
+    Every stored task is answered here from its ``dse`` row; only the misses
+    go to ``coordinator``, whose workers explore, and the coordinator's
+    progress hook writes each miss's row as the miss's unit completes.
+    """
+    outcomes: list = [None] * len(plan.tasks)
+    misses: list[int] = []
+    for index, task in enumerate(plan.tasks):
+        points = None if store is None else store.get(_STORE_KIND, task.store_key)
+        if points is None:
+            misses.append(index)
+            continue
+        outcomes[index] = {"points": points, "cached": True}
+        if progress is not None:
+            progress(index, outcomes[index])
+
+    def explored(offset: int, points) -> None:
+        index = misses[offset]
+        if points is not None:
+            outcomes[index] = {"points": points, "cached": False}
+            if store is not None:
+                store.put(_STORE_KIND, plan.tasks[index].store_key, points)
+        if progress is not None:
+            progress(index, outcomes[index])
+
+    failed: dict[int, str] = {}
+    coordinator.run(
+        [plan.tasks[index] for index in misses],
+        _explore_in_worker,
+        lambda offset, error: failed.__setitem__(misses[offset], error),
+        explored,
+    )
+    if failed:
+        first = min(failed)
+        task = plan.tasks[first]
+        raise WorkloadError(
+            f"{len(failed)} exploration task(s) failed; first: "
+            f"{task.variant}@{task.scale}: {failed[first]}"
+        )
+    return outcomes
 
 
 # ---------------------------------------------------------------------- #
@@ -500,11 +537,12 @@ def _merge_tables(
 
     per_fp: dict[str, dict[str, ConfigTable]] = {}
     for (fp, variant), points in by_pair.items():
-        front = pareto_front(
-            points,
-            objectives=lambda p: tuple(p.resources) + (p.execution_time, p.energy),
-        )
-        table = ConfigTable(variant, front, pareto_filter=True)
+        # One Pareto pass.  The serial explorer runs ``pareto_front`` and
+        # then the table's own filter, but both keep exactly the points no
+        # other input point dominates (exact on the integer resources, the
+        # same slack on time and energy), first occurrence first, so the
+        # second pass never drops a point.
+        table = ConfigTable(variant, points, pareto_filter=True)
         # Pre-intern the columnar twin, as the serial explorer does.
         table.optable
         per_fp.setdefault(fp, {})[variant] = table
@@ -549,7 +587,7 @@ def _run_policies(
 
     # One scheduler instance per registry name, shared by every sweep point
     # using it: relaxation memo hits promote across points (and, with the
-    # store bound on the memo, across workers and reruns) without ever
+    # store bound on the memo, across reruns) without ever
     # changing a schedule — solve-cache keys are content-addressed.
     instances: dict[str, object] = {}
 
@@ -645,6 +683,18 @@ def _run_policies(
 # ---------------------------------------------------------------------- #
 # Driver
 # ---------------------------------------------------------------------- #
+@contextlib.contextmanager
+def _sweep_store(store: ContentStore | str | None):
+    """The sweep's store: one opened here from a path is closed on exit; a
+    passed :class:`ContentStore` stays open for its owner."""
+    resolved = resolve_store(store)
+    try:
+        yield resolved
+    finally:
+        if resolved is not store:
+            resolved.close()
+
+
 def run_sweep(
     spec: SweepSpec,
     *,
@@ -673,61 +723,51 @@ def run_sweep(
     store:
         Content store (or path) memoising exploration tasks (``dse`` rows)
         and the policy phase's Lagrangian solves (``solve`` rows) across
-        workers and reruns, so a warm rerun neither explores nor solves;
-        ``None`` runs without one.
+        reruns.  Only the calling process touches it: stored tasks are
+        answered here, and each explored task's row is written as its work
+        unit completes, so a fully stored sweep starts no worker on any
+        executor and a warm rerun neither explores nor solves.  A path is
+        opened for this call and closed before it returns; a passed store
+        stays open.  ``None`` runs without one.
     progress:
-        Optional ``(task_index, outcome) -> None`` callback, fired as each
-        work unit completes (``outcome`` is ``None`` for a failed task).
+        Optional ``(task_index, outcome) -> None`` callback, fired once per
+        task: in the calling thread for a stored task, as its work unit
+        completes for an explored one (``outcome`` is ``None`` for a failed
+        task).
     """
     mode = executor_mode(executor, workers)
-    store = resolve_store(store)
 
     with obs.span("sweep.plan", category="sweep") as span:
         plan = plan_sweep(spec, platforms)
         span.annotate(**plan.stats)
     obs.count("sweep.explorations_deduped", plan.stats["explorations_deduped"])
 
-    with obs.span(
-        "sweep.execute", category="sweep", executor=executor, workers=workers
-    ) as span:
-        if mode == "process":
-            token = store.process_token() if store is not None else None
-            unit = functools.partial(_explore_in_worker, token)
-        else:
-
-            def unit(tasks):
-                return [run_exploration_task(task, store) for task in tasks]
-
-        failed: dict[int, str] = {}
+    with _sweep_store(store) as store:
         coordinator = ShardCoordinator(
             workers, mode=mode, unit_size=unit_size, max_retries=max_retries
         )
-        outcomes = coordinator.run(plan.tasks, unit, failed.__setitem__, progress)
-        if failed:
-            first = min(failed)
-            task = plan.tasks[first]
-            raise WorkloadError(
-                f"{len(failed)} exploration task(s) failed; first: "
-                f"{task.variant}@{task.scale}: {failed[first]}"
+        with obs.span(
+            "sweep.execute", category="sweep", executor=executor, workers=workers
+        ) as span:
+            outcomes = _execute(plan, coordinator, store, progress)
+            store_hits = sum(1 for outcome in outcomes if outcome["cached"])
+            span.annotate(tasks=len(plan.tasks), store_hits=store_hits)
+        obs.count("sweep.store_hits", store_hits)
+
+        with obs.span("sweep.merge", category="sweep") as span:
+            tables = _merge_tables(plan, outcomes)
+            fingerprint = frontier_fingerprint(tables)
+            span.annotate(fingerprint=fingerprint)
+
+        point_summaries: list[dict] = []
+        solver_stats: dict = {}
+        if plan.points:
+            with obs.span("sweep.solve", category="sweep") as span:
+                point_summaries, solver_stats = _run_policies(plan, tables, store)
+                span.annotate(**solver_stats)
+            obs.count(
+                "sweep.cross_point_deduped", solver_stats.get("cross_group_deduped", 0)
             )
-        store_hits = sum(1 for outcome in outcomes if outcome["cached"])
-        span.annotate(tasks=len(plan.tasks), store_hits=store_hits)
-    obs.count("sweep.store_hits", store_hits)
-
-    with obs.span("sweep.merge", category="sweep") as span:
-        tables = _merge_tables(plan, outcomes)
-        fingerprint = frontier_fingerprint(tables)
-        span.annotate(fingerprint=fingerprint)
-
-    point_summaries: list[dict] = []
-    solver_stats: dict = {}
-    if plan.points:
-        with obs.span("sweep.solve", category="sweep") as span:
-            point_summaries, solver_stats = _run_policies(plan, tables, store)
-            span.annotate(**solver_stats)
-        obs.count(
-            "sweep.cross_point_deduped", solver_stats.get("cross_group_deduped", 0)
-        )
 
     stats = dict(plan.stats)
     stats["executor"] = executor

@@ -158,6 +158,20 @@ class TestThreadMode:
         assert run_jobs(coordinator, []) == []
         assert coordinator.stats.units == 0
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_empty_batch_starts_no_worker(self, mode, monkeypatch):
+        import concurrent.futures
+
+        started = []
+        monkeypatch.setattr(threading, "Thread", lambda *a, **k: started.append(a))
+        monkeypatch.setattr(
+            concurrent.futures, "ProcessPoolExecutor", lambda *a, **k: started.append(a)
+        )
+        coordinator = ShardCoordinator(2, mode=mode)
+        assert run_jobs(coordinator, []) == []
+        assert started == []
+        assert coordinator.stats.per_worker_units == [0, 0]
+
     def test_results_in_job_order(self):
         jobs = list(sweep(traces_per_point=4).experiments)
         coordinator = ShardCoordinator(3, mode="thread", unit_size=2)

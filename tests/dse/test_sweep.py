@@ -76,6 +76,18 @@ class TestDeterminismMatrix:
             {"odroid-xu4": tables}
         )
 
+    def test_opp_sweep_tables_equal_the_serial_explorer(self):
+        # Several scales per variant: 32+ points per front, so the numpy
+        # dominance matrix filters them where numpy is installed.
+        spec = SweepSpec(input_sizes=("medium",), sweep_opps=True, scenarios=())
+        swept = run_sweep(spec, executor="serial").tables_for("odroid-xu4")
+        tables = paper_operating_points(
+            odroid_xu4(), input_sizes=("medium",), sweep_opps=True
+        )
+        assert {name: table.points for name, table in swept.items()} == {
+            name: table.points for name, table in tables.items()
+        }
+
     @pytest.mark.parametrize(
         "executor", [name for name in EXECUTORS if name != "serial"]
     )
@@ -127,6 +139,123 @@ class TestDeterminismMatrix:
         ]
         assert clustered.frontier_fingerprint == reference.frontier_fingerprint
         assert clustered.points == reference.points
+
+
+#: Every variant, tables only: wider than SPEC's small variants.
+WIDE = SweepSpec(platforms=("odroid-xu4",), input_sizes=None, scenarios=())
+
+
+class TestCallerOwnedStore:
+    """The calling process alone reads and writes the sweep's ``dse`` rows;
+    worker processes only explore."""
+
+    def test_warm_cluster_rerun_builds_no_process_pool(
+        self, reference, tmp_path, monkeypatch
+    ):
+        import concurrent.futures
+
+        path = str(tmp_path / "warm.db")
+        cold = run_sweep(SPEC, executor="cluster", workers=2, store=path)
+        assert cold.stats["store_misses"] == cold.stats["explorations_unique"]
+
+        built = []
+
+        def no_pool(*args, **kwargs):
+            built.append(args)
+            raise AssertionError("a fully stored sweep built a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        fired = []
+        warm = run_sweep(
+            SPEC,
+            executor="cluster",
+            workers=2,
+            store=path,
+            progress=lambda index, outcome: fired.append(index),
+        )
+        assert built == []
+        assert warm.stats["coordinator"]["units"] == 0
+        assert warm.stats["store_hits"] == warm.stats["explorations_unique"]
+        assert warm.frontier_fingerprint == reference.frontier_fingerprint
+        assert warm.points == reference.points
+        assert sorted(fired) == list(range(warm.stats["explorations_unique"]))
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_only_missing_and_corrupt_tasks_are_dispatched(self, tmp_path, executor):
+        from repro.store.content import encode_key
+
+        expected = run_sweep(WIDE, executor="serial")
+        store = ContentStore.open(tmp_path / "narrow.db")
+        try:
+            narrow = SweepSpec(
+                platforms=WIDE.platforms, input_sizes=("small",), scenarios=()
+            )
+            run_sweep(narrow, executor="serial", store=store)
+            narrow_tasks = plan_sweep(narrow).tasks
+            corrupt = narrow_tasks[1]
+            store.backend.put(
+                store.namespace("dse"), encode_key(corrupt.store_key), b"garbage"
+            )
+            stored = {task.store_key for task in narrow_tasks} - {corrupt.store_key}
+            tasks = plan_sweep(WIDE).tasks
+            missing = {i for i, task in enumerate(tasks) if task.store_key not in stored}
+
+            outcomes = {}
+            wide = run_sweep(
+                WIDE,
+                executor=executor,
+                workers=3,
+                unit_size=1,
+                store=store,
+                progress=outcomes.__setitem__,
+            )
+            explored = {i for i, outcome in outcomes.items() if not outcome["cached"]}
+            assert explored == missing
+            assert sorted(outcomes) == list(range(len(tasks)))
+            assert wide.stats["store_misses"] == len(missing)
+            assert wide.stats["coordinator"]["units"] == len(missing)
+            assert wide.frontier_fingerprint == expected.frontier_fingerprint
+            for index, task in enumerate(tasks):
+                assert store.get("dse", task.store_key) == outcomes[index]["points"]
+        finally:
+            store.close()
+
+    def test_an_in_memory_store_warms_process_sweeps(self):
+        store = ContentStore.in_memory()
+        cold = run_sweep(WIDE, executor="process", workers=2, store=store)
+        warm = run_sweep(WIDE, executor="process", workers=2, store=store)
+        assert cold.stats["store_misses"] == cold.stats["explorations_unique"]
+        assert warm.stats["store_hits"] == warm.stats["explorations_unique"]
+        assert warm.stats["coordinator"]["units"] == 0
+        assert warm.frontier_fingerprint == cold.frontier_fingerprint
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        """Paths of the stores closed while the test runs, in order."""
+        paths = []
+        close = ContentStore.close
+
+        def recording_close(store):
+            paths.append(store.path)
+            close(store)
+
+        monkeypatch.setattr(ContentStore, "close", recording_close)
+        return paths
+
+    def test_a_store_opened_from_a_path_is_closed(self, tmp_path, closed):
+        path = str(tmp_path / "owned.db")
+        run_sweep(WIDE, executor="cluster", workers=2, store=path)
+        assert closed == [path]
+
+    def test_a_passed_store_stays_open(self, tmp_path, closed):
+        store = ContentStore.open(tmp_path / "passed.db")
+        try:
+            result = run_sweep(WIDE, executor="cluster", workers=2, store=store)
+            assert closed == []
+            stored = store.stats()["namespaces"][store.namespace("dse")]
+            assert stored["entries"] == result.stats["explorations_unique"]
+        finally:
+            store.close()
 
 
 class TestCrossPointBatching:
@@ -225,10 +354,10 @@ class TestTaskFailures:
         doomed = plan_sweep(SPEC).tasks[1]
         explore = sweep_module.run_exploration_task
 
-        def flaky(task, store=None):
+        def flaky(task):
             if (task.variant, task.scale) == (doomed.variant, doomed.scale):
                 raise RuntimeError("exploration exploded")
-            return explore(task, store)
+            return explore(task)
 
         monkeypatch.setattr(sweep_module, "run_exploration_task", flaky)
         messages = set()
