@@ -3,8 +3,9 @@
 A :class:`RunRecord` is the server-side life of one submitted experiment:
 ``queued → running → done | failed``.  It buffers every serialised
 :class:`~repro.api.events.RunEvent` (so late subscribers replay from the
-start — SSE ``id``\\ s are simply list indices) and wakes SSE streamers
-through an :class:`asyncio.Event` as events arrive.
+start — SSE ``id``\\ s are simply event indices) and wakes SSE streamers
+through an :class:`asyncio.Event` as events arrive.  Once terminal, a run
+keeps its events and spans packed (see :class:`RunRecord`).
 
 All mutators are plain synchronous methods that **must run on the event
 loop thread** — executor threads hand events over via
@@ -23,6 +24,7 @@ from __future__ import annotations
 import asyncio
 import enum
 import itertools
+import pickle
 import time
 from typing import Any, Mapping
 
@@ -70,13 +72,14 @@ class _Record:
 
     def fail(self, error: Mapping[str, Any]) -> None:
         self.error = dict(error)
-        self.state = RunState.FAILED
-        self.finished_at = time.time()
-        self._notify()
+        self._end(RunState.FAILED)
 
     def finish(self, result: Mapping[str, Any]) -> None:
         self.result = dict(result)
-        self.state = RunState.DONE
+        self._end(RunState.DONE)
+
+    def _end(self, state: RunState) -> None:
+        self.state = state
         self.finished_at = time.time()
         self._notify()
 
@@ -105,18 +108,41 @@ class _Record:
 
 
 class RunRecord(_Record):
-    """One submitted experiment run and its buffered event stream."""
+    """One submitted experiment run, its buffered events and its spans.
+
+    While the run is live its event payloads sit in a list, so streamers
+    pick up each event as it arrives.  Once the run is terminal, the loop
+    turn after the one that woke its waiters packs the events and the span
+    dictionaries into one pickle blob each (written and read only in this
+    process).  A finished record then holds two ``bytes`` objects instead
+    of a dict per event and per span, which the registry's thousands of
+    finished runs would otherwise keep for the garbage collector to walk.
+    :meth:`events` and :meth:`spans` unpack on demand.
+    """
 
     def __init__(self, record_id: str, tenant: str, spec_name: str):
         super().__init__(record_id, tenant, spec_name)
-        self.events: list[dict] = []
-        #: Completed span dictionaries (set once, on the loop thread, after
-        #: a traced run finishes); ``GET /runs/{id}/trace`` serves these.
-        self.trace: list[dict] | None = None
+        #: Events buffered so far; SSE ids run from 0 to this minus one.
+        self.event_count = 0
+        self._events: list[dict] | bytes = []
+        self._spans: list[dict] | bytes = []
 
     def append_event(self, payload: dict) -> None:
-        self.events.append(payload)
+        self._events.append(payload)
+        self.event_count += 1
         self._notify()
+
+    def events(self, start: int = 0) -> list[dict]:
+        """The buffered event payloads from index ``start`` on."""
+        return _unpacked(self._events)[start:]
+
+    def set_spans(self, spans: list[dict]) -> None:
+        """Publish a traced run's completed span dictionaries."""
+        self._spans = spans
+
+    def spans(self) -> list[dict]:
+        """The completed span dictionaries (``GET /runs/{id}/trace``)."""
+        return _unpacked(self._spans)
 
     async def wait_events(self, start: int) -> tuple[list[dict], bool]:
         """New events from index ``start`` on, plus "record is terminal".
@@ -125,14 +151,28 @@ class RunRecord(_Record):
         reached a terminal state (whichever comes first), so SSE streamers
         neither poll nor hang after a failure.
         """
-        while len(self.events) <= start and not self.state.terminal:
+        while self.event_count <= start and not self.state.terminal:
             await self._wait_change()
-        return list(self.events[start:]), self.state.terminal
+        return self.events(start), self.state.terminal
+
+    def _end(self, state: RunState) -> None:
+        super()._end(state)
+        # The waiters' wake-ups are already queued, so a long-poller gets
+        # its terminal status before the packing runs.
+        asyncio.get_running_loop().call_soon(self._pack)
+
+    def _pack(self) -> None:
+        self._events = pickle.dumps(self._events, pickle.HIGHEST_PROTOCOL)
+        self._spans = pickle.dumps(self._spans, pickle.HIGHEST_PROTOCOL)
 
     def status(self) -> dict:
         status = self._base_status()
-        status["events"] = len(self.events)
+        status["events"] = self.event_count
         return status
+
+
+def _unpacked(value: list[dict] | bytes) -> list[dict]:
+    return pickle.loads(value) if isinstance(value, bytes) else value
 
 
 class BatchRecord(_Record):

@@ -326,9 +326,13 @@ class GatewayServer:
                     ),
                 )
             body = await reader.readexactly(size)
+        # Blank values are kept, so ``?from=`` reads as "" and is refused
+        # like any other non-integer.
         query = {
             key: values[-1]
-            for key, values in urllib.parse.parse_qs(split.query).items()
+            for key, values in urllib.parse.parse_qs(
+                split.query, keep_blank_values=True
+            ).items()
         }
         return _Request(method.upper(), split.path, query, headers, body)
 
@@ -475,7 +479,7 @@ class GatewayServer:
                         "id": record.id,
                         "trace_id": record.trace_id,
                         "state": record.state.value,
-                        "spans": record.trace or [],
+                        "spans": record.spans(),
                     },
                     keep_alive=keep_alive,
                 )
@@ -618,7 +622,7 @@ class GatewayServer:
             )
             index += len(events)
             await writer.drain()  # SSE backpressure: respect the socket
-            if done and index >= len(record.events):
+            if done and index >= record.event_count:
                 break
         if record.state is RunState.FAILED and record.error is not None:
             # A terminal frame distinct from any RunEventKind, so stream
@@ -694,14 +698,16 @@ class GatewayServer:
                 self.metrics.run_wall_s.observe(time.perf_counter() - started)
                 if spans is not None:
                     # Back on the loop thread: safe to publish on the record.
-                    record.trace = spans
+                    record.set_spans(spans)
                     self.metrics.observe_phases(spans)
             # The END frame is the last event the bridge delivered: the pump
             # that carries it was scheduled before the executor completion
-            # signal, and the loop runs callbacks in order.
-            if not record.events or record.events[-1].get("kind") != "end":
+            # signal, and the loop runs callbacks in order.  The record is
+            # not terminal yet, so this reads its live list.
+            events = record.events()
+            if not events or events[-1].get("kind") != "end":
                 raise ReproError("run finished without an END event")
-            record.finish(record.events[-1]["data"]["log"])
+            record.finish(events[-1]["data"]["log"])
             self.metrics.runs_completed.increment()
         except (AdmissionTimeout, RunTimeout) as error:
             record.fail(protocol.error_body("timeout", str(error)))

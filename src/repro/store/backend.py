@@ -15,7 +15,8 @@ lives here, behind the :class:`CacheBackend` protocol:
   erroring.
   Connections are per thread *and per process* (guarded by PID, so a forked
   worker never reuses its parent's connection — SQLite connections must not
-  cross ``fork``).
+  cross ``fork``); each is closed when its thread ends or the backend
+  closes.
 
 Backends never raise on malformed *values* — they store and return opaque
 bytes.  They may raise :class:`sqlite3.Error` on a damaged database file;
@@ -28,6 +29,7 @@ import os
 import sqlite3
 import threading
 import time
+import weakref
 from typing import Iterable, Protocol, runtime_checkable
 
 
@@ -176,7 +178,8 @@ class SQLiteBackend:
     statement or :meth:`put_many` and per-thread/per-PID connections.  ``fork``
     safety matters because the service's process executor forks workers
     that inherit the parent's backend object — the PID check makes each
-    worker open its own connection lazily.
+    worker open its own connection lazily, and :meth:`close` in a worker
+    closes only the worker's own.
     """
 
     def __init__(self, path: str | os.PathLike):
@@ -184,6 +187,9 @@ class SQLiteBackend:
         parent = os.path.dirname(os.path.abspath(self._path))
         os.makedirs(parent, exist_ok=True)
         self._local = threading.local()
+        #: Weak references to every thread's :class:`_ThreadConnection`; a
+        #: reference drops out of the set when its thread ends.
+        self._held: set[weakref.ref] = set()
         # Create the schema eagerly so a first concurrent access from N
         # processes races on CREATE TABLE IF NOT EXISTS here, under retry.
         self._connection()
@@ -194,14 +200,18 @@ class SQLiteBackend:
         return self._path
 
     def _connection(self) -> sqlite3.Connection:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == os.getpid():
-            return conn
+        held = getattr(self._local, "held", None)
+        if held is None or held.conn is None or held.pid != os.getpid():
+            held = self._local.held = _ThreadConnection(self._open())
+            self._held.add(weakref.ref(held, self._held.discard))
+        return held.conn
+
+    def _open(self) -> sqlite3.Connection:
         conn = sqlite3.connect(
             self._path,
             timeout=30.0,
             isolation_level=None,  # autocommit: one statement, one txn
-            check_same_thread=False,  # per-thread via threading.local anyway
+            check_same_thread=False,  # one per thread; close() may run on another
         )
         # Switching a fresh file to WAL takes an exclusive lock; when several
         # processes open it at once, SQLite reports "database is locked"
@@ -218,8 +228,6 @@ class SQLiteBackend:
             " created_s REAL NOT NULL,"
             " PRIMARY KEY (namespace, key))",
         )
-        self._local.conn = conn
-        self._local.pid = os.getpid()
         return conn
 
     @staticmethod
@@ -317,13 +325,36 @@ class SQLiteBackend:
         self._retry(self._connection().execute, "DELETE FROM entries")
 
     def close(self) -> None:
-        conn = getattr(self._local, "conn", None)
-        if conn is not None and getattr(self._local, "pid", None) == os.getpid():
-            conn.close()
-            self._local.conn = None
+        """Close every thread's connection; a later call opens a new one."""
+        for ref in list(self._held):
+            held = ref()
+            if held is not None:
+                held.close()
 
     def __repr__(self) -> str:
         return f"SQLiteBackend({self._path!r})"
+
+
+class _ThreadConnection:
+    """One thread's connection, opened by process ``pid``.
+
+    The thread's thread-local slot holds the only strong reference, so the
+    connection is closed when its thread ends, as well as on
+    :meth:`SQLiteBackend.close`.  Only process ``pid`` closes it.
+    """
+
+    __slots__ = ("conn", "pid", "__weakref__")
+
+    def __init__(self, conn: sqlite3.Connection):
+        self.conn: sqlite3.Connection | None = conn
+        self.pid = os.getpid()
+
+    def close(self) -> None:
+        conn, self.conn = self.conn, None
+        if conn is not None and self.pid == os.getpid():
+            conn.close()
+
+    __del__ = close
 
 
 def _iter_backend_items(

@@ -64,8 +64,10 @@ class TestOneExplorationPerProcess:
                 trials=5, workers=2, executor=executor
             )
             assert [result.error for result in results] == [None] * 5
-        with InProcessGateway(GatewayConfig(port=0)) as gateway:
-            client = GatewayClient(gateway.base_url)
+        with (
+            InProcessGateway(GatewayConfig(port=0)) as gateway,
+            GatewayClient(gateway.base_url) as client,
+        ):
             for seed in (3, 4, 5):
                 status = client.run(_spec("paper-reduced", seed))
                 assert status["state"] == "done"

@@ -247,6 +247,32 @@ class TestCallerOwnedStore:
         run_sweep(WIDE, executor="cluster", workers=2, store=path)
         assert closed == [path]
 
+    @pytest.mark.parametrize("executor", ["thread", "cluster"])
+    def test_every_connection_the_sweep_opened_is_closed(
+        self, tmp_path, monkeypatch, executor
+    ):
+        import sqlite3
+
+        class CountingConnection(sqlite3.Connection):
+            closed = False
+
+            def close(self):
+                self.closed = True
+                super().close()
+
+        opened = []
+        connect = sqlite3.connect
+
+        def counting_connect(*args, **kwargs):
+            opened.append(connect(*args, factory=CountingConnection, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        run_sweep(WIDE, executor=executor, workers=2, store=str(tmp_path / "s.db"))
+        # The caller's connection and one per coordinator thread that wrote.
+        assert len(opened) > 1
+        assert [conn.closed for conn in opened] == [True] * len(opened)
+
     def test_a_passed_store_stays_open(self, tmp_path, closed):
         store = ContentStore.open(tmp_path / "passed.db")
         try:

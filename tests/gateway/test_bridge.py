@@ -208,7 +208,7 @@ def test_a_cancelled_run_releases_its_producer(monkeypatch):
             server._execute_run(record, submission)
         )
         deadline = time.monotonic() + TIMEOUT
-        while not record.events:
+        while not record.event_count:
             assert time.monotonic() < deadline, "the run emitted nothing"
             await asyncio.sleep(0.01)
         task.cancel()
