@@ -58,9 +58,15 @@ def main() -> None:
                 f"{energy:12.2f}J {activations:12d}"
             )
 
-    print()
-    print(service.metrics.format())
-    print(f"\nbatch fingerprint: {results.fingerprint()[:16]}… "
+    totals = results.aggregate()
+    cache = service.cache.info()
+    print(
+        f"\n{totals['traces']} traces, {totals['requests']} requests, "
+        f"acceptance {totals['acceptance_rate']:.1%}, "
+        f"{totals['activations']} activations; activation cache "
+        f"{cache['hits']} hits, {cache['misses']} misses"
+    )
+    print(f"batch fingerprint: {results.fingerprint()[:16]}… "
           "(identical for any worker count)")
 
 

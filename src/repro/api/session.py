@@ -353,7 +353,7 @@ class Session:
         """Run the spec as a seeded batch and return the ordered results.
 
         A pre-configured :class:`~repro.service.pool.SimulationService` may
-        be passed to share its activation cache and metrics across sessions.
+        be passed to share its activation cache across sessions.
         Each trial's result holds the decisions :meth:`run` makes for it,
         bit for bit, with the cache on or off (``cache_size=0``).
         """

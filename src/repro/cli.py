@@ -18,7 +18,8 @@ The CLI mirrors the typical usage of the library:
 * ``repro-rm batch`` — run a batch of online runtime-manager simulations
   described by a :class:`~repro.service.jobs.BatchSpec` JSON file through the
   concurrent :class:`~repro.service.pool.SimulationService` (worker fan-out,
-  activation caching, service metrics); see :mod:`repro.service`.
+  activation caching) and print its aggregate and cache counts; see
+  :mod:`repro.service`.
 * ``repro-rm profile`` — run one experiment under several schedulers with
   span tracing enabled (see :mod:`repro.obs`) and print the per-scheduler
   phase-time breakdown; ``run``/``batch`` accept ``--trace out.json`` to
@@ -182,6 +183,24 @@ def _print_aggregate(name: str, aggregate: dict) -> None:
     )
 
 
+def _cache_line(service) -> str:
+    """``repro-rm batch``'s activation-cache line: the memo's hits and misses."""
+    from repro.cluster.coordinator import executor_mode
+
+    if service.cache is None:
+        return "activation cache: off (--cache-size 0)"
+    if executor_mode(service.executor, service.workers) == "process":
+        return (
+            "activation cache: hits and misses stay in the worker processes "
+            f"(--executor {service.executor})"
+        )
+    info = service.cache.info()
+    return (
+        f"activation cache: {info['hits']} hits, {info['misses']} misses "
+        f"({info['hit_rate'] * 100:.1f} % hit rate)"
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-rm",
@@ -332,9 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--shard", default=None, metavar="I/N", help="run only shard I of N"
     )
     batch.add_argument("--output", default=None, help="write result summaries JSON")
-    batch.add_argument(
-        "--quiet", action="store_true", help="omit the service metrics block"
-    )
     batch.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a Chrome-trace JSON of the batch (Perfetto / chrome://tracing)",
@@ -772,8 +788,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     for failure in results.failures:
         print(f"  FAILED {failure.job_name}: {failure.error}")
     _write_trace(args, tracer)
-    if not args.quiet:
-        print(service.metrics.format())
+    print(_cache_line(service))
     if args.output:
         save_json(results.to_dict(), args.output)
         print(f"wrote {len(results)} result summaries to {args.output}")

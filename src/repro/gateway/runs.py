@@ -242,12 +242,15 @@ class RunRegistry:
 
     def _evict(self, store: dict) -> None:
         while len(store) > self._max_records:
-            for record_id, record in list(store.items()):
-                if record.state.terminal:
-                    del store[record_id]
-                    break
-            else:  # nothing terminal to drop — accept the overshoot
+            # Walked in place, never copied: this runs on the loop thread
+            # for every submission once the registry is full.
+            oldest = next(
+                (key for key, record in store.items() if record.state.terminal),
+                None,
+            )
+            if oldest is None:  # nothing terminal to drop — accept the overshoot
                 return
+            del store[oldest]
 
 
 __all__ = ["BatchRecord", "RunRecord", "RunRegistry", "RunState"]

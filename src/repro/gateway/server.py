@@ -51,7 +51,6 @@ from repro.obs.tracer import Tracer
 from repro.service.metrics import (
     Counter,
     Histogram,
-    ServiceMetrics,
     prometheus_grouped_lines,
     prometheus_lines,
 )
@@ -89,8 +88,36 @@ class GatewayConfig:
     store_path: str | None = None
 
 
+#: ``repro_service_*`` counter → description.  Each finished batch adds its
+#: ``BatchResults.aggregate()`` totals and its activation memo's hits and
+#: misses (:meth:`GatewayMetrics.observe_batch`).
+_SERVICE_COUNTERS = {
+    "traces_run": "simulations completed",
+    "traces_failed": "simulations failed",
+    "requests_total": "requests simulated",
+    "requests_accepted": "requests admitted",
+    "requests_rejected": "requests rejected",
+    "activations": "scheduler activations",
+    "cache_hits": "activation cache hits",
+    "cache_misses": "activation cache misses",
+    "budget_rejections": "requests rejected by the energy budget",
+}
+
+#: ``repro_service_*`` histogram → description (one sample per completed
+#: trace, or per admitted request for ``request_energy``).
+_SERVICE_HISTOGRAMS = {
+    "trace_energy": "energy per trace (J)",
+    "request_energy": "energy per admitted request (J)",
+    "trace_search_time": "scheduler time per trace (s)",
+    "trace_wall_time": "wall-clock time per trace (s)",
+}
+
+
 class GatewayMetrics:
-    """Daemon-level counters and histograms (served by ``GET /metrics``)."""
+    """Daemon-level counters and histograms (served by ``GET /metrics``).
+
+    Every mutator runs on the event loop thread.
+    """
 
     def __init__(self) -> None:
         self.http_requests = Counter("http_requests", "HTTP requests handled")
@@ -108,6 +135,13 @@ class GatewayMetrics:
         self.run_wall_s = Histogram("run_wall_s", "run wall time (s)")
         #: Span-derived phase durations, one histogram per phase span name.
         self.phase_seconds: dict[str, Histogram] = {}
+        #: The ``repro_service_*`` series: every finished batch, folded in.
+        self.service_counters = {
+            name: Counter(name, text) for name, text in _SERVICE_COUNTERS.items()
+        }
+        self.service_histograms = {
+            name: Histogram(name, text) for name, text in _SERVICE_HISTOGRAMS.items()
+        }
 
     def observe_phases(self, spans) -> None:
         """Fold one traced run's phase-span durations into the histograms."""
@@ -121,6 +155,34 @@ class GatewayMetrics:
                     f"phase_{name}", f"duration of {name} spans (s)"
                 )
             histogram.observe(span["duration_s"])
+
+    def observe_batch(self, results, cache_info: Mapping[str, int]) -> None:
+        """Fold one finished batch into the ``repro_service_*`` series.
+
+        ``results`` is its :class:`~repro.service.pool.BatchResults` and
+        ``cache_info`` its activation memo's :meth:`~repro.store.memo.Memo.info`.
+        """
+        totals = results.aggregate()
+        for name, amount in (
+            ("traces_run", totals["traces"] - totals["failed"]),
+            ("traces_failed", totals["failed"]),
+            ("requests_total", totals["requests"]),
+            ("requests_accepted", totals["accepted"]),
+            ("requests_rejected", totals["rejected"]),
+            ("activations", totals["activations"]),
+            ("cache_hits", cache_info["hits"]),
+            ("cache_misses", cache_info["misses"]),
+            ("budget_rejections", totals["budget_rejections"]),
+        ):
+            self.service_counters[name].increment(amount)
+        histograms = self.service_histograms
+        for result in results.ok:
+            histograms["trace_energy"].observe(result.total_energy)
+            for outcome in result.outcomes:
+                if outcome.accepted:
+                    histograms["request_energy"].observe(outcome.energy)
+            histograms["trace_search_time"].observe(result.search_time_total)
+            histograms["trace_wall_time"].observe(result.wall_time)
 
     def counters(self) -> tuple[Counter, ...]:
         return (
@@ -185,6 +247,14 @@ _STATUS_TEXT = {
 class GatewayServer:
     """The scheduler-as-a-service daemon over :class:`~repro.api.session.Session`.
 
+    ``GET /metrics`` serves three series families: ``repro_gateway_*``
+    (:class:`GatewayMetrics`' daemon counters, queue waits and phase
+    durations, plus the admission gauges), ``repro_service_*`` (every
+    finished batch's ``BatchResults.aggregate()`` totals and activation
+    memo hits and misses, folded in on the loop thread) and, with a
+    ``store_path``, ``repro_store_*`` (the content store's per-kind
+    counters).
+
     Lifecycle::
 
         server = GatewayServer(GatewayConfig(port=0))
@@ -205,9 +275,6 @@ class GatewayServer:
             queue_timeout_s=self.config.queue_timeout_s,
         )
         self.metrics = GatewayMetrics()
-        #: One shared ServiceMetrics across every batch submission's
-        #: SimulationService, so /metrics aggregates batch behaviour too.
-        self.service_metrics = ServiceMetrics()
         self.draining = False
         self.port: int | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -525,7 +592,14 @@ class GatewayServer:
             )
         )
         lines.extend(self._store_lines())
-        return "\n".join(lines) + "\n" + self.service_metrics.to_prometheus()
+        lines.extend(
+            prometheus_lines(
+                self.metrics.service_counters.values(),
+                self.metrics.service_histograms.values(),
+                prefix="repro_service",
+            )
+        )
+        return "\n".join(lines) + "\n"
 
     #: Store counter → Prometheus series description.  Every series is
     #: ``repro_store_<name>`` with one sample per cache kind.
@@ -735,7 +809,7 @@ class GatewayServer:
                 record.mark_running()
                 self.metrics.queue_wait_s.observe(time.time() - record.submitted_at)
 
-                def work() -> dict:
+                def work():
                     from repro.service.pool import SimulationService
 
                     session = self.store.session_for(
@@ -743,7 +817,6 @@ class GatewayServer:
                     )
                     service = SimulationService(
                         workers=self.config.batch_workers,
-                        metrics=self.service_metrics,
                         kernel_caches=session.kernel_caches,
                         store=self.content_store,
                     )
@@ -752,9 +825,14 @@ class GatewayServer:
                         seeds=submission.seeds,
                         service=service,
                     )
-                    return results.to_dict()
+                    return results, service.cache.info(), results.to_dict()
 
-                record.finish(await loop.run_in_executor(self._executor, work))
+                results, cache_info, summary = await loop.run_in_executor(
+                    self._executor, work
+                )
+                # Back on the loop thread, where every metric is written.
+                self.metrics.observe_batch(results, cache_info)
+                record.finish(summary)
                 self.metrics.batches_completed.increment()
         except AdmissionTimeout as error:
             record.fail(protocol.error_body("timeout", str(error)))

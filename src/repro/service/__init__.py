@@ -25,9 +25,8 @@ Modules
   ``RuntimeManager.from_spec`` exactly as ``Session.run`` wires it, with
   per-experiment seeding, failure isolation and ordered, bit-reproducible
   results.
-* :mod:`repro.service.metrics` — :class:`ServiceMetrics`: counters and
-  histograms (acceptance rate, search time, energy, cache hit rate) with a
-  ``snapshot()`` the CLI prints.
+* :mod:`repro.service.metrics` — :class:`Counter` and :class:`Histogram`
+  and their Prometheus rendering, behind the gateway's ``GET /metrics``.
 
 Usage
 -----
@@ -46,8 +45,8 @@ Describe a batch declaratively, then run it::
 
     service = SimulationService(workers=4)
     results = service.run_batch(BatchSpec.load("sweep.json"))
-    print(results.aggregate()["acceptance_rate"])
-    print(service.metrics.format())
+    print(results.aggregate()["acceptance_rate"])  # the batch's totals
+    print(service.cache.info()["hit_rate"])        # its activation-cache counts
 
 Determinism guarantees
 ----------------------
@@ -64,7 +63,9 @@ job's name, application, arrival, deadline and remaining ratio in problem
 order, table content fingerprints, scheduler name and options — so a hit
 is the plain scheduler's answer to that very problem.  One cache is shared
 across all traces of a batch (per worker process under the ``"process"``
-and ``"cluster"`` executors); ``cache_size=0`` turns it off.
+and ``"cluster"`` executors); ``cache_size=0`` turns it off.  Its
+``info()`` counts the hits and misses; under ``"process"`` and
+``"cluster"`` those counts stay in the worker processes.
 
 The corresponding CLI entry point is ``repro-rm batch`` (see
 :mod:`repro.cli`).
@@ -72,7 +73,7 @@ The corresponding CLI entry point is ``repro-rm batch`` (see
 
 from repro.service.cache import ActivationCache, CachingScheduler
 from repro.service.events import Event, EventKind, EventQueue
-from repro.service.metrics import Counter, Histogram, ServiceMetrics
+from repro.service.metrics import Counter, Histogram
 
 __all__ = [
     "ActivationCache",
@@ -82,7 +83,6 @@ __all__ = [
     "EventQueue",
     "Counter",
     "Histogram",
-    "ServiceMetrics",
     # Lazily loaded (they depend on repro.runtime, which imports this package):
     "BatchSpec",
     "SimulationService",

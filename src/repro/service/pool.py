@@ -16,8 +16,12 @@ bounded shard retry — in the mode its executor name selects
 * ``"thread"`` — coordinator threads sharing one activation cache, so
   repeated activations *across* traces hit (``"auto"`` with more workers);
 * ``"process"`` or ``"cluster"`` — a process pool for CPU parallelism; each
-  worker keeps a process-local cache (cache statistics are not aggregated
-  in this mode).
+  worker keeps a process-local cache, whose hit and miss counts stay in
+  that worker process.
+
+A batch's totals are :meth:`BatchResults.aggregate`.  On the serial and
+thread executors, the activation cache's hits and misses are
+``service.cache.info()`` (:meth:`~repro.store.memo.Memo.info`).
 
 A service may additionally be bound to a persistent
 :class:`~repro.store.ContentStore` (``store=``): the activation memo warms
@@ -66,7 +70,6 @@ from repro.runtime.log import ExecutionLog, RequestOutcome
 from repro.runtime.manager import RuntimeManager
 from repro.service.cache import ActivationCache, CachingScheduler
 from repro.service.jobs import BatchSpec
-from repro.service.metrics import ServiceMetrics
 from repro.store.content import ContentStore, resolve_store
 from repro.store.memo import Memo
 
@@ -438,9 +441,6 @@ class SimulationService:
         activation cache (see :mod:`repro.service.cache`); ``0`` turns it
         off on every executor.  The cache never changes a result, so the
         fingerprint never depends on it.
-    metrics:
-        An existing :class:`ServiceMetrics` registry to record into; a fresh
-        one is created when omitted.
     store:
         A persistent :class:`~repro.store.ContentStore` (or a path for a
         SQLite-backed one) behind the activation cache, shared — in
@@ -465,7 +465,6 @@ class SimulationService:
         workers: int = 1,
         executor: str = "auto",
         cache_size: int = 4096,
-        metrics: ServiceMetrics | None = None,
         kernel_caches: KernelCaches | None = None,
         store: "ContentStore | str | None" = None,
     ):
@@ -479,7 +478,6 @@ class SimulationService:
         #: The activation memo, or ``None``: decided once here, and handed
         #: to worker processes as its bound (0 for none).
         self.cache = ActivationCache(cache_size, self.store) if cache_size > 0 else None
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
         #: Shard statistics of the most recent batch (any executor).
         self.cluster_stats = None
         #: Incremental-kernel warm starts shared by every job of every batch
@@ -529,7 +527,6 @@ class SimulationService:
                         for spec in shard
                     ]
 
-        cache_before = self.cache.info() if self.cache is not None else None
         coordinator = ShardCoordinator(self.workers, mode=self._mode)
         results = coordinator.run(
             jobs,
@@ -538,17 +535,6 @@ class SimulationService:
             progress,
         )
         self.cluster_stats = coordinator.stats
-
-        for result in results:
-            self.metrics.observe_result(result)
-        if self.cache is not None and self._mode != "process":
-            after = self.cache.info()
-            self.metrics.observe_cache(
-                {
-                    "hits": after["hits"] - cache_before["hits"],
-                    "misses": after["misses"] - cache_before["misses"],
-                }
-            )
         return BatchResults(results)
 
     def __repr__(self) -> str:

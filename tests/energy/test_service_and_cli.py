@@ -73,19 +73,21 @@ class TestServiceEnergy:
             _sweep().with_energy_policy(power_cap_watts=0.5)
         )
         assert results.aggregate()["budget_rejections"] > 0
-        # Metrics registry counts them when observed through a service run.
-        service = SimulationService()
-        service.run_batch(_sweep().with_energy_policy(power_cap_watts=0.5))
-        assert service.metrics.budget_rejections.value > 0
-        assert service.metrics.snapshot()["counters"]["budget_rejections"] > 0
+        # The batch total is the sum of its traces' counts, and each budget
+        # rejection is a rejection.
+        assert results.aggregate()["budget_rejections"] == sum(
+            r.budget_rejections for r in results.ok
+        )
+        assert all(r.budget_rejections <= r.rejected for r in results.ok)
 
-    def test_request_energy_histogram_populated(self):
-        service = SimulationService()
-        service.run_batch(_sweep())
-        histogram = service.metrics.request_energy
-        assert histogram.count > 0
-        assert histogram.total == pytest.approx(
-            service.metrics.trace_energy.total, rel=1e-9
+    def test_request_energy_sums_to_the_batch_energy(self):
+        results = SimulationService().run_batch(_sweep())
+        request_energy = [
+            o.energy for r in results.ok for o in r.outcomes if o.accepted
+        ]
+        assert len(request_energy) == results.aggregate()["accepted"] > 0
+        assert sum(request_energy) == pytest.approx(
+            results.aggregate()["total_energy"], rel=1e-9
         )
 
 

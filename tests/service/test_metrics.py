@@ -4,16 +4,15 @@ import math
 
 import pytest
 
+import repro.service.metrics as metrics_module
 from repro.service.metrics import (
     Counter,
     Histogram,
-    ServiceMetrics,
     escape_help_text,
     escape_label_value,
     prometheus_grouped_lines,
     prometheus_lines,
 )
-from repro.service.pool import SimulationResult
 
 
 class TestCounter:
@@ -35,20 +34,29 @@ class TestHistogram:
             histogram.observe(value)
         assert histogram.count == 4
         assert histogram.total == pytest.approx(10.0)
-        assert histogram.mean == pytest.approx(2.5)
-        assert histogram.min == 1.0 and histogram.max == 4.0
         assert histogram.percentile(0.0) == 1.0
         assert histogram.percentile(1.0) == 4.0
         assert histogram.percentile(0.5) in (2.0, 3.0)
 
     def test_empty_histogram_is_nan(self):
         histogram = Histogram("h")
-        assert math.isnan(histogram.mean)
         assert math.isnan(histogram.percentile(0.5))
+        assert all(math.isnan(value) for value in histogram.quantiles((0.1, 0.9)))
 
     def test_percentile_bounds_checked(self):
         with pytest.raises(ValueError):
             Histogram("h").percentile(1.5)
+        with pytest.raises(ValueError):
+            Histogram("h").quantiles((0.5, -0.1))
+
+    def test_quantiles_equal_one_percentile_each(self):
+        histogram = Histogram("h")
+        for value in (5.0, 1.0, 9.0, 3.0, 7.0, 2.0):
+            histogram.observe(value)
+        fractions = (0.0, 0.5, 0.9, 0.99, 1.0)
+        assert histogram.quantiles(fractions) == [
+            histogram.percentile(fraction) for fraction in fractions
+        ]
 
     def test_sample_cap_keeps_exact_totals(self):
         histogram = Histogram("h", max_samples=10)
@@ -66,7 +74,6 @@ class TestReservoir:
             histogram.observe(value)
         assert len(histogram._samples) == 16
         assert set(histogram._samples) <= set(observed)
-        assert histogram.min == 0.0 and histogram.max == 999.0
 
     def test_reservoir_sees_the_whole_stream_not_the_prefix(self):
         # First-N retention would keep only values < 32; Algorithm R keeps a
@@ -87,54 +94,6 @@ class TestReservoir:
         assert fill("same")._samples == fill("same")._samples
         assert fill("same").percentile(0.5) == fill("same").percentile(0.5)
         assert fill("same")._samples != fill("other")._samples
-
-
-def ok_result(**overrides):
-    fields = dict(
-        job_name="job",
-        scheduler="mmkp-mdf",
-        requests=10,
-        accepted=8,
-        rejected=2,
-        total_energy=50.0,
-        makespan=12.0,
-        activations=10,
-        search_time_total=0.01,
-        wall_time=0.02,
-    )
-    fields.update(overrides)
-    return SimulationResult(**fields)
-
-
-class TestServiceMetrics:
-    def test_observe_result_and_snapshot(self):
-        metrics = ServiceMetrics()
-        metrics.observe_result(ok_result())
-        metrics.observe_result(ok_result(job_name="other", accepted=10, rejected=0))
-        metrics.observe_result(
-            SimulationResult("bad", "mmkp-mdf", "events", error="boom")
-        )
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"]["traces_run"] == 2
-        assert snapshot["counters"]["traces_failed"] == 1
-        assert snapshot["counters"]["requests_total"] == 20
-        assert snapshot["counters"]["requests_accepted"] == 18
-        assert metrics.acceptance_rate == pytest.approx(0.9)
-        assert snapshot["histograms"]["trace_energy"]["count"] == 2
-
-    def test_observe_cache_and_hit_rate(self):
-        metrics = ServiceMetrics()
-        metrics.observe_cache({"hits": 30, "misses": 10})
-        assert metrics.cache_hit_rate == pytest.approx(0.75)
-        assert metrics.snapshot()["derived"]["cache_hit_rate"] == pytest.approx(0.75)
-
-    def test_format_renders_counters(self):
-        metrics = ServiceMetrics()
-        metrics.observe_result(ok_result())
-        text = metrics.format()
-        assert "traces_run" in text
-        assert "acceptance_rate" in text
-        assert "trace_energy" in text
 
 
 class TestExpositionEscaping:
@@ -188,3 +147,71 @@ class TestGroupedExposition:
 
     def test_empty_group_emits_nothing(self):
         assert prometheus_grouped_lines("phase_seconds", "help", {}) == []
+
+
+@pytest.fixture()
+def sorted_args(monkeypatch):
+    """Every object the exposition module passes to ``sorted``."""
+    calls = []
+
+    def recording_sorted(values, *args, **kwargs):
+        calls.append(values)
+        return sorted(values, *args, **kwargs)
+
+    monkeypatch.setattr(metrics_module, "sorted", recording_sorted, raising=False)
+    return calls
+
+
+def _reservoir_sorts(calls, histograms) -> dict[str, int]:
+    """How often each histogram's reservoir was sorted."""
+    return {
+        histogram.name: sum(values is histogram._samples for values in calls)
+        for histogram in histograms
+    }
+
+
+class TestOneSortPerRender:
+    """A scrape sorts each histogram's reservoir once, for all its quantiles."""
+
+    @staticmethod
+    def _filled(name: str, values) -> Histogram:
+        histogram = Histogram(name, f"{name} help")
+        for value in values:
+            histogram.observe(value)
+        return histogram
+
+    def test_the_summary_lines_are_unchanged(self, sorted_args):
+        histogram = self._filled("h", [float(v) for v in range(10, 0, -1)])
+        assert prometheus_lines([], [histogram], prefix="p") == [
+            "# HELP p_h h help",
+            "# TYPE p_h summary",
+            "p_h_count 10",
+            "p_h_sum 55",
+            'p_h{quantile="0.5"} 5',
+            'p_h{quantile="0.9"} 9',
+            'p_h{quantile="0.99"} 10',
+        ]
+        assert prometheus_grouped_lines("g", "", {"a": histogram}, prefix="p") == [
+            "# TYPE p_g summary",
+            'p_g_count{phase="a"} 10',
+            'p_g_sum{phase="a"} 55',
+            'p_g{phase="a",quantile="0.5"} 5',
+            'p_g{phase="a",quantile="0.9"} 9',
+            'p_g{phase="a",quantile="0.99"} 10',
+        ]
+        assert _reservoir_sorts(sorted_args, [histogram]) == {"h": 2}
+
+    def test_each_nonempty_histogram_is_sorted_once(self, sorted_args):
+        full = [self._filled(f"h{i}", [0.5 * v for v in range(200)]) for i in range(3)]
+        empty = Histogram("empty")
+        prometheus_lines([], [*full, empty], prefix="p")
+        assert _reservoir_sorts(sorted_args, [*full, empty]) == {
+            "h0": 1, "h1": 1, "h2": 1, "empty": 0,
+        }
+        sorted_args.clear()
+        prometheus_grouped_lines(
+            "phase_seconds", "", {"a": full[0], "b": empty, "c": full[1]}
+        )
+        assert _reservoir_sorts(sorted_args, [*full, empty]) == {
+            "h0": 1, "h1": 1, "h2": 0, "empty": 0,
+        }

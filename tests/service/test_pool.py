@@ -109,10 +109,12 @@ class TestCachingBehaviour:
     def test_repeats_hit_the_cache(self):
         spec = small_sweep(traces=3, repeats=4)
         service = SimulationService(workers=1)
-        service.run_batch(spec)
+        results = service.run_batch(spec)
         info = service.cache.info()
         assert info["hits"] > 0
-        assert service.metrics.cache_hit_rate > 0.5
+        assert info["hit_rate"] > 0.5
+        # Every activation asked the memo once.
+        assert info["hits"] + info["misses"] == results.aggregate()["activations"]
 
     def test_cache_off_runs_clean(self):
         spec = small_sweep(traces=3)
@@ -120,7 +122,7 @@ class TestCachingBehaviour:
         results = service.run_batch(spec)
         assert results.failures == []
         assert service.cache is None
-        assert service.metrics.cache_hit_rate == 0.0
+        assert results.aggregate()["activations"] > 0
 
     def test_cache_size_zero_is_cache_off_on_every_executor(self):
         """A zero-size cache means no cache on every executor, and the same

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import re
 
 import pytest
 
@@ -93,26 +94,40 @@ class TestBatchCommand:
         spec.save(path)
         return path
 
-    def test_runs_a_batch_and_prints_metrics(self, spec_path, capsys):
-        assert main(["batch", str(spec_path), "--workers", "2"]) == 0
+    def test_runs_a_batch_and_prints_its_cache_counts(
+        self, spec_path, tmp_path, capsys
+    ):
+        output_path = tmp_path / "results.json"
+        code = main(
+            ["batch", str(spec_path), "--workers", "2", "--output", str(output_path)]
+        )
+        assert code == 0
         output = capsys.readouterr().out
         assert "batch cli-smoke: 4 traces" in output
-        assert "service metrics" in output
-        assert "cache_hit_rate" in output
+        activations = json.loads(output_path.read_text())["aggregate"]["activations"]
+        hits, misses = _cache_counts(output)
+        assert hits + misses == activations > 0
+
+    def test_cache_off_says_so(self, spec_path, capsys):
+        assert main(["batch", str(spec_path), "--cache-size", "0"]) == 0
+        assert _cache_line(capsys.readouterr().out) == (
+            "activation cache: off (--cache-size 0)"
+        )
+
+    def test_quiet_is_gone(self, spec_path):
+        with pytest.raises(SystemExit):
+            main(["batch", str(spec_path), "--quiet"])
 
     def test_writes_result_summaries(self, spec_path, tmp_path, capsys):
         output_path = tmp_path / "results.json"
-        code = main(
-            ["batch", str(spec_path), "--output", str(output_path), "--quiet"]
-        )
+        code = main(["batch", str(spec_path), "--output", str(output_path)])
         assert code == 0
         data = json.loads(output_path.read_text())
         assert data["aggregate"]["traces"] == 4
         assert len(data["results"]) == 4
-        assert "service metrics" not in capsys.readouterr().out
 
     def test_shard_selects_a_subset(self, spec_path, capsys):
-        assert main(["batch", str(spec_path), "--shard", "0/2", "--quiet"]) == 0
+        assert main(["batch", str(spec_path), "--shard", "0/2"]) == 0
         assert "2 traces" in capsys.readouterr().out
 
     def test_invalid_shard_is_reported(self, spec_path):
@@ -130,7 +145,7 @@ class TestBatchCommand:
         )
         path = tmp_path / "failing.json"
         spec.save(path)
-        assert main(["batch", str(path), "--quiet"]) == 1
+        assert main(["batch", str(path)]) == 1
         assert "FAILED bad" in capsys.readouterr().out
 
     def test_a_store_keeps_only_activations(self, tmp_path, capsys):
@@ -146,12 +161,56 @@ class TestBatchCommand:
         ).save(spec_path)
         store = str(tmp_path / "store.db")
         for _ in range(2):  # cold, then warm
-            assert main(["batch", str(spec_path), "--store", store, "--quiet"]) == 0
+            assert main(["batch", str(spec_path), "--store", store]) == 0
         capsys.readouterr()
         assert main(["store", "stats", "--store", store, "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["namespaces"]
         assert all(name.startswith("activation:") for name in stats["namespaces"])
+
+
+    def test_warm_store_counts_hits_where_they_are_made(
+        self, spec_path, tmp_path, capsys
+    ):
+        """A warm serial rerun hits on every activation; on the cluster
+        executor the counts stay in the workers, and no hit rate is shown."""
+        store = str(tmp_path / "store.db")
+        assert main(["batch", str(spec_path), "--store", store]) == 0
+        cold = capsys.readouterr().out
+        assert main(["batch", str(spec_path), "--store", store]) == 0
+        warm = capsys.readouterr().out
+        _, cold_misses = _cache_counts(cold)
+        assert _cache_counts(warm) == (cold_misses, 0)
+        try:
+            code = main(
+                ["batch", str(spec_path), "--store", store,
+                 "--executor", "cluster", "--workers", "2"]
+            )
+        except (OSError, PermissionError) as error:  # pragma: no cover
+            pytest.skip(f"process pools unavailable in this sandbox: {error}")
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "worker processes" in _cache_line(output)
+        # No line of the run reports a 0.0 % (or 0.0%) cache hit rate.
+        assert not [
+            line for line in output.splitlines()
+            if "cache" in line and re.search(r"(?<![\d.])0\.0 ?%", line)
+        ]
+
+
+def _cache_line(output: str) -> str:
+    """The activation-cache line of ``repro-rm batch``'s output."""
+    (line,) = [
+        line for line in output.splitlines() if line.startswith("activation cache:")
+    ]
+    return line
+
+
+def _cache_counts(output: str) -> tuple[int, int]:
+    """The hits and misses the activation-cache line reports."""
+    match = re.match(r"activation cache: (\d+) hits, (\d+) misses", _cache_line(output))
+    assert match, output
+    return int(match[1]), int(match[2])
 
 
 class TestArgumentParsing:
